@@ -124,6 +124,30 @@ def sample_realization(
     return ChannelRealization.from_gains(model.sample_gains(rng, m_blocks), power)
 
 
+class _FixedKey(np.random.bit_generator.ISeedSequence):
+    """Seed sequence that hands Philox a ready-made (master_seed, trial) key.
+
+    np.random.Philox(key=...) still builds a SeedSequence() from OS entropy
+    and discards it, which costs more than the draws of a short trial.
+    Passed as the seed, this class supplies the key unchanged instead, so
+    the bit generator's state is the one Philox(key=key) sets up: that key,
+    counter 0, an empty buffer.
+    """
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or dtype is not np.uint64:
+            raise ValueError("a fixed Philox key is two uint64 words")
+        return self.key
+
+
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
+
+
 def trial_stream(master_seed: int, trial: int) -> np.random.Generator:
     """Independent random stream for one Monte Carlo trial.
 
@@ -131,13 +155,18 @@ def trial_stream(master_seed: int, trial: int) -> np.random.Generator:
     so trial k's draws are derivable directly from the pair without generating
     any other trial.  This is what makes experiments order-independent and
     safely parallelizable.
+
+    The stream is exactly Generator(Philox(key=[master_seed, trial])).  It is
+    built from a fixed-key seed sequence (_FixedKey) and a zero counter,
+    which skips the OS-entropy seed sequence that Philox(key=...) creates and
+    throws away; every draw is bit-identical.
     """
     if not 0 <= master_seed < 2**64:
         raise ValueError("master_seed must fit in 64 bits")
     if not 0 <= trial < 2**64:
         raise ValueError("trial index must fit in 64 bits")
     key = np.array([master_seed, trial], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_FixedKey(key), counter=_ZERO_COUNTER))
 
 
 def _rayleigh_expectation(f, tol: float) -> float:

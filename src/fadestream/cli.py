@@ -13,11 +13,12 @@ import json
 import os
 import sys
 import tempfile
+from concurrent.futures.process import BrokenProcessPool
 from functools import lru_cache
 
 from . import __version__
 from .bounds import InformedBound, ergodic_upper_bound
-from .channel import FadingModel, PowerBudget, ergodic_capacity
+from .channel import FadingModel, PowerBudget, QuadratureError, ergodic_capacity
 from .engine import (
     SWEEP_AXES,
     ExperimentSpec,
@@ -52,6 +53,9 @@ CSV_COLUMNS = (
 SCHEMA_VERSION = 1
 
 _INT_AXES = ("m_total", "window")
+
+# failures of a valid run; they exit 3 like an unwritable output
+_RUNTIME_ERRORS = (QuadratureError, MemoryError, BrokenProcessPool)
 
 
 class UsageError(ValueError):
@@ -309,6 +313,8 @@ def _parse_sweep(text: str):
 
 
 def _validate_run_args(args):
+    if args.workers < 1:
+        raise UsageError("--workers must be >= 1")
     if args.preset is not None:
         disallowed = {
             "--scheme": args.scheme,
@@ -471,15 +477,19 @@ def main(argv=None) -> int:
         else:
             out_format = args.out_format or "csv"
             meta, rows = _run_single_or_sweep(args)
+        meta["format"] = out_format
+        if out_format == "csv":
+            rows = [{k: v for k, v in row.items() if k != "cmf"} for row in rows]
+            text = _render_csv(meta, rows)
+        else:
+            text = _render_json(meta, rows)
     except (UsageError, ValueError) as exc:
         print(f"fadestream: error: {exc}", file=sys.stderr)
         return 2
-    meta["format"] = out_format
-    if out_format == "csv":
-        rows = [{k: v for k, v in row.items() if k != "cmf"} for row in rows]
-        text = _render_csv(meta, rows)
-    else:
-        text = _render_json(meta, rows)
+    except _RUNTIME_ERRORS as exc:
+        detail = " ".join(str(exc).split()) or "no details"
+        print(f"fadestream: error: run failed: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return 3
     try:
         _write_output(text, args.out)
     except OSError as exc:

@@ -82,9 +82,6 @@ class GTS:
             raise ValueError("window must be >= 1")
 
 
-EQUAL_SPLIT = "equal-split"
-
-
 @dataclass(frozen=True)
 class ST:
     """Superposition transmission with its subset-search bounds.
@@ -94,13 +91,10 @@ class ST:
     the outcome is flagged approximate.
     """
 
-    power_policy: str = EQUAL_SPLIT
     exact_subset_limit: int = 20
     heuristic_subset_cap: int = 4
 
     def __post_init__(self):
-        if self.power_policy != EQUAL_SPLIT:
-            raise ValueError(f"unsupported power policy: {self.power_policy!r}")
         if self.exact_subset_limit < 1 or self.heuristic_subset_cap < 1:
             raise ValueError("subset search bounds must be >= 1")
 
@@ -461,31 +455,34 @@ def st_counts(
     exact_subset_limit: int = 20,
     heuristic_subset_cap: int = 4,
 ) -> tuple[np.ndarray, bool]:
-    """Batched superposition decoding; returns (counts, approximate_flag)."""
+    """Batched superposition decoding; returns (counts, approximate_flag).
+
+    The scan of _st_scan, vectorized across trials: key row j (the profile
+    entry H[j] plus j R, see st_joint_capacity_profile) is built only for the
+    trials whose scan is still running, so memory stays O(trials x M) and a
+    capped scan stops after the rows it reads.  Each row sums all M block
+    terms, zeros included, so it is bit-identical to the full profile.
+    """
     trials, m_total = phis.shape
     approximate = m_total > exact_subset_limit
     max_run = heuristic_subset_cap if approximate else m_total
     t = np.arange(1, m_total + 1)
-    remaining = np.clip(t[None, :] - np.arange(m_total + 1)[:, None], 0, None).astype(float)
-    counts = np.empty(trials, dtype=np.int64)
-    # profile build is the O(M^2) part; bound the temporary to ~2e6 floats
-    chunk = max(1, int(2e6) // max(remaining.size, 1))
-    for lo in range(0, trials, chunk):
-        per_message = phis[lo : lo + chunk] * (p_linear / t)
-        profiles = np.log1p(per_message[:, None, :] * remaining[None, :, :]).sum(axis=2) / LN2
-        keys = profiles + rate_r * np.arange(m_total + 1)
-        if not approximate:
-            # jumps follow the running minima of the key, so the decoded
-            # count is the last index attaining the overall minimum
-            counts[lo : lo + chunk] = m_total - np.argmin(keys[:, ::-1], axis=1)
-        else:
-            for row in range(keys.shape[0]):
-                key = keys[row]
-                anchor = 0
-                for j in range(1, m_total + 1):
-                    if j - anchor > max_run:
-                        break
-                    if key[j] <= key[anchor]:
-                        anchor = j
-                counts[lo + row] = anchor
-    return counts, approximate
+    per_message = phis * (p_linear / t)
+    best = np.log1p(per_message * t).sum(axis=1) / LN2  # key row 0
+    anchor = np.zeros(trials, dtype=np.int64)
+    running = np.arange(trials)  # trials whose scan has not stopped
+    for j in range(1, m_total + 1):
+        going = j - anchor[running] <= max_run
+        if not going.all():
+            running = running[going]
+            per_message = per_message[going]
+            if running.size == 0:
+                break
+        terms = per_message * np.maximum(t - j, 0)
+        key = np.log1p(terms, out=terms).sum(axis=1) / LN2 + rate_r * j
+        # <= moves the anchor to the last index attaining the running minimum
+        improved = key <= best[running]
+        moved = running[improved]
+        anchor[moved] = j
+        best[moved] = key[improved]
+    return anchor, approximate

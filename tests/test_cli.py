@@ -3,13 +3,15 @@
 import csv
 import json
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+from fadestream import cli
 from fadestream.cli import CSV_COLUMNS, main
 from fadestream.engine import ExperimentSpec, run_experiment
-from fadestream.channel import FadingModel
+from fadestream.channel import FadingModel, QuadratureError
 from fadestream.schemes import MT
 
 
@@ -253,3 +255,39 @@ def test_unwritable_output_exits_3_with_no_partial_file(tmp_path, capsys):
     assert not target.exists()
     assert not os.path.exists(str(tmp_path / "missing-dir"))
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exit_2(tmp_path, capsys, workers):
+    out = tmp_path / "out.csv"
+    assert run_cli("--scheme", "mt", "--blocks", "4", "--rate", "1", "--snr-db", "0",
+                   "--trials", "50", "--workers", workers, "--out", str(out)) == 2
+    assert run_cli("--preset", "fig7", "--trials", "5", "--workers", workers,
+                   "--out", str(out)) == 2
+    assert not out.exists()
+    assert "--workers must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        QuadratureError("quadrature error 1e-3 exceeds tolerance 1e-6"),
+        MemoryError(),
+        BrokenProcessPool("A process in the process pool was\nterminated abruptly"),
+    ],
+    ids=lambda error: type(error).__name__,
+)
+def test_runtime_failures_exit_3_with_no_output(tmp_path, capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    out = tmp_path / "out.csv"
+    code = run_cli("--scheme", "mt", "--blocks", "4", "--rate", "1", "--snr-db", "0",
+                   "--trials", "50", "--out", str(out))
+    assert code == 3
+    assert os.listdir(tmp_path) == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"fadestream: error: run failed: {type(error).__name__}")

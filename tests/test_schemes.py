@@ -1,6 +1,7 @@
 """Decoder unit tests: frozen hand-worked cases, oracles, and invariants."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -406,6 +407,7 @@ def test_equality_decodes_in_every_scheme():
     power = PowerBudget(2.0)
     st_real = ChannelRealization.from_gains([1.0, 1.0], power)
     assert decode_st(st_real, 1.0, power).n_d == 2  # second step is exactly tight
+    assert st_counts(st_real.phi[None, :], power.p_linear, 1.0)[0][0] == 2
     m_star = informed_counts(np.array([[0.0, 2.0, 2.0]]), 1.0)
     assert m_star[0] == 3
 
@@ -449,3 +451,41 @@ def test_batched_decoders_match_scalar_decoders():
             assert gts_counts(caps, 1.0, window)[row] == decode_gts(real, 1.0, window).n_d
             assert aje_counts(caps, 1.0, m_prime)[row] == decode_aje(real, 1.0, m_prime).n_d
             assert counts_st[row] == decode_st(real, 1.0, power, st_cfg).n_d
+
+
+LIMIT = ST().exact_subset_limit
+
+
+@pytest.mark.parametrize("m_total", [LIMIT, LIMIT + 1])
+@pytest.mark.parametrize("rate, expect", [(1e-3, "all"), (1.0, None), (3.0, None), (50.0, "none")])
+def test_st_counts_match_full_profile_decoder(m_total, rate, expect):
+    """Row-by-row batched scan vs decode_st's full-profile scan, per trial."""
+    power = PowerBudget.from_db(10.0)
+    rng = np.random.default_rng(17)
+    phis = rng.exponential(1.0, (150, m_total))
+    counts, approx = st_counts(phis, power.p_linear, rate)
+    assert approx == (m_total > LIMIT)
+    for row in range(len(phis)):
+        real = ChannelRealization.from_gains(phis[row], power)
+        outcome = decode_st(real, rate, power)
+        assert counts[row] == outcome.n_d
+        assert outcome.approximate == approx
+    if expect == "all":
+        assert np.all(counts == m_total)
+    elif expect == "none":
+        assert np.all(counts == 0)
+    else:
+        assert 0 < counts.mean() < m_total
+
+
+def test_st_counts_memory_is_linear_in_blocks():
+    """16 trials x 2000 blocks: the full (M+1) x M profile would need 64 MB."""
+    phis = np.random.default_rng(18).exponential(1.0, (16, 2000))
+    tracemalloc.start()
+    try:
+        counts, approx = st_counts(phis, PowerBudget.from_db(2.0).p_linear, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert approx and counts.max() > 100  # the scan ran well past the first rows
+    assert peak < 8 * 2**20
