@@ -21,8 +21,8 @@ from .channel import (
     PowerBudget,
     QuadratureError,
     capacities,
-    trial_stream,
 )
+from .engine import _sample_gain_block
 
 # ---------------------------------------------------------------------------
 # decode-count pmf container
@@ -115,10 +115,7 @@ def _prefix_success_stats(model, power, m_total, rate_r, trials, master_seed, ch
     count_sq = 0.0
     thresholds = rate_r * np.arange(1, m_total + 1)
     for lo in range(0, trials, chunk):
-        n = min(chunk, trials - lo)
-        phis = np.empty((n, m_total))
-        for k in range(n):
-            phis[k] = model.sample_gains(trial_stream(master_seed, lo + k), m_total)
+        phis = _sample_gain_block(model, m_total, master_seed, lo, min(chunk, trials - lo))
         hits = np.cumsum(capacities(phis, power), axis=1) >= thresholds
         totals += hits.sum(axis=0)
         per_trial = hits.sum(axis=1)
@@ -311,10 +308,7 @@ def ts_rate_analytic_estimate(
     weights = 1.0 / np.arange(1, m_total + 1)
     chunk = 8192
     for lo in range(0, trials, chunk):
-        n = min(chunk, trials - lo)
-        phis = np.empty((n, m_total))
-        for k in range(n):
-            phis[k] = model.sample_gains(trial_stream(master_seed, lo + k), m_total)
+        phis = _sample_gain_block(model, m_total, master_seed, lo, min(chunk, trials - lo))
         info = np.cumsum((capacities(phis, power) * weights)[:, ::-1], axis=1)[:, ::-1]
         per_trial = (info >= rate_r).sum(axis=1)
         s1 += per_trial.sum()

@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 usage/configuration error, 3 runtime error.
 """
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -26,11 +25,29 @@ from .engine import (
     received_power,
     resolve_scheme,
     run_experiment,
-    sweep,
+    sweep_specs,
 )
 from .schemes import AJE, GTS, JE, MT, ST, TS
 
-SCHEME_TAGS = ("mt", "je", "aje", "ts", "gts", "st", "informed-bound")
+# --scheme tag -> configuration class
+_SCHEME_CLASSES = {
+    "mt": MT,
+    "je": JE,
+    "aje": AJE,
+    "ts": TS,
+    "gts": GTS,
+    "st": ST,
+    "informed-bound": InformedBound,
+}
+SCHEME_TAGS = tuple(_SCHEME_CLASSES)
+
+# scheme flag -> (tag of the only scheme it applies to, configuration field)
+_SCHEME_FLAGS = {
+    "--window": ("gts", "window"),
+    "--alpha-safety": ("aje", "safety"),
+    "--st-exact-limit": ("st", "exact_subset_limit"),
+    "--st-heuristic-cap": ("st", "heuristic_subset_cap"),
+}
 
 CSV_COLUMNS = (
     "scheme",
@@ -62,55 +79,37 @@ class UsageError(ValueError):
     """Inconsistent or invalid flag combination."""
 
 
-def _scheme_from_args(tag, args, m_total):
-    if tag == "mt":
-        return MT()
-    if tag == "je":
-        return JE()
-    if tag == "aje":
-        return AJE(safety=args.alpha_safety if args.alpha_safety is not None else 0.95)
-    if tag == "ts":
-        return TS()
-    if tag == "gts":
+def _flag_value(args, flag):
+    return getattr(args, flag[2:].replace("-", "_"))
+
+
+def _scheme_from_args(args):
+    """The --scheme configuration; an absent flag keeps the field's default."""
+    if args.scheme == "gts":
         if args.window is None:
             raise UsageError("gts requires --window")
-        if not 1 <= args.window <= m_total:
-            raise UsageError(f"--window must lie in [1, {m_total}]")
-        return GTS(window=args.window)
-    if tag == "st":
-        return ST(
-            exact_subset_limit=args.st_exact_limit if args.st_exact_limit is not None else 20,
-            heuristic_subset_cap=args.st_heuristic_cap if args.st_heuristic_cap is not None else 4,
-        )
-    if tag == "informed-bound":
-        return InformedBound()
-    raise UsageError(f"unknown scheme {tag!r}")
+        if not 1 <= args.window <= args.blocks:
+            raise UsageError(f"--window must lie in [1, {args.blocks}]")
+    fields = {
+        field: _flag_value(args, flag)
+        for flag, (tag, field) in _SCHEME_FLAGS.items()
+        if tag == args.scheme and _flag_value(args, flag) is not None
+    }
+    return _SCHEME_CLASSES[args.scheme](**fields)
 
 
 def _scheme_tag(scheme):
-    if isinstance(scheme, MT):
-        return "mt"
-    if isinstance(scheme, JE):
-        return "je"
-    if isinstance(scheme, AJE):
-        return "aje"
-    if isinstance(scheme, TS):
-        return "ts"
-    if isinstance(scheme, GTS):
-        return "gts"
-    if isinstance(scheme, ST):
-        return "st"
-    return "informed-bound"
+    return next(tag for tag, cls in _SCHEME_CLASSES.items() if type(scheme) is cls)
 
 
 @lru_cache(maxsize=None)
-def _cached_cbar(p_linear: float) -> float:
-    return ergodic_capacity(FadingModel.rayleigh(), PowerBudget(p_linear))
+def _cached_cbar(model: FadingModel, p_linear: float) -> float:
+    return ergodic_capacity(model, PowerBudget(p_linear))
 
 
 def _row(spec: ExperimentSpec, result) -> dict:
     scheme = resolve_scheme(spec)
-    c_bar = _cached_cbar(received_power(spec).p_linear)
+    c_bar = _cached_cbar(spec.model, received_power(spec).p_linear)
     return {
         "scheme": _scheme_tag(scheme),
         "blocks": spec.m_total,
@@ -131,78 +130,43 @@ def _row(spec: ExperimentSpec, result) -> dict:
     }
 
 
+def _rows(specs, workers):
+    return [_row(spec, run_experiment(spec, workers=workers)) for spec in specs]
+
+
 # ---------------------------------------------------------------------------
 # figure-style presets, at desk scale
 # ---------------------------------------------------------------------------
 
-_CMF_SCHEMES = (MT(), JE(), AJE(), TS(), None, ST(), InformedBound())  # None: gts slot
-_SWEEP_SCHEMES = (MT(), JE(), AJE(), TS(), ST(), InformedBound())
+
+def _compared(gts_window=None):
+    """The compared schemes in output order; gts where a preset fixes its window."""
+    gts = () if gts_window is None else (GTS(window=gts_window),)
+    return (MT(), JE(), AJE(), TS(), *gts, ST(), InformedBound())
 
 
-def _preset_cmf(power_db, gts_window, trials, seed, workers):
-    rows = []
-    for idx, scheme in enumerate(_CMF_SCHEMES):
-        if scheme is None:
-            scheme = GTS(window=gts_window)
-        spec = ExperimentSpec(
-            model=FadingModel.rayleigh(),
-            power_db=power_db,
-            m_total=50,
-            rate_r=1.0,
-            scheme=scheme,
-            trials=trials,
-            master_seed=derive_seed(seed, idx),
-        )
-        rows.append(_row(spec, run_experiment(spec, workers=workers)))
-    return rows
+def _preset(schemes, powers_db, m_total, axis=None, values=(), distance=None):
+    """build(trials, seed) for one point per (power, scheme), each swept over
+    `axis` if given; point i is seeded derive_seed(seed, i)."""
 
-
-def _preset_sweep(axis, values, power_db, m_total, rate_r, distance, trials, seed, workers):
-    rows = []
-    for idx, scheme in enumerate(_SWEEP_SCHEMES):
-        base = ExperimentSpec(
-            model=FadingModel.rayleigh(),
-            power_db=power_db,
-            m_total=m_total,
-            rate_r=rate_r,
-            scheme=scheme,
-            trials=trials,
-            master_seed=derive_seed(seed, idx),
-            distance=distance,
-        )
-        for index, (value, result) in enumerate(sweep(base, axis, values, workers=workers)):
-            spec = dataclasses.replace(base, master_seed=derive_seed(base.master_seed, index))
-            if axis == "m_total":
-                spec = dataclasses.replace(spec, m_total=int(value))
-            elif axis == "rate_r":
-                spec = dataclasses.replace(spec, rate_r=float(value))
-            elif axis == "distance":
-                spec = dataclasses.replace(spec, distance=(float(value), distance[1]))
-            rows.append(_row(spec, result))
-    return rows
-
-
-def _preset_fig4(trials, seed, workers):
-    rows = []
-    windows = [1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000]
-    for idx, power_db in enumerate((0.0, 2.0)):
-        base = ExperimentSpec(
-            model=FadingModel.rayleigh(),
-            power_db=power_db,
-            m_total=2000,
-            rate_r=1.0,
-            scheme=GTS(window=1),
-            trials=trials,
-            master_seed=derive_seed(seed, idx),
-        )
-        for index, (value, result) in enumerate(sweep(base, "window", windows, workers=workers)):
-            spec = dataclasses.replace(
-                base,
-                scheme=GTS(window=int(value)),
-                master_seed=derive_seed(base.master_seed, index),
+    def build(trials, seed):
+        specs = []
+        points = [(power_db, scheme) for power_db in powers_db for scheme in schemes]
+        for idx, (power_db, scheme) in enumerate(points):
+            base = ExperimentSpec(
+                model=FadingModel.rayleigh(),
+                power_db=power_db,
+                m_total=m_total,
+                rate_r=1.0,
+                scheme=scheme,
+                trials=trials,
+                master_seed=derive_seed(seed, idx),
+                distance=distance,
             )
-            rows.append(_row(spec, result))
-    return rows
+            specs += [base] if axis is None else sweep_specs(base, axis, values)
+        return specs
+
+    return build
 
 
 PRESETS = {
@@ -210,51 +174,46 @@ PRESETS = {
         "trials": 10000,
         "format": "csv",
         "note": "windowed time sharing vs window size; desk scale blocks=2000 instead of 10000",
-        "build": _preset_fig4,
+        "build": _preset(
+            [GTS(window=1)], (0.0, 2.0), 2000,
+            "window", [1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000],
+        ),
     },
     "fig5a": {
         "trials": 100000,
         "format": "json",
         "note": "decode-count cmf, blocks=50 rate=1 snr=1.44dB, all schemes (gts window=10)",
-        "build": lambda t, s, w: _preset_cmf(1.44, 10, t, s, w),
+        "build": _preset(_compared(gts_window=10), (1.44,), 50),
     },
     "fig5b": {
         "trials": 100000,
         "format": "json",
         "note": "decode-count cmf, blocks=50 rate=1 snr=0dB, all schemes (gts window=50)",
-        "build": lambda t, s, w: _preset_cmf(0.0, 50, t, s, w),
+        "build": _preset(_compared(gts_window=50), (0.0,), 50),
     },
     "fig6a": {
         "trials": 10000,
         "format": "csv",
         "note": "mean decoded count vs deadline length, rate=1 snr=-3dB",
-        "build": lambda t, s, w: _preset_sweep(
-            "m_total", list(range(1, 101)), -3.0, 100, 1.0, None, t, s, w
-        ),
+        "build": _preset(_compared(), (-3.0,), 100, "m_total", range(1, 101)),
     },
     "fig6b": {
         "trials": 10000,
         "format": "csv",
         "note": "mean decoded count vs deadline length, rate=1 snr=2dB",
-        "build": lambda t, s, w: _preset_sweep(
-            "m_total", list(range(1, 101)), 2.0, 100, 1.0, None, t, s, w
-        ),
+        "build": _preset(_compared(), (2.0,), 100, "m_total", range(1, 101)),
     },
     "fig7": {
         "trials": 10000,
         "format": "csv",
         "note": "mean decoded rate vs message rate, blocks=100 snr=20dB, with bounds",
-        "build": lambda t, s, w: _preset_sweep(
-            "rate_r", [x / 2.0 for x in range(1, 21)], 20.0, 100, 1.0, None, t, s, w
-        ),
+        "build": _preset(_compared(), (20.0,), 100, "rate_r", [x / 2.0 for x in range(1, 21)]),
     },
     "fig8": {
         "trials": 10000,
         "format": "csv",
         "note": "mean decoded rate vs distance, blocks=100 rate=1 snr=20dB path-loss=3",
-        "build": lambda t, s, w: _preset_sweep(
-            "distance", list(range(1, 11)), 20.0, 100, 1.0, (1.0, 3.0), t, s, w
-        ),
+        "build": _preset(_compared(), (20.0,), 100, "distance", range(1, 11), (1.0, 3.0)),
     },
 }
 
@@ -316,37 +275,24 @@ def _validate_run_args(args):
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
     if args.preset is not None:
-        disallowed = {
-            "--scheme": args.scheme,
-            "--blocks": args.blocks,
-            "--rate": args.rate,
-            "--snr-db": args.snr_db,
-            "--window": args.window,
-            "--alpha-safety": args.alpha_safety,
-            "--distance": args.distance,
-            "--path-loss": args.path_loss,
-            "--st-exact-limit": args.st_exact_limit,
-            "--st-heuristic-cap": args.st_heuristic_cap,
-            "--sweep": args.sweep,
-        }
-        extra = [flag for flag, value in disallowed.items() if value is not None]
+        point_flags = (
+            "--scheme", "--blocks", "--rate", "--snr-db", "--window", "--alpha-safety",
+            "--distance", "--path-loss", "--st-exact-limit", "--st-heuristic-cap", "--sweep",
+        )
+        extra = [flag for flag in point_flags if _flag_value(args, flag) is not None]
         if extra:
             raise UsageError(f"--preset does not combine with {', '.join(extra)}")
         return
-    for flag, value in (("--scheme", args.scheme), ("--blocks", args.blocks),
-                        ("--rate", args.rate), ("--snr-db", args.snr_db)):
-        if value is None:
+    for flag in ("--scheme", "--blocks", "--rate", "--snr-db"):
+        if _flag_value(args, flag) is None:
             raise UsageError(f"{flag} is required without --preset")
     if args.blocks < 1:
         raise UsageError("--blocks must be >= 1")
     if args.rate <= 0.0:
         raise UsageError("--rate must be positive")
-    if args.window is not None and args.scheme != "gts":
-        raise UsageError("--window applies to the gts scheme only")
-    if args.alpha_safety is not None and args.scheme != "aje":
-        raise UsageError("--alpha-safety applies to the aje scheme only")
-    if (args.st_exact_limit is not None or args.st_heuristic_cap is not None) and args.scheme != "st":
-        raise UsageError("--st-exact-limit/--st-heuristic-cap apply to the st scheme only")
+    for flag, (tag, _) in _SCHEME_FLAGS.items():
+        if _flag_value(args, flag) is not None and args.scheme != tag:
+            raise UsageError(f"{flag} applies to the {tag} scheme only")
     if (args.distance is None) != (args.path_loss is None):
         raise UsageError("--distance and --path-loss must be given together")
 
@@ -354,14 +300,13 @@ def _validate_run_args(args):
 def _run_single_or_sweep(args):
     trials = args.trials if args.trials is not None else 10000
     seed = args.seed if args.seed is not None else 1
-    scheme = _scheme_from_args(args.scheme, args, args.blocks)
     distance = None if args.distance is None else (args.distance, args.path_loss)
     base = ExperimentSpec(
         model=FadingModel.rayleigh(),
         power_db=args.snr_db,
         m_total=args.blocks,
         rate_r=args.rate,
-        scheme=scheme,
+        scheme=_scheme_from_args(args),
         trials=trials,
         master_seed=seed,
         distance=distance,
@@ -374,28 +319,19 @@ def _run_single_or_sweep(args):
         "trials": trials,
         "seed": seed,
     }
-    if args.sweep is None:
-        return meta, [_row(base, run_experiment(base, workers=args.workers))]
-    axis, values = _parse_sweep(args.sweep)
-    meta["sweep"] = f"{axis}={','.join(str(v) for v in values)}"
-    rows = []
-    for index, (value, result) in enumerate(sweep(base, axis, values, workers=args.workers)):
-        spec = dataclasses.replace(base, master_seed=derive_seed(base.master_seed, index))
-        if axis == "window":
-            spec = dataclasses.replace(spec, scheme=GTS(window=int(value)))
-        elif axis == "distance":
-            spec = dataclasses.replace(spec, distance=(float(value), base.distance[1]))
-        else:
-            spec = dataclasses.replace(spec, **{axis: value})
-        rows.append(_row(spec, result))
-    return meta, rows
+    specs = [base]
+    if args.sweep is not None:
+        axis, values = _parse_sweep(args.sweep)
+        meta["sweep"] = f"{axis}={','.join(str(v) for v in values)}"
+        specs = sweep_specs(base, axis, values)
+    return meta, _rows(specs, args.workers)
 
 
 def _run_preset(args):
     preset = PRESETS[args.preset]
     trials = args.trials if args.trials is not None else preset["trials"]
     seed = args.seed if args.seed is not None else 1
-    rows = preset["build"](trials, seed, args.workers)
+    rows = _rows(preset["build"](trials, seed), args.workers)
     meta = {
         "preset": args.preset,
         "trials": trials,

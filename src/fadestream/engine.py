@@ -28,7 +28,22 @@ from .schemes import AJE, GTS, JE, MT, ST, TS, SchemeConfig
 
 SWEEP_AXES = ("power_db", "rate_r", "m_total", "window", "distance")
 
-_SCHEME_TYPES = (MT, JE, AJE, TS, GTS, ST, InformedBound)
+# kernel(caps, rate_r, scheme) per scheme configuration, looked up by name at
+# call time so that wrappers on the module attributes see every call; st
+# decodes from the gains and has its own branch
+_CAPACITY_KERNELS = {
+    MT: lambda caps, rate_r, scheme: schemes.mt_counts(caps, rate_r),
+    JE: lambda caps, rate_r, scheme: schemes.je_counts(caps, rate_r),
+    AJE: lambda caps, rate_r, scheme: schemes.aje_counts(caps, rate_r, scheme.m_prime),
+    TS: lambda caps, rate_r, scheme: schemes.ts_counts(caps, rate_r),
+    GTS: lambda caps, rate_r, scheme: schemes.gts_counts(caps, rate_r, scheme.window),
+    InformedBound: lambda caps, rate_r, scheme: informed_counts(caps, rate_r),
+}
+
+# elements of a chunk's trials x M gains: gts holds about five temporaries of
+# that size besides the gains and capacities, so 8 MB each bounds a chunk's
+# peak near 60 MB at any M (the 4096-trial cap decides below M = 245)
+_CHUNK_ELEMENTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -45,7 +60,7 @@ class ExperimentSpec:
     distance: tuple[float, float] | None = None  # (distance, path_loss_exponent)
 
     def __post_init__(self):
-        if not isinstance(self.scheme, _SCHEME_TYPES):
+        if not isinstance(self.scheme, (ST, *_CAPACITY_KERNELS)):
             raise ValueError(f"unknown scheme configuration: {self.scheme!r}")
         if self.m_total < 1:
             raise ValueError("m_total must be >= 1")
@@ -104,18 +119,21 @@ def resolve_scheme(spec: ExperimentSpec) -> SchemeConfig | InformedBound:
     return scheme
 
 
-def _sample_gain_block(spec: ExperimentSpec, start: int, count: int) -> np.ndarray:
-    phis = np.empty((count, spec.m_total))
+def _sample_gain_block(
+    model: FadingModel, m_total: int, master_seed: int, start: int, count: int
+) -> np.ndarray:
+    """Gains of trials [start, start + count), one row per trial."""
+    phis = np.empty((count, m_total))
     for k in range(count):
-        phis[k] = spec.model.sample_gains(trial_stream(spec.master_seed, start + k), spec.m_total)
+        phis[k] = model.sample_gains(trial_stream(master_seed, start + k), m_total)
     return phis
 
 
 def _decode_chunk(spec: ExperimentSpec, start: int, count: int) -> tuple[np.ndarray, bool]:
-    """Decoded counts for trials [start, start + count); picklable for pools."""
+    """Decoded counts for trials [start, start + count) of a resolved spec."""
     power = received_power(spec)
-    phis = _sample_gain_block(spec, start, count)
-    scheme = resolve_scheme(spec)
+    phis = _sample_gain_block(spec.model, spec.m_total, spec.master_seed, start, count)
+    scheme = spec.scheme
     if isinstance(scheme, ST):
         return schemes.st_counts(
             phis,
@@ -125,25 +143,11 @@ def _decode_chunk(spec: ExperimentSpec, start: int, count: int) -> tuple[np.ndar
             scheme.heuristic_subset_cap,
         )
     caps = capacities(phis, power)
-    if isinstance(scheme, MT):
-        counts = schemes.mt_counts(caps, spec.rate_r)
-    elif isinstance(scheme, JE):
-        counts = schemes.je_counts(caps, spec.rate_r)
-    elif isinstance(scheme, AJE):
-        counts = schemes.aje_counts(caps, spec.rate_r, scheme.m_prime)
-    elif isinstance(scheme, TS):
-        counts = schemes.ts_counts(caps, spec.rate_r)
-    elif isinstance(scheme, GTS):
-        counts = schemes.gts_counts(caps, spec.rate_r, scheme.window)
-    elif isinstance(scheme, InformedBound):
-        counts = informed_counts(caps, spec.rate_r)
-    else:  # unreachable, spec validation rejects unknown schemes
-        raise AssertionError(f"unhandled scheme {scheme!r}")
-    return counts, False
+    return _CAPACITY_KERNELS[type(scheme)](caps, spec.rate_r, scheme), False
 
 
 def _chunk_ranges(trials: int, m_total: int):
-    chunk = max(1, min(4096, int(8e6) // m_total))
+    chunk = max(1, min(4096, _CHUNK_ELEMENTS // m_total))
     return [(start, min(chunk, trials - start)) for start in range(0, trials, chunk)]
 
 
@@ -159,6 +163,7 @@ def decode_counts(spec: ExperimentSpec) -> tuple[np.ndarray, bool]:
     Mainly for paired per-trial comparisons (e.g. checking that no scheme
     ever beats the informed bound on the same realization).
     """
+    spec = dataclasses.replace(spec, scheme=resolve_scheme(spec))
     parts = [_decode_chunk(spec, start, count) for start, count in _chunk_ranges(spec.trials, spec.m_total)]
     approx = any(a for _, a in parts)
     return np.concatenate([c for c, _ in parts]), approx
@@ -170,6 +175,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     The reduction is an integer histogram sum, so the result is bit-identical
     for any chunking and any number of workers.
     """
+    spec = dataclasses.replace(spec, scheme=resolve_scheme(spec))
     jobs = [(spec, start, count) for start, count in _chunk_ranges(spec.trials, spec.m_total)]
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -208,35 +214,36 @@ def derive_seed(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _spec_for_value(base: ExperimentSpec, axis: str, value, seed: int) -> ExperimentSpec:
-    if axis == "window":
-        if not isinstance(base.scheme, GTS):
-            raise ValueError("window sweep applies to the gts scheme only")
-        return dataclasses.replace(base, scheme=GTS(window=int(value)), master_seed=seed)
-    if axis == "distance":
-        if base.distance is None:
-            raise ValueError("distance sweep needs a base (distance, path_loss) pair")
-        return dataclasses.replace(
-            base, distance=(float(value), base.distance[1]), master_seed=seed
+def sweep_specs(base: ExperimentSpec, axis: str, values) -> list[ExperimentSpec]:
+    """The experiments of a sweep: point i sets `axis` to values[i] and is
+    seeded derive_seed(base.master_seed, i)."""
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    if axis == "window" and not isinstance(base.scheme, GTS):
+        raise ValueError("window sweep applies to the gts scheme only")
+    if axis == "distance" and base.distance is None:
+        raise ValueError("distance sweep needs a base (distance, path_loss) pair")
+    specs = []
+    for index, value in enumerate(values):
+        if axis == "window":
+            change = {"scheme": GTS(window=int(value))}
+        elif axis == "distance":
+            change = {"distance": (float(value), base.distance[1])}
+        else:
+            change = {axis: int(value) if axis == "m_total" else float(value)}
+        specs.append(
+            dataclasses.replace(base, **change, master_seed=derive_seed(base.master_seed, index))
         )
-    if axis == "m_total":
-        return dataclasses.replace(base, m_total=int(value), master_seed=seed)
-    if axis in ("power_db", "rate_r"):
-        return dataclasses.replace(base, **{axis: float(value)}, master_seed=seed)
-    raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    return specs
 
 
 def sweep(
     base: ExperimentSpec, axis: str, values, workers: int = 1
 ) -> list[tuple[float, ExperimentResult]]:
-    """One experiment per axis value, with independent derived seeds."""
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-    out = []
-    for index, value in enumerate(values):
-        spec = _spec_for_value(base, axis, value, derive_seed(base.master_seed, index))
-        out.append((value, run_experiment(spec, workers=workers)))
-    return out
+    """One experiment per axis value, on the specs of sweep_specs."""
+    values = list(values)
+    specs = sweep_specs(base, axis, values)
+    return [(value, run_experiment(spec, workers=workers)) for value, spec in zip(values, specs)]
 
 
 def optimal_window(

@@ -1,6 +1,7 @@
 """Command-line interface: records, determinism, presets, exit codes."""
 
 import csv
+import dataclasses
 import json
 import os
 from concurrent.futures.process import BrokenProcessPool
@@ -9,10 +10,11 @@ import numpy as np
 import pytest
 
 from fadestream import cli
+from fadestream.bounds import InformedBound
 from fadestream.cli import CSV_COLUMNS, main
 from fadestream.engine import ExperimentSpec, run_experiment
 from fadestream.channel import FadingModel, QuadratureError
-from fadestream.schemes import MT
+from fadestream.schemes import AJE, GTS, JE, MT, ST, TS
 
 
 def run_cli(*argv):
@@ -154,6 +156,74 @@ def test_distance_sweep(tmp_path):
     _, rows = read_csv(out)
     assert [r["distance"] for r in rows] == ["1.0", "5.0", "9.0"]
     assert all(r["path_loss"] == "3.0" for r in rows)
+
+
+def spec_from_row(row):
+    """The experiment a row reports, rebuilt from the row's own fields."""
+    fixed = {"mt": MT(), "je": JE(), "ts": TS(), "st": ST(), "informed-bound": InformedBound()}
+    if row["scheme"] == "gts":
+        scheme = GTS(window=row["window"])
+    elif row["scheme"] == "aje":
+        scheme = AJE(m_prime=row["m_prime"])
+    else:
+        scheme = fixed[row["scheme"]]
+    return ExperimentSpec(
+        model=FadingModel.rayleigh(),
+        power_db=row["power_db"],
+        m_total=row["blocks"],
+        rate_r=row["rate"],
+        scheme=scheme,
+        trials=row["trials"],
+        master_seed=row["seed"],
+        distance=None if row["distance"] is None else (row["distance"], row["path_loss"]),
+    )
+
+
+POINT = ("--blocks", "12", "--rate", "1", "--snr-db", "2", "--trials", "40", "--seed", "8")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--scheme", "mt", *POINT, "--sweep", "power_db=-3,0,2"),
+        ("--scheme", "aje", *POINT, "--sweep", "rate_r=0.5,1.5"),
+        ("--scheme", "st", *POINT, "--sweep", "m_total=3,15"),
+        ("--scheme", "gts", "--window", "2", *POINT, "--sweep", "window=1,5,12"),
+        ("--scheme", "je", *POINT, "--distance", "1", "--path-loss", "3",
+         "--sweep", "distance=1,4"),
+        ("--preset", "fig7", "--trials", "6", "--seed", "8"),
+        ("--preset", "fig4", "--trials", "4", "--seed", "8"),
+    ],
+    ids=["power_db", "rate_r", "m_total", "window", "distance", "fig7", "fig4"],
+)
+def test_every_row_regenerates_from_its_own_fields(tmp_path, argv):
+    out = tmp_path / "rows.json"
+    assert run_cli(*argv, "--format", "json", "--out", str(out)) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert len({row["seed"] for row in rows}) == len(rows)
+    for row in rows:
+        result = run_experiment(spec_from_row(row))
+        assert (row["mean_rate"], row["rate_se"]) == (result.mean_rate, result.rate_se)
+
+
+def test_scheme_tables_agree_with_parser_and_configs():
+    options = {opt for action in cli.build_parser()._actions for opt in action.option_strings}
+    flag_values = {"--window": 3, "--alpha-safety": 0.5, "--st-exact-limit": 7,
+                   "--st-heuristic-cap": 2}
+    assert set(cli._SCHEME_FLAGS) == set(flag_values)
+    for flag, (tag, field) in cli._SCHEME_FLAGS.items():
+        assert flag in options
+        assert field in {f.name for f in dataclasses.fields(cli._SCHEME_CLASSES[tag])}
+        args = cli.build_parser().parse_args(
+            ["--scheme", tag, *POINT[:6], flag, str(flag_values[flag])]
+        )
+        assert getattr(cli._scheme_from_args(args), field) == flag_values[flag]
+    for tag, cls in cli._SCHEME_CLASSES.items():
+        window = ["--window", "3"] if tag == "gts" else []
+        args = cli.build_parser().parse_args(["--scheme", tag, *POINT[:6], *window])
+        scheme = cli._scheme_from_args(args)
+        assert scheme == (GTS(window=3) if tag == "gts" else cls())
+        assert cli._scheme_tag(scheme) == tag
 
 
 # ---------------------------------------------------------------------------

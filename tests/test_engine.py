@@ -1,12 +1,20 @@
 """Experiment runner: determinism, statistics accounting, sweeps."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fadestream import engine
 from fadestream.bounds import InformedBound
-from fadestream.channel import FadingModel, PowerBudget, sample_realization, trial_stream
+from fadestream.channel import (
+    FadingModel,
+    PowerBudget,
+    ergodic_capacity,
+    sample_realization,
+    trial_stream,
+)
 from fadestream.engine import (
     ExperimentSpec,
     decode_counts,
@@ -16,6 +24,7 @@ from fadestream.engine import (
     resolve_scheme,
     run_experiment,
     sweep,
+    sweep_specs,
 )
 from fadestream.schemes import AJE, GTS, JE, MT, ST, TS, decode_mt
 
@@ -135,6 +144,34 @@ def test_aje_resolves_adaptive_message_count():
     assert resolve_scheme(pinned).m_prime == 33
 
 
+def test_aje_message_count_is_resolved_once_per_experiment(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ergodic_capacity(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "ergodic_capacity", counted)
+    spec = make_spec(scheme=AJE(), trials=9000, m_total=10)
+    assert len(engine._chunk_ranges(spec.trials, spec.m_total)) == 3
+    run_experiment(spec, workers=1)
+    decode_counts(spec)
+    assert len(calls) == 2
+
+
+def test_run_experiment_memory_is_bounded_at_long_deadlines():
+    """gts at M=2000: a chunk of 4000 trials x 2000 blocks peaked at 448 MB."""
+    spec = make_spec(scheme=GTS(window=50), power_db=2.0, m_total=2000, trials=4000)
+    tracemalloc.start()
+    try:
+        result = run_experiment(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.trials_run == 4000
+    assert peak < 100 * 2**20
+
+
 def test_decode_counts_matches_run_experiment():
     spec = make_spec(scheme=JE(), trials=5000, m_total=8)
     counts, approx = decode_counts(spec)
@@ -192,6 +229,29 @@ def test_sweep_uses_independent_derived_seeds():
     results = sweep(base, "power_db", [1.44, 1.44])
     # same operating point, different derived seed: estimates differ slightly
     assert results[0][1].mean_rate != results[1][1].mean_rate
+
+
+@pytest.mark.parametrize(
+    "axis, base, values, field",
+    [
+        ("power_db", make_spec(), [0.0, 2.5], lambda s: s.power_db),
+        ("rate_r", make_spec(), [0.5, 2.0], lambda s: s.rate_r),
+        ("m_total", make_spec(), [3, 40], lambda s: s.m_total),
+        ("window", make_spec(scheme=GTS(window=1)), [2, 7], lambda s: s.scheme.window),
+        ("distance", make_spec(distance=(1.0, 3.0)), [2.0, 5.0], lambda s: s.distance[0]),
+    ],
+)
+def test_sweep_runs_the_specs_it_lists(axis, base, values, field):
+    specs = sweep_specs(base, axis, values)
+    assert [field(s) for s in specs] == values
+    assert [s.master_seed for s in specs] == [derive_seed(base.master_seed, i) for i in range(2)]
+    swept = {"window": "scheme"}.get(axis, axis)
+    for spec in specs:
+        for f in dataclasses.fields(base):
+            if f.name not in (swept, "master_seed"):
+                assert getattr(spec, f.name) == getattr(base, f.name)
+    for (value, result), spec in zip(sweep(base, axis, values), specs):
+        assert result.cmf.tolist() == run_experiment(spec).cmf.tolist()
 
 
 def test_sweep_layout_over_distance():
