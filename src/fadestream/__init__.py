@@ -59,7 +59,6 @@ from .schemes import (
     decode_mt,
     decode_st,
     decode_ts,
-    je_prefix_feasible,
     st_power_allocation,
     st_subset_capacity,
 )
@@ -96,19 +95,18 @@ __all__ = [
     "estimate_prefix_probs",
     "informed_upper_bound",
     "je_pmf_exact_smallM",
-    "je_prefix_feasible",
     "mt_pmf_exact",
     "mt_pmf_gaussian",
     "mt_success_prob",
     "optimal_window",
+    "prefix_sum_rate",
+    "prefix_sum_rate_mc",
     "rayleigh_ergodic_closed_form",
     "run_experiment",
     "sample_realization",
     "st_power_allocation",
     "st_subset_capacity",
     "sweep",
-    "prefix_sum_rate",
-    "prefix_sum_rate_mc",
     "trial_stream",
     "ts_rate_analytic_estimate",
 ]

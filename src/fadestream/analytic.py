@@ -22,7 +22,8 @@ from .channel import (
     QuadratureError,
     capacities,
 )
-from .engine import _sample_gain_block
+from .engine import _chunk_ranges, _sample_gain_block
+from .schemes import ts_counts
 
 # ---------------------------------------------------------------------------
 # decode-count pmf container
@@ -108,20 +109,31 @@ def prefix_sum_rate(prefix_probs, rate_r: float) -> float:
     return rate_r / len(prefix_probs) * float(prefix_probs.sum())
 
 
-def _prefix_success_stats(model, power, m_total, rate_r, trials, master_seed, chunk=8192):
-    """Per-m success totals plus first two moments of the per-trial count."""
-    totals = np.zeros(m_total, dtype=np.int64)
-    count_sum = 0.0
-    count_sq = 0.0
+def _capacity_chunks(model, power, m_total, trials, master_seed):
+    """Capacities of trials 0..trials-1 on the engine's streams, in its chunks."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    for start, count in _chunk_ranges(trials, m_total):
+        yield capacities(_sample_gain_block(model, m_total, master_seed, start, count), power)
+
+
+def _prefix_hits(model, power, m_total, rate_r, trials, master_seed):
+    """Per chunk, the (trials x M) indicators of cap[1]+...+cap[m] >= m R."""
     thresholds = rate_r * np.arange(1, m_total + 1)
-    for lo in range(0, trials, chunk):
-        phis = _sample_gain_block(model, m_total, master_seed, lo, min(chunk, trials - lo))
-        hits = np.cumsum(capacities(phis, power), axis=1) >= thresholds
-        totals += hits.sum(axis=0)
-        per_trial = hits.sum(axis=1)
-        count_sum += per_trial.sum()
-        count_sq += (per_trial.astype(float) ** 2).sum()
-    return totals, count_sum, count_sq
+    for caps in _capacity_chunks(model, power, m_total, trials, master_seed):
+        yield np.cumsum(caps, axis=1) >= thresholds
+
+
+def _rate_and_se(count_chunks, trials, rate_r, m_total) -> tuple[float, float]:
+    """Mean rate (R/M) E[count] and its standard error from per-trial counts."""
+    s1 = s2 = 0.0
+    for counts in count_chunks:
+        s1 += counts.sum()
+        s2 += (counts.astype(float) ** 2).sum()
+    mean = s1 / trials
+    var = max(s2 / trials - mean**2, 0.0) * trials / max(trials - 1, 1)
+    scale = rate_r / m_total
+    return scale * mean, scale * np.sqrt(var / trials)
 
 
 def estimate_prefix_probs(
@@ -137,10 +149,8 @@ def estimate_prefix_probs(
     One pass per trial evaluates all m simultaneously on the partial sums;
     trial streams follow the engine's (master_seed, trial) derivation.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    totals, _, _ = _prefix_success_stats(model, power, m_total, rate_r, trials, master_seed)
-    return totals / trials
+    hits = _prefix_hits(model, power, m_total, rate_r, trials, master_seed)
+    return sum(chunk.sum(axis=0) for chunk in hits) / trials
 
 
 def prefix_sum_rate_mc(
@@ -152,13 +162,8 @@ def prefix_sum_rate_mc(
     master_seed: int,
 ) -> tuple[float, float]:
     """Monte Carlo prefix-sum rate estimate and its standard error."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    _, s1, s2 = _prefix_success_stats(model, power, m_total, rate_r, trials, master_seed)
-    mean = s1 / trials
-    var = max(s2 / trials - mean**2, 0.0) * trials / max(trials - 1, 1)
-    scale = rate_r / m_total
-    return scale * mean, scale * np.sqrt(var / trials)
+    hits = _prefix_hits(model, power, m_total, rate_r, trials, master_seed)
+    return _rate_and_se((chunk.sum(axis=1) for chunk in hits), trials, rate_r, m_total)
 
 
 # ---------------------------------------------------------------------------
@@ -297,26 +302,13 @@ def ts_rate_analytic_estimate(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the time-sharing average-rate sum, with SE.
 
-    Estimates (R/M) * sum over m of Pr{cap[m]/m + ... + cap[M]/M >= R}.
-    This is the same estimand as the engine's mean decoded rate for the
-    time-sharing decoder, so paired runs must agree within sampling error.
+    Estimates (R/M) * sum over m of Pr{cap[m]/m + ... + cap[M]/M >= R},
+    counting the terms per trial with the time-sharing kernel.  This is the
+    same estimand as the engine's mean decoded rate for the time-sharing
+    decoder, so paired runs must agree within sampling error.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    s1 = 0.0
-    s2 = 0.0
-    weights = 1.0 / np.arange(1, m_total + 1)
-    chunk = 8192
-    for lo in range(0, trials, chunk):
-        phis = _sample_gain_block(model, m_total, master_seed, lo, min(chunk, trials - lo))
-        info = np.cumsum((capacities(phis, power) * weights)[:, ::-1], axis=1)[:, ::-1]
-        per_trial = (info >= rate_r).sum(axis=1)
-        s1 += per_trial.sum()
-        s2 += (per_trial.astype(float) ** 2).sum()
-    mean = s1 / trials
-    var = max(s2 / trials - mean**2, 0.0) * trials / max(trials - 1, 1)
-    scale = rate_r / m_total
-    return scale * mean, scale * np.sqrt(var / trials)
+    chunks = _capacity_chunks(model, power, m_total, trials, master_seed)
+    return _rate_and_se((ts_counts(caps, rate_r) for caps in chunks), trials, rate_r, m_total)
 
 
 # ---------------------------------------------------------------------------

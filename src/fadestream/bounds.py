@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization
-from .schemes import DecodeOutcome, _check_rate, _outcome
+from .schemes import DecodeOutcome, _decode_prefix
 
 
 @dataclass(frozen=True)
@@ -18,32 +18,21 @@ class InformedBound:
     """Selector for running the informed-transmitter bound as if a scheme."""
 
 
-def _informed_feasible(cap: np.ndarray, rate_r: float, m: int) -> bool:
-    # decoding m messages needs (m - i + 1) R <= cap[i] + ... + cap[M] for i = 1..m
-    suffix = np.cumsum(cap[::-1])[::-1]
-    need = rate_r * (m - np.arange(m))
-    return bool(np.all(need <= suffix[:m]))
-
-
 def informed_upper_bound(real: ChannelRealization, rate_r: float) -> DecodeOutcome:
     """Largest decodable message count with full channel knowledge.
 
-    Feasibility is monotone non-increasing in m, so the scan walks down from
-    M and stops at the first feasible count.  The decoded messages can always
-    be taken to be the first m by reordering, so the outcome is a prefix.
+    The decoded messages can always be taken to be the first m by
+    reordering, so the outcome is a prefix.
     """
-    _check_rate(rate_r)
-    for m in range(real.m_blocks, 0, -1):
-        if _informed_feasible(real.cap, rate_r, m):
-            return _outcome(range(1, m + 1), real.m_blocks, rate_r)
-    return _outcome((), real.m_blocks, rate_r)
+    return _decode_prefix(informed_counts, real, rate_r)
 
 
 def informed_counts(caps: np.ndarray, rate_r: float) -> np.ndarray:
     """Batched informed bound over (trials x blocks) capacity matrices.
 
-    Rearranged feasibility: m works iff min over i <= m of
-    (suffix_sum_i + i * R) >= (m + 1) * R.
+    Decoding m messages needs (m - i + 1) R <= cap[i] + ... + cap[M] for
+    i = 1..m, which is monotone non-increasing in m.  Rearranged: m works iff
+    min over i <= m of (suffix_sum_i + i * R) >= (m + 1) * R.
     """
     trials, m_total = caps.shape
     suffix = np.cumsum(caps[:, ::-1], axis=1)[:, ::-1]

@@ -23,7 +23,6 @@ from .engine import (
     ExperimentSpec,
     derive_seed,
     received_power,
-    resolve_scheme,
     run_experiment,
     sweep_specs,
 )
@@ -108,7 +107,7 @@ def _cached_cbar(model: FadingModel, p_linear: float) -> float:
 
 
 def _row(spec: ExperimentSpec, result) -> dict:
-    scheme = resolve_scheme(spec)
+    scheme = result.scheme
     c_bar = _cached_cbar(spec.model, received_power(spec).p_linear)
     return {
         "scheme": _scheme_tag(scheme),

@@ -93,6 +93,7 @@ class ExperimentResult:
     mean_decoded: float
     approx_flag: bool
     trials_run: int
+    scheme: SchemeConfig | InformedBound  # as run: aje's m_prime resolved
 
 
 def received_power(spec: ExperimentSpec) -> PowerBudget:
@@ -200,6 +201,7 @@ def _result_from_histogram(hist: np.ndarray, spec: ExperimentSpec, approx: bool)
         mean_decoded=mean_decoded,
         approx_flag=approx,
         trials_run=n,
+        scheme=spec.scheme,
     )
 
 

@@ -20,14 +20,14 @@ decoder determines which messages the receiver has decoded by the deadline:
 Decoding succeeds on exact equality (accumulated mutual information equal to
 the required rate) in every scheme.
 
-Scalar decoders take a ChannelRealization; the batched counterparts at the
-bottom of the module take (trials x blocks) matrices and return per-trial
-decoded counts.  Both routes implement identical rules and are cross-checked
-against each other in the test suite.
+Each rule is implemented once, by the batched kernels (the *_counts
+functions), which take (trials x blocks) matrices and return per-trial
+decoded counts.  The scalar decode_* functions run those kernels on a
+one-row batch of a ChannelRealization.  The test suite checks the kernels
+against independent rule-by-definition implementations in tests/oracles.py.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtr
@@ -125,49 +125,66 @@ def _check_rate(rate_r: float):
         raise ValueError("rate_r must be finite and positive")
 
 
+def _decode_prefix(kernel, real: ChannelRealization, rate_r: float, *args) -> DecodeOutcome:
+    """The first n_d messages, n_d being the kernel's count on the one-row batch."""
+    _check_rate(rate_r)
+    n_d = int(kernel(real.cap[None, :], rate_r, *args)[0])
+    return _outcome(range(1, n_d + 1), real.m_blocks, rate_r)
+
+
 # ---------------------------------------------------------------------------
-# memoryless transmission
+# scalar decoders: one ChannelRealization through the batched kernels below
 # ---------------------------------------------------------------------------
 
 
 def decode_mt(real: ChannelRealization, rate_r: float) -> DecodeOutcome:
-    """Message t decodes iff its own block clears the rate: cap[t] >= R."""
+    """Message t decodes iff cap[t] >= R: mt_counts with each block a trial."""
     _check_rate(rate_r)
-    decoded = np.nonzero(real.cap >= rate_r)[0] + 1
+    decoded = np.flatnonzero(mt_counts(real.cap[:, None], rate_r)) + 1
     return _outcome(decoded, real.m_blocks, rate_r)
-
-
-# ---------------------------------------------------------------------------
-# joint encoding
-# ---------------------------------------------------------------------------
-
-
-def je_prefix_feasible(cap, rate_r: float, m: int) -> bool:
-    """Whether the first m messages are jointly decodable from blocks 1..m.
-
-    Requires (m - j + 1) R <= cap[j] + ... + cap[m] for every j = 1..m;
-    m = 0 is trivially feasible.
-    """
-    cap = np.asarray(cap, dtype=float)
-    if not 0 <= m <= len(cap):
-        raise ValueError("m out of range")
-    if m == 0:
-        return True
-    suffix = np.cumsum(cap[:m][::-1])[::-1]  # suffix[j-1] = cap[j-1] + .. + cap[m-1]
-    need = rate_r * np.arange(m, 0, -1)
-    return bool(np.all(need <= suffix))
 
 
 def decode_je(real: ChannelRealization, rate_r: float) -> DecodeOutcome:
     """Longest feasible prefix under joint encoding."""
+    return _decode_prefix(je_counts, real, rate_r)
+
+
+def decode_aje(real: ChannelRealization, rate_r: float, m_prime: int) -> DecodeOutcome:
+    """Joint encoding restricted to the first m_prime messages.
+
+    The delivered rate still divides by the full M: the M - m_prime dropped
+    messages count against the scheme.
+    """
+    return _decode_prefix(aje_counts, real, rate_r, m_prime)
+
+
+def decode_ts(real: ChannelRealization, rate_r: float) -> DecodeOutcome:
+    """Time sharing; I_1 >= I_2 >= ... >= I_M, so the decoded set is a prefix."""
+    return _decode_prefix(ts_counts, real, rate_r)
+
+
+def decode_gts(real: ChannelRealization, rate_r: float, window: int) -> DecodeOutcome:
+    """Windowed time sharing; the decoded set need not be a prefix."""
     _check_rate(rate_r)
-    for m in range(real.m_blocks, -1, -1):
-        if je_prefix_feasible(real.cap, rate_r, m):
-            return _outcome(range(1, m + 1), real.m_blocks, rate_r)
-    raise AssertionError("m = 0 is always feasible")
+    info = gts_accumulated_info(real.cap[None, :], window)[0]
+    return _outcome(np.flatnonzero(info >= rate_r) + 1, real.m_blocks, rate_r)
 
 
-@lru_cache(maxsize=256)
+def decode_st(
+    real: ChannelRealization, rate_r: float, power: PowerBudget, config: ST = ST()
+) -> DecodeOutcome:
+    """Greedy subset decoding of the superimposed messages; see st_counts."""
+    _check_rate(rate_r)
+    limits = (config.exact_subset_limit, config.heuristic_subset_cap)
+    counts, approximate = st_counts(real.phi[None, :], power.p_linear, rate_r, *limits)
+    return _outcome(range(1, counts[0] + 1), real.m_blocks, rate_r, approximate)
+
+
+# ---------------------------------------------------------------------------
+# adaptive joint encoding: how many messages to keep
+# ---------------------------------------------------------------------------
+
+
 def choose_m_prime(
     c_bar: float, rate_r: float, m_total: int, safety: float = 0.95, *, c_var: float
 ) -> int:
@@ -185,10 +202,7 @@ def choose_m_prime(
     and variance c_var (n + n^2 (M - M') / M'^2), where c_var is the variance
     of one block's capacity.  With c_var = 0 every block carries c_bar, and
     the exact answer floor(M c_bar / R), clamped into [1, M], is kept under
-    the same cap.
-
-    Cached because the search costs O(M^2) and the experiment runner resolves
-    the scheme once per chunk.
+    the same cap.  The search costs O(M^2).
     """
     if c_bar <= 0.0 or rate_r <= 0.0:
         raise ValueError("c_bar and rate_r must be positive")
@@ -206,88 +220,8 @@ def choose_m_prime(
     return int(np.argmax(predicted)) + 1
 
 
-def _aje_boosted_caps(cap: np.ndarray, m_prime: int) -> np.ndarray:
-    """Per-message capacities after folding the surplus blocks back in.
-
-    Each of the blocks beyond m_prime is split into m_prime equal parts that
-    repeat the original codewords, so message slot i <= m_prime accumulates
-    cap[i] + (cap[m_prime+1] + ... + cap[M]) / m_prime.
-    """
-    surplus = cap[m_prime:].sum() / m_prime
-    return cap[:m_prime] + surplus
-
-
-def decode_aje(real: ChannelRealization, rate_r: float, m_prime: int) -> DecodeOutcome:
-    """Joint encoding restricted to the first m_prime messages.
-
-    The delivered rate still divides by the full M: the M - m_prime dropped
-    messages count against the scheme.
-    """
-    _check_rate(rate_r)
-    m_total = real.m_blocks
-    if not 1 <= m_prime <= m_total:
-        raise ValueError("m_prime must be in [1, M]")
-    boosted = _aje_boosted_caps(real.cap, m_prime)
-    for m in range(m_prime, -1, -1):
-        if je_prefix_feasible(boosted, rate_r, m):
-            return _outcome(range(1, m + 1), m_total, rate_r)
-    raise AssertionError("m = 0 is always feasible")
-
-
 # ---------------------------------------------------------------------------
-# time sharing
-# ---------------------------------------------------------------------------
-
-
-def ts_accumulated_info(cap) -> np.ndarray:
-    """Mutual information per message under equal time sharing.
-
-    Block t is split equally among the t arrived messages, so message i
-    accumulates I_i = cap[i]/i + cap[i+1]/(i+1) + ... + cap[M]/M.
-    """
-    cap = np.asarray(cap, dtype=float)
-    shares = cap / np.arange(1, len(cap) + 1)
-    return np.cumsum(shares[::-1])[::-1]
-
-
-def decode_ts(real: ChannelRealization, rate_r: float) -> DecodeOutcome:
-    """Messages whose accumulated time-sharing information reaches R.
-
-    I_1 >= I_2 >= ... >= I_M, so the decoded set is always a prefix.
-    """
-    _check_rate(rate_r)
-    decoded = np.nonzero(ts_accumulated_info(real.cap) >= rate_r)[0] + 1
-    return _outcome(decoded, real.m_blocks, rate_r)
-
-
-def gts_accumulated_info(cap, window: int) -> np.ndarray:
-    """Mutual information per message under windowed time sharing.
-
-    Message i occupies blocks i .. min(i+W-1, M).  In block t the active
-    messages are those with max(1, t-W+1) <= i <= t, so each active message
-    receives the fraction 1/min(t, W) of the block.
-    """
-    cap = np.asarray(cap, dtype=float)
-    m_total = len(cap)
-    if not 1 <= window <= m_total:
-        raise ValueError("window must be in [1, M]")
-    shares = cap / np.minimum(np.arange(1, m_total + 1), window)
-    csum = np.concatenate(([0.0], np.cumsum(shares)))
-    starts = np.arange(m_total)
-    ends = np.minimum(starts + window, m_total)
-    return csum[ends] - csum[starts]
-
-
-def decode_gts(real: ChannelRealization, rate_r: float, window: int) -> DecodeOutcome:
-    """Windowed time sharing; the decoded set need not be a prefix."""
-    _check_rate(rate_r)
-    info = gts_accumulated_info(real.cap, window)
-    decoded = np.nonzero(info >= rate_r)[0] + 1
-    return _outcome(decoded, real.m_blocks, rate_r)
-
-
-# ---------------------------------------------------------------------------
-# superposition transmission
+# superposition transmission: the subset capacities that define greedy decoding
 # ---------------------------------------------------------------------------
 
 
@@ -326,77 +260,9 @@ def st_subset_capacity(phi, p_alloc: np.ndarray, undecoded, subset) -> float:
     return float(np.sum(np.log1p(phi * s_pow / (1.0 + phi * n_pow)) / LN2))
 
 
-def st_joint_capacity_profile(phi, p_linear: float) -> np.ndarray:
-    """Joint capacities of the message suffixes under the equal power split.
-
-    Entry s is the capacity of decoding messages s+1..M together, with all
-    earlier messages already subtracted:
-
-        H[s] = sum_t log2(1 + phi_t * (P/t) * max(t - s, 0))
-
-    because in block t exactly max(t - s, 0) of the remaining messages have
-    arrived, each holding power P/t.  By the chain rule the best size-i
-    subset from state s (which is the earliest-index run, see decode_st)
-    has capacity H[s] - H[s+i].
-    """
-    phi = np.asarray(phi, dtype=float)
-    m_total = len(phi)
-    t = np.arange(1, m_total + 1)
-    per_message = phi * (p_linear / t)
-    remaining = np.clip(t[None, :] - np.arange(m_total + 1)[:, None], 0, None)
-    return np.log1p(per_message[None, :] * remaining).sum(axis=1) / LN2
-
-
-def _st_scan(profile: np.ndarray, rate_r: float, max_run: int) -> int:
-    """Greedy subset decoding as a single pass over the capacity profile.
-
-    From s decoded messages, the smallest decodable subset size i satisfies
-    i * R <= H[s] - H[s+i]; with K[j] = H[j] + j * R this is K[s+i] <= K[s].
-    Decoding therefore jumps along the running minima of K, and stops once
-    the next minimum is more than max_run positions away.
-    """
-    m_total = len(profile) - 1
-    key = profile + rate_r * np.arange(m_total + 1)
-    anchor = 0
-    for j in range(1, m_total + 1):
-        if j - anchor > max_run:
-            break
-        if key[j] <= key[anchor]:
-            anchor = j
-    return anchor
-
-
-def decode_st(
-    real: ChannelRealization,
-    rate_r: float,
-    power: PowerBudget,
-    config: ST = ST(),
-) -> DecodeOutcome:
-    """Greedy subset decoding of the superimposed messages.
-
-    Repeatedly decodes the smallest subset size whose best candidate clears
-    i * R, subtracts it, and restarts.  With the equal power split, the best
-    size-i candidate is always the i earliest undecoded messages: every block
-    term of the subset capacity grows when a member index is lowered, and
-    the earliest run is also the lexicographic tie-break.  The search over
-    subsets therefore reduces to the capacity profile scan above; the test
-    suite cross-checks it against exhaustive subset enumeration.
-
-    Beyond config.exact_subset_limit blocks the candidate runs are capped at
-    config.heuristic_subset_cap and the outcome is flagged approximate.
-    """
-    _check_rate(rate_r)
-    m_total = real.m_blocks
-    approximate = m_total > config.exact_subset_limit
-    max_run = config.heuristic_subset_cap if approximate else m_total
-    profile = st_joint_capacity_profile(real.phi, power.p_linear)
-    n_d = _st_scan(profile, rate_r, max_run)
-    return _outcome(range(1, n_d + 1), m_total, rate_r, approximate=approximate)
-
-
 # ---------------------------------------------------------------------------
-# batched decoders: caps / phis are (trials x blocks) matrices, the result is
-# the per-trial decoded count.  Same rules as the scalar routes above.
+# batched decoders, the one implementation of each rule: caps / phis are
+# (trials x blocks) matrices, the result is the per-trial decoded count
 # ---------------------------------------------------------------------------
 
 
@@ -407,9 +273,10 @@ def mt_counts(caps: np.ndarray, rate_r: float) -> np.ndarray:
 def je_counts(caps: np.ndarray, rate_r: float) -> np.ndarray:
     """Longest feasible prefix, vectorized over trials.
 
-    With excess e[t] = cap[t] - R and prefix sums p[m], the prefix m is
-    feasible iff p[m] >= max(p[0..m-1]); the decoded count is the largest
-    such m.
+    The first m messages are jointly decodable from blocks 1..m iff
+    (m - j + 1) R <= cap[j] + ... + cap[m] for every j = 1..m.  With excess
+    e[t] = cap[t] - R and prefix sums p[m], that is p[m] >= max(p[0..m-1]);
+    the decoded count is the largest such m.
     """
     trials, m_total = caps.shape
     p = np.concatenate([np.zeros((trials, 1)), np.cumsum(caps - rate_r, axis=1)], axis=1)
@@ -421,6 +288,12 @@ def je_counts(caps: np.ndarray, rate_r: float) -> np.ndarray:
 
 
 def aje_counts(caps: np.ndarray, rate_r: float, m_prime: int) -> np.ndarray:
+    """Joint encoding of the first m_prime messages on boosted blocks.
+
+    Each of the blocks beyond m_prime is split into m_prime equal parts that
+    repeat the original codewords, so message slot i <= m_prime accumulates
+    cap[i] + (cap[m_prime+1] + ... + cap[M]) / m_prime.
+    """
     m_total = caps.shape[1]
     if not 1 <= m_prime <= m_total:
         raise ValueError("m_prime must be in [1, M]")
@@ -431,12 +304,23 @@ def aje_counts(caps: np.ndarray, rate_r: float, m_prime: int) -> np.ndarray:
 
 
 def ts_counts(caps: np.ndarray, rate_r: float) -> np.ndarray:
+    """Equal time sharing: block t is split among the t arrived messages.
+
+    Message i accumulates I_i = cap[i]/i + cap[i+1]/(i+1) + ... + cap[M]/M
+    and decodes iff I_i >= R.
+    """
     shares = caps / np.arange(1, caps.shape[1] + 1)
     info = np.cumsum(shares[:, ::-1], axis=1)[:, ::-1]
     return (info >= rate_r).sum(axis=1)
 
 
-def gts_counts(caps: np.ndarray, rate_r: float, window: int) -> np.ndarray:
+def gts_accumulated_info(caps: np.ndarray, window: int) -> np.ndarray:
+    """Mutual information per message under windowed time sharing.
+
+    Message i occupies blocks i .. min(i+W-1, M).  In block t the active
+    messages are those with max(1, t-W+1) <= i <= t, so each active message
+    receives the fraction 1/min(t, W) of the block.
+    """
     trials, m_total = caps.shape
     if not 1 <= window <= m_total:
         raise ValueError("window must be in [1, M]")
@@ -444,8 +328,11 @@ def gts_counts(caps: np.ndarray, rate_r: float, window: int) -> np.ndarray:
     csum = np.concatenate([np.zeros((trials, 1)), np.cumsum(shares, axis=1)], axis=1)
     starts = np.arange(m_total)
     ends = np.minimum(starts + window, m_total)
-    info = csum[:, ends] - csum[:, starts]
-    return (info >= rate_r).sum(axis=1)
+    return csum[:, ends] - csum[:, starts]
+
+
+def gts_counts(caps: np.ndarray, rate_r: float, window: int) -> np.ndarray:
+    return (gts_accumulated_info(caps, window) >= rate_r).sum(axis=1)
 
 
 def st_counts(
@@ -455,13 +342,22 @@ def st_counts(
     exact_subset_limit: int = 20,
     heuristic_subset_cap: int = 4,
 ) -> tuple[np.ndarray, bool]:
-    """Batched superposition decoding; returns (counts, approximate_flag).
+    """Greedy superposition decoding; returns (counts, approximate_flag).
 
-    The scan of _st_scan, vectorized across trials: key row j (the profile
-    entry H[j] plus j R, see st_joint_capacity_profile) is built only for the
-    trials whose scan is still running, so memory stays O(trials x M) and a
-    capped scan stops after the rows it reads.  Each row sums all M block
-    terms, zeros included, so it is bit-identical to the full profile.
+    The greedy decoder repeatedly decodes the smallest subset size i whose
+    best candidate clears i * R (st_subset_capacity), subtracts it, and
+    restarts.  Under the equal power split the best candidate is the i
+    earliest undecoded messages (each block term grows as a member index is
+    lowered; it is also the lexicographic tie-break), and with s decoded,
+    messages s+1..M decode jointly at H[s] = sum_t log2(1 + phi_t (P/t)
+    max(t - s, 0)).  By the chain rule the earliest size-i run decodes iff
+    K[s+i] <= K[s] for K[j] = H[j] + j R, so decoding jumps along the running
+    minima of K, stopping once the next is more than max_run positions away.
+    Row j of K is built only for the trials still scanning, so memory is
+    O(trials x M); it sums all M block terms, zeros included, so it equals
+    row j of the full (M+1) x M profile bit for bit.  Beyond
+    exact_subset_limit blocks, runs are capped at heuristic_subset_cap and
+    the counts are flagged approximate.
     """
     trials, m_total = phis.shape
     approximate = m_total > exact_subset_limit

@@ -1,0 +1,71 @@
+"""Each decoding rule written out by its definition, one realization at a
+time: the independent second implementation that every batched kernel in
+fadestream is checked against.  Each oracle returns the decoded count."""
+
+import numpy as np
+
+from fadestream.channel import LN2
+
+
+def mt_count(cap, rate_r):
+    return sum(1 for c in cap if c >= rate_r)
+
+
+def je_prefix_feasible(cap, rate_r, m):
+    """The first m messages decode jointly from blocks 1..m: (m - j + 1) R <=
+    cap[j] + ... + cap[m] for every j = 1..m."""
+    return all((m - j + 1) * rate_r <= sum(cap[j - 1 : m]) for j in range(1, m + 1))
+
+
+def je_count(cap, rate_r):
+    """Longest feasible prefix, scanning down from M."""
+    return next(m for m in range(len(cap), -1, -1) if je_prefix_feasible(cap, rate_r, m))
+
+
+def aje_count(cap, rate_r, m_prime):
+    """je on the first m_prime blocks, each boosted by an equal share of the rest."""
+    cap = np.asarray(cap, dtype=float)
+    return je_count(cap[:m_prime] + cap[m_prime:].sum() / m_prime, rate_r)
+
+
+def gts_count(cap, rate_r, window):
+    """Each block is split equally among the messages that have arrived and
+    whose W-block window is still open; a message decodes once it holds R."""
+    info = np.zeros(len(cap))
+    for t in range(len(cap)):  # 0-based: messages 0..t have arrived
+        active = range(max(0, t - window + 1), t + 1)
+        for i in active:
+            info[i] += cap[t] / len(active)
+    return int(np.sum(info >= rate_r))
+
+
+def ts_count(cap, rate_r):
+    return gts_count(cap, rate_r, len(cap))  # a window spanning all M blocks
+
+
+def st_count(phi, p_linear, rate_r, max_run):
+    """Greedy superposition decoding as a scan over the full (M+1) x M
+    capacity profile: the running minima of H[j] + j R (see st_counts),
+    whose rows st_counts sums term for term, so the counts agree exactly."""
+    phi = np.asarray(phi, dtype=float)
+    t = np.arange(1, len(phi) + 1)
+    remaining = np.clip(t[None, :] - np.arange(len(phi) + 1)[:, None], 0, None)
+    key = np.log1p((phi * (p_linear / t))[None, :] * remaining).sum(axis=1) / LN2
+    key += rate_r * np.arange(len(phi) + 1)
+    anchor = 0
+    for j in range(1, len(phi) + 1):
+        if j - anchor > max_run:
+            break
+        if key[j] <= key[anchor]:
+            anchor = j
+    return anchor
+
+
+def informed_feasible(cap, rate_r, m):
+    """m messages fit with full channel knowledge: (m - i + 1) R <= cap[i] +
+    ... + cap[M] for i = 1..m."""
+    return all((m - i + 1) * rate_r <= sum(cap[i - 1 :]) for i in range(1, m + 1))
+
+
+def informed_count(cap, rate_r):
+    return max(m for m in range(len(cap) + 1) if informed_feasible(cap, rate_r, m))

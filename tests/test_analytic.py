@@ -1,5 +1,7 @@
 """Analytic quantities vs their Monte Carlo and quadrature counterparts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -250,6 +252,17 @@ def test_ts_estimate_agrees_with_decoder_run():
     )
     run = run_experiment(spec)
     assert abs(est - run.mean_rate) <= 3.0 * combined_se(est_se, run.rate_se)
+
+
+@pytest.mark.parametrize("estimate", [prefix_sum_rate_mc, ts_rate_analytic_estimate])
+def test_estimates_stay_bounded_in_memory_at_long_deadlines(estimate):
+    """8192 trials x 2000 blocks in one chunk peaked at 375 MB."""
+    tracemalloc.start()
+    try:
+        estimate(RAYLEIGH, PowerBudget.from_db(2.0), 2000, 1.0, 8192, master_seed=55)
+        assert tracemalloc.get_traced_memory()[1] < 100 * 2**20
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------

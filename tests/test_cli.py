@@ -9,7 +9,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from fadestream import cli
+from fadestream import channel, cli
 from fadestream.bounds import InformedBound
 from fadestream.cli import CSV_COLUMNS, main
 from fadestream.engine import ExperimentSpec, run_experiment
@@ -127,6 +127,20 @@ def test_aje_run_records_resolved_m_prime(tmp_path):
     # Pinned-M' Monte Carlo at this point (50000 trials): 66 -> 5.137,
     # 67 -> 5.157, 68 -> 5.139, 69 -> 5.057, 70 -> 4.873.
     assert rows[0]["m_prime"] == "67"
+
+
+def test_aje_row_reuses_the_scheme_its_run_resolved(tmp_path, monkeypatch):
+    """Three quadratures resolve M' (c_bar and the capacity variance) and one
+    gives the row's c_bar; the row does not resolve the scheme again."""
+    calls = []
+    expectation = channel._rayleigh_expectation
+    monkeypatch.setattr(
+        channel, "_rayleigh_expectation", lambda *args: calls.append(args) or expectation(*args)
+    )
+    cli._cached_cbar.cache_clear()
+    assert run_cli("--scheme", "aje", "--blocks", "100", "--rate", "8", "--snr-db", "20",
+                   "--trials", "50", "--out", str(tmp_path / "aje.csv")) == 0
+    assert len(calls) == 4
 
 
 # ---------------------------------------------------------------------------

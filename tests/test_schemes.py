@@ -26,13 +26,15 @@ from fadestream.schemes import (
     decode_ts,
     gts_counts,
     je_counts,
-    je_prefix_feasible,
     mt_counts,
     st_counts,
     st_power_allocation,
     st_subset_capacity,
     ts_counts,
 )
+
+import oracles
+from oracles import je_prefix_feasible
 
 UNIT_POWER = PowerBudget(1.0)
 
@@ -440,17 +442,39 @@ def test_batched_decoders_match_scalar_decoders():
         caps = np.log1p(phis * power.p_linear) / np.log(2.0)
         window = max(1, m_total // 2)
         m_prime = max(1, m_total - 1)
-        st_cfg = ST(exact_subset_limit=4, heuristic_subset_cap=2)
+        max_run = 2 if m_total > 4 else m_total
         counts_st, approx = st_counts(phis, power.p_linear, 1.0, 4, 2)
         assert approx == (m_total > 4)
         for row in range(200):
-            real = ChannelRealization(phi=phis[row], cap=caps[row])
-            assert mt_counts(caps, 1.0)[row] == decode_mt(real, 1.0).n_d
-            assert je_counts(caps, 1.0)[row] == decode_je(real, 1.0).n_d
-            assert ts_counts(caps, 1.0)[row] == decode_ts(real, 1.0).n_d
-            assert gts_counts(caps, 1.0, window)[row] == decode_gts(real, 1.0, window).n_d
-            assert aje_counts(caps, 1.0, m_prime)[row] == decode_aje(real, 1.0, m_prime).n_d
-            assert counts_st[row] == decode_st(real, 1.0, power, st_cfg).n_d
+            cap = caps[row]
+            assert mt_counts(caps, 1.0)[row] == oracles.mt_count(cap, 1.0)
+            assert je_counts(caps, 1.0)[row] == oracles.je_count(cap, 1.0)
+            assert ts_counts(caps, 1.0)[row] == oracles.ts_count(cap, 1.0)
+            assert gts_counts(caps, 1.0, window)[row] == oracles.gts_count(cap, 1.0, window)
+            assert aje_counts(caps, 1.0, m_prime)[row] == oracles.aje_count(cap, 1.0, m_prime)
+            assert counts_st[row] == oracles.st_count(phis[row], power.p_linear, 1.0, max_run)
+
+
+def test_kernels_match_oracles_on_exact_ties():
+    """Half-integer capacities with R = 1: every sum is exact, so information
+    often equals the need exactly, which decodes."""
+    rng = np.random.default_rng(24)
+    ties = 0
+    for m_total in range(1, 9):
+        caps = rng.choice([0.0, 0.5, 1.0, 1.5, 2.0], size=(400, m_total))
+        checks = [
+            (mt_counts(caps, 1.0), oracles.mt_count),
+            (je_counts(caps, 1.0), oracles.je_count),
+            (informed_counts(caps, 1.0), oracles.informed_count),
+        ] + [
+            (aje_counts(caps, 1.0, m), lambda cap, rate, m=m: oracles.aje_count(cap, rate, m))
+            for m in (1, 2, 4) if m <= m_total
+        ]
+        for row, cap in enumerate(caps):
+            # a repeated partial sum of cap - R: some block run holds exactly its need
+            ties += len(set(np.cumsum(cap - 1.0)) | {0.0}) <= m_total
+            assert all(counts[row] == oracle(cap, 1.0) for counts, oracle in checks)
+    assert ties > 1000
 
 
 LIMIT = ST().exact_subset_limit
@@ -459,17 +483,15 @@ LIMIT = ST().exact_subset_limit
 @pytest.mark.parametrize("m_total", [LIMIT, LIMIT + 1])
 @pytest.mark.parametrize("rate, expect", [(1e-3, "all"), (1.0, None), (3.0, None), (50.0, "none")])
 def test_st_counts_match_full_profile_decoder(m_total, rate, expect):
-    """Row-by-row batched scan vs decode_st's full-profile scan, per trial."""
+    """Row-by-row batched scan vs the full-profile scan oracle, per trial."""
     power = PowerBudget.from_db(10.0)
     rng = np.random.default_rng(17)
     phis = rng.exponential(1.0, (150, m_total))
     counts, approx = st_counts(phis, power.p_linear, rate)
     assert approx == (m_total > LIMIT)
+    max_run = ST().heuristic_subset_cap if approx else m_total
     for row in range(len(phis)):
-        real = ChannelRealization.from_gains(phis[row], power)
-        outcome = decode_st(real, rate, power)
-        assert counts[row] == outcome.n_d
-        assert outcome.approximate == approx
+        assert counts[row] == oracles.st_count(phis[row], power.p_linear, rate, max_run)
     if expect == "all":
         assert np.all(counts == m_total)
     elif expect == "none":
