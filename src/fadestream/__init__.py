@@ -22,7 +22,6 @@ from .analytic import (
     mt_success_prob,
     prefix_sum_rate,
     prefix_sum_rate_mc,
-    ts_rate_analytic_estimate,
 )
 from .bounds import InformedBound, ergodic_upper_bound, informed_upper_bound
 from .channel import (
@@ -108,5 +107,4 @@ __all__ = [
     "st_subset_capacity",
     "sweep",
     "trial_stream",
-    "ts_rate_analytic_estimate",
 ]

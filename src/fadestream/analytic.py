@@ -23,7 +23,6 @@ from .channel import (
     capacities,
 )
 from .engine import _chunk_ranges, _sample_gain_block
-from .schemes import ts_counts
 
 # ---------------------------------------------------------------------------
 # decode-count pmf container
@@ -109,18 +108,14 @@ def prefix_sum_rate(prefix_probs, rate_r: float) -> float:
     return rate_r / len(prefix_probs) * float(prefix_probs.sum())
 
 
-def _capacity_chunks(model, power, m_total, trials, master_seed):
-    """Capacities of trials 0..trials-1 on the engine's streams, in its chunks."""
+def _prefix_hits(model, power, m_total, rate_r, trials, master_seed):
+    """Per chunk, the (trials x M) indicators of cap[1]+...+cap[m] >= m R,
+    for trials 0..trials-1 on the engine's streams and in its chunks."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    for start, count in _chunk_ranges(trials, m_total):
-        yield capacities(_sample_gain_block(model, m_total, master_seed, start, count), power)
-
-
-def _prefix_hits(model, power, m_total, rate_r, trials, master_seed):
-    """Per chunk, the (trials x M) indicators of cap[1]+...+cap[m] >= m R."""
     thresholds = rate_r * np.arange(1, m_total + 1)
-    for caps in _capacity_chunks(model, power, m_total, trials, master_seed):
+    for start, count in _chunk_ranges(trials, m_total):
+        caps = capacities(_sample_gain_block(model, m_total, master_seed, start, count), power)
         yield np.cumsum(caps, axis=1) >= thresholds
 
 
@@ -285,30 +280,6 @@ def je_pmf_exact_smallM(
         ]
     )
     return DecodeCountPmf(probs=probs)
-
-
-# ---------------------------------------------------------------------------
-# time sharing: direct estimator of the average-rate sum
-# ---------------------------------------------------------------------------
-
-
-def ts_rate_analytic_estimate(
-    model: FadingModel,
-    power: PowerBudget,
-    m_total: int,
-    rate_r: float,
-    trials: int,
-    master_seed: int,
-) -> tuple[float, float]:
-    """Monte Carlo estimate of the time-sharing average-rate sum, with SE.
-
-    Estimates (R/M) * sum over m of Pr{cap[m]/m + ... + cap[M]/M >= R},
-    counting the terms per trial with the time-sharing kernel.  This is the
-    same estimand as the engine's mean decoded rate for the time-sharing
-    decoder, so paired runs must agree within sampling error.
-    """
-    chunks = _capacity_chunks(model, power, m_total, trials, master_seed)
-    return _rate_and_se((ts_counts(caps, rate_r) for caps in chunks), trials, rate_r, m_total)
 
 
 # ---------------------------------------------------------------------------

@@ -53,12 +53,26 @@ class FadingModel:
     def constant(cls, gain: float) -> "FadingModel":
         return cls(kind=CONSTANT, gain=float(gain))
 
-    def sample_gains(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw n i.i.d. gains from the model."""
+    def sample_gains(
+        self, rng: np.random.Generator, n: int, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Draw n i.i.d. gains from the model, into `out` if given.
+
+        `out` must be a contiguous float64 vector of length n; it is filled
+        and returned, so a caller can draw straight into a row of its block.
+        """
+        if out is None:
+            out = np.empty(n)
         if self.kind == RAYLEIGH_UNIT_MEAN:
-            # inverse transform g = -ln(u), u uniform on (0, 1]
-            return -np.log1p(-rng.random(n))
-        return np.full(n, self.gain)
+            # inverse transform g = -ln(u), u uniform on (0, 1], in place:
+            # the same draws and bits as -log1p(-rng.random(n))
+            rng.random(n, out=out)
+            np.negative(out, out=out)
+            np.log1p(out, out=out)
+            np.negative(out, out=out)
+        else:
+            out.fill(self.gain)
+        return out
 
 
 @dataclass(frozen=True)
@@ -81,8 +95,16 @@ class PowerBudget:
 
 
 def capacities(phi, power: PowerBudget) -> np.ndarray:
-    """Instantaneous capacities log2(1 + phi * P) in bpcu, elementwise."""
-    return np.log1p(np.asarray(phi, dtype=float) * power.p_linear) / LN2
+    """Instantaneous capacities log2(1 + phi * P) in bpcu, elementwise.
+
+    One new array holds the result; log1p and the division by ln 2 run in
+    place on it, so `phi` is left unchanged.
+    """
+    phi = np.asarray(phi, dtype=float)
+    caps = np.multiply(phi, power.p_linear, out=np.empty_like(phi))
+    np.log1p(caps, out=caps)
+    caps /= LN2
+    return caps
 
 
 @dataclass(frozen=True)

@@ -320,15 +320,24 @@ def gts_accumulated_info(caps: np.ndarray, window: int) -> np.ndarray:
     Message i occupies blocks i .. min(i+W-1, M).  In block t the active
     messages are those with max(1, t-W+1) <= i <= t, so each active message
     receives the fraction 1/min(t, W) of the block.
+
+    With prefix sums S[0] = 0, S[t] = share[1] + ... + share[t], message i
+    holds S[min(i+W-1, M)] - S[i-1].  Messages 1..M-W+1 keep their whole
+    window, S[i+W-1] - S[i-1]; the last W-1 messages are cut off by the
+    deadline and hold S[M] - S[i-1].  Each group is one slice subtraction.
     """
     trials, m_total = caps.shape
     if not 1 <= window <= m_total:
         raise ValueError("window must be in [1, M]")
-    shares = caps / np.minimum(np.arange(1, m_total + 1), window)
-    csum = np.concatenate([np.zeros((trials, 1)), np.cumsum(shares, axis=1)], axis=1)
-    starts = np.arange(m_total)
-    ends = np.minimum(starts + window, m_total)
-    return csum[:, ends] - csum[:, starts]
+    full = m_total - window + 1  # messages whose window ends by the deadline
+    csum = np.empty((trials, m_total + 1))
+    csum[:, 0] = 0.0
+    np.divide(caps, np.minimum(np.arange(1, m_total + 1), window), out=csum[:, 1:])
+    np.cumsum(csum, axis=1, out=csum)
+    info = np.empty((trials, m_total))
+    np.subtract(csum[:, window:], csum[:, :full], out=info[:, :full])
+    np.subtract(csum[:, m_total:], csum[:, full:m_total], out=info[:, full:])
+    return info
 
 
 def gts_counts(caps: np.ndarray, rate_r: float, window: int) -> np.ndarray:

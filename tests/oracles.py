@@ -28,15 +28,20 @@ def aje_count(cap, rate_r, m_prime):
     return je_count(cap[:m_prime] + cap[m_prime:].sum() / m_prime, rate_r)
 
 
-def gts_count(cap, rate_r, window):
+def gts_decoded(cap, rate_r, window):
     """Each block is split equally among the messages that have arrived and
-    whose W-block window is still open; a message decodes once it holds R."""
+    whose W-block window is still open; a message decodes once it holds R.
+    Returns the decoded messages, numbered from 1."""
     info = np.zeros(len(cap))
     for t in range(len(cap)):  # 0-based: messages 0..t have arrived
         active = range(max(0, t - window + 1), t + 1)
         for i in active:
             info[i] += cap[t] / len(active)
-    return int(np.sum(info >= rate_r))
+    return frozenset(int(i) + 1 for i in np.flatnonzero(info >= rate_r))
+
+
+def gts_count(cap, rate_r, window):
+    return len(gts_decoded(cap, rate_r, window))
 
 
 def ts_count(cap, rate_r):

@@ -16,7 +16,6 @@ from fadestream.analytic import (
     mt_success_prob,
     prefix_sum_rate,
     prefix_sum_rate_mc,
-    ts_rate_analytic_estimate,
 )
 from fadestream.channel import FadingModel, PowerBudget, trial_stream
 from fadestream.engine import ExperimentSpec, run_experiment
@@ -216,45 +215,45 @@ def test_je_pmf_rejects_unsupported_inputs():
 
 
 # ---------------------------------------------------------------------------
-# time-sharing estimator
+# time sharing against closed forms
 # ---------------------------------------------------------------------------
 
 
 def test_ts_estimate_single_block():
+    # with M = 1 the one message gets the whole block, as under mt
     power = PowerBudget.from_db(0.0)
     p = mt_success_prob(RAYLEIGH, power, 1.0)
-    est, se = ts_rate_analytic_estimate(RAYLEIGH, power, 1, 1.0, 50000, master_seed=51)
-    assert abs(est - p) <= 3.0 * se
+    spec = ExperimentSpec(
+        model=RAYLEIGH,
+        power_db=0.0,
+        m_total=1,
+        rate_r=1.0,
+        scheme=TS(),
+        trials=50000,
+        master_seed=51,
+    )
+    run = run_experiment(spec)
+    assert abs(run.mean_rate - p) <= 3.0 * run.rate_se
 
 
 def test_ts_estimate_deterministic_channel_hits_rate():
     # constant capacity c = M * R makes the last message exactly decodable
     m_total, rate = 4, 1.0
-    stub = FadingModel.constant(2.0 ** (m_total * rate) - 1.0)
-    est, se = ts_rate_analytic_estimate(stub, PowerBudget(1.0), m_total, rate, 100, master_seed=52)
-    assert est == pytest.approx(rate)
-    assert se == 0.0
-
-
-def test_ts_estimate_agrees_with_decoder_run():
-    m_total, trials = 3, 100000
-    est, est_se = ts_rate_analytic_estimate(
-        RAYLEIGH, PowerBudget.from_db(2.0), m_total, 1.0, trials, master_seed=53
-    )
     spec = ExperimentSpec(
-        model=RAYLEIGH,
-        power_db=2.0,
+        model=FadingModel.constant(2.0 ** (m_total * rate) - 1.0),
+        power_db=0.0,
         m_total=m_total,
-        rate_r=1.0,
+        rate_r=rate,
         scheme=TS(),
-        trials=trials,
-        master_seed=54,
+        trials=100,
+        master_seed=52,
     )
     run = run_experiment(spec)
-    assert abs(est - run.mean_rate) <= 3.0 * combined_se(est_se, run.rate_se)
+    assert run.mean_rate == pytest.approx(rate)
+    assert run.rate_se == 0.0
 
 
-@pytest.mark.parametrize("estimate", [prefix_sum_rate_mc, ts_rate_analytic_estimate])
+@pytest.mark.parametrize("estimate", [prefix_sum_rate_mc])
 def test_estimates_stay_bounded_in_memory_at_long_deadlines(estimate):
     """8192 trials x 2000 blocks in one chunk peaked at 375 MB."""
     tracemalloc.start()

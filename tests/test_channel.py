@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+from fadestream import engine
 from fadestream.channel import (
     ChannelRealization,
     FadingModel,
@@ -116,6 +117,35 @@ def test_trial_stream_equals_keyed_philox(master_seed, trial):
         trial_stream(master_seed, trial).exponential(1.0, 500),
         _keyed_philox(master_seed, trial).exponential(1.0, 500),
     )
+
+
+@pytest.mark.parametrize("master_seed, trial", EDGE_PAIRS)
+def test_sampled_rows_are_the_inverse_transform_of_the_keyed_stream(master_seed, trial):
+    """In-place sampling gives bit for bit -log1p(-u) of the documented stream."""
+    for m_total in (1, 5, 2000):
+        expect = -np.log1p(-_keyed_philox(master_seed, trial).random(m_total))
+        drawn = RAYLEIGH.sample_gains(trial_stream(master_seed, trial), m_total)
+        assert drawn.tobytes() == expect.tobytes()
+        block = np.full((3, m_total), np.nan)
+        row = block[1]
+        assert RAYLEIGH.sample_gains(trial_stream(master_seed, trial), m_total, out=row) is row
+        assert block[1].tobytes() == expect.tobytes()
+        assert np.isnan(block[[0, 2]]).all()  # the neighbouring rows are untouched
+    if trial >= 2:  # the engine's block: row k is trial start + k
+        phis = engine._sample_gain_block(RAYLEIGH, 7, master_seed, trial - 2, 3)
+        for k in range(3):
+            expect = -np.log1p(-_keyed_philox(master_seed, trial - 2 + k).random(7))
+            assert phis[k].tobytes() == expect.tobytes()
+
+
+def test_constant_model_samples_its_point_mass():
+    model = FadingModel.constant(0.7)
+    assert np.array_equal(model.sample_gains(trial_stream(1, 0), 4), np.full(4, 0.7))
+    out = np.zeros(4)
+    assert model.sample_gains(trial_stream(1, 0), 4, out=out) is out
+    assert np.array_equal(out, np.full(4, 0.7))
+    phis = engine._sample_gain_block(model, 3, 1, 10, 2)
+    assert np.array_equal(phis, np.full((2, 3), 0.7))
 
 
 def test_trial_stream_survives_pickle():

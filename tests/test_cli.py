@@ -9,7 +9,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from fadestream import channel, cli
+from fadestream import channel, cli, engine
 from fadestream.bounds import InformedBound
 from fadestream.cli import CSV_COLUMNS, main
 from fadestream.engine import ExperimentSpec, run_experiment
@@ -298,6 +298,21 @@ def test_fig4_preset_notes_desk_scale(tmp_path):
     assert {r["power_db"] for r in rows} == {"0.0", "2.0"}
     windows = [int(r["window"]) for r in rows if r["power_db"] == "0.0"]
     assert windows[0] == 1 and windows[-1] == 2000
+
+
+@pytest.mark.parametrize("preset, trials, m_total", [("fig4", 64, 2000), ("fig5a", 300, 50)])
+def test_preset_bytes_do_not_depend_on_chunks_or_workers(tmp_path, monkeypatch, preset, trials, m_total):
+    """Same seed, same bytes: three trials per chunk or one chunk per point,
+    one worker or two."""
+    outputs = {}
+    for budget in (3 * m_total, 10**9):
+        monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", budget)
+        for workers in (1, 2):
+            out = tmp_path / f"{preset}-{budget}-{workers}"
+            argv = ("--preset", preset, "--trials", str(trials), "--seed", "6")
+            assert run_cli(*argv, "--workers", str(workers), "--out", str(out)) == 0
+            outputs[budget, workers] = out.read_bytes()
+    assert len(set(outputs.values())) == 1
 
 
 # ---------------------------------------------------------------------------

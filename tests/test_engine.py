@@ -153,7 +153,7 @@ def test_aje_message_count_is_resolved_once_per_experiment(monkeypatch):
 
     monkeypatch.setattr(engine, "ergodic_capacity", counted)
     spec = make_spec(scheme=AJE(), trials=9000, m_total=10)
-    assert len(engine._chunk_ranges(spec.trials, spec.m_total)) == 3
+    assert len(engine._chunk_ranges(spec.trials, spec.m_total)) == 6
     run_experiment(spec, workers=1)
     decode_counts(spec)
     assert len(calls) == 2
@@ -170,6 +170,51 @@ def test_run_experiment_memory_is_bounded_at_long_deadlines():
         tracemalloc.stop()
     assert result.trials_run == 4000
     assert peak < 100 * 2**20
+
+
+def test_run_experiment_chunks_stay_cache_sized_at_long_deadlines():
+    """The same run in 8-trial chunks peaks at 0.74 MiB (a chunk's gains,
+    capacities and gts temporaries of 125 KiB each); the bound leaves 0.26
+    MiB of margin.  A 2**15 budget peaks at 1.2 MiB, 2**16 at 2.2 MiB and
+    the former 10**6 budget at 31 MiB."""
+    spec = make_spec(scheme=GTS(window=50), power_db=2.0, m_total=2000, trials=4000)
+    tracemalloc.start()
+    try:
+        result = run_experiment(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.trials_run == 4000
+    assert peak < 2**20
+
+
+CHUNK_INVARIANCE_SCHEMES = [
+    MT(),
+    JE(),
+    AJE(),
+    TS(),
+    GTS(window=4),
+    InformedBound(),
+    ST(),  # exact: M = 9 is within the exact subset limit
+    ST(exact_subset_limit=4, heuristic_subset_cap=2),  # capped
+]
+
+
+@pytest.mark.parametrize("scheme", CHUNK_INVARIANCE_SCHEMES, ids=repr)
+def test_results_do_not_depend_on_the_chunk_budget(monkeypatch, scheme):
+    spec = make_spec(scheme=scheme, m_total=9, trials=700)
+    runs = []
+    for budget, chunks in ((3 * 9, 234), (10**9, 1)):  # 3 trials per chunk; one chunk
+        monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", budget)
+        assert len(engine._chunk_ranges(spec.trials, spec.m_total)) == chunks
+        runs.append((run_experiment(spec), decode_counts(spec)))
+    (small, (small_counts, small_approx)), (large, (large_counts, large_approx)) = runs
+    assert np.array_equal(small.cmf, large.cmf)
+    assert small.mean_rate == large.mean_rate
+    assert small.rate_se == large.rate_se
+    assert small.approx_flag == large.approx_flag == small_approx == large_approx
+    assert np.array_equal(small_counts, large_counts)
+    assert 0 < small.mean_decoded < spec.m_total  # a nontrivial histogram
 
 
 def test_decode_counts_matches_run_experiment():

@@ -11,6 +11,7 @@ from fadestream.channel import (
     ChannelRealization,
     FadingModel,
     PowerBudget,
+    capacities,
     capacity_variance,
     trial_stream,
 )
@@ -24,6 +25,7 @@ from fadestream.schemes import (
     decode_mt,
     decode_st,
     decode_ts,
+    gts_accumulated_info,
     gts_counts,
     je_counts,
     mt_counts,
@@ -221,6 +223,33 @@ def test_gts_hand_worked_window():
     # W=2, caps (1,2,2): info (2, 2, 1); everything decodes, tail on equality
     out = decode_gts(real_from_caps([1.0, 2.0, 2.0]), 1.0, 2)
     assert out.decoded == frozenset({1, 2, 3})
+
+
+@pytest.mark.parametrize("m_total", [1, 2, 3, 7, 40])
+def test_gts_window_edges_match_oracle(m_total):
+    """W in {1, 2, M-1, M}: where the full windows and the windows cut off
+    by the deadline meet (one group is empty at W = 1 and the other at W = M
+    or M = 1)."""
+    caps = random_caps(np.random.default_rng(25), 80, m_total)
+    for window in sorted({1, 2, m_total - 1, m_total} & set(range(1, m_total + 1))):
+        counts = gts_counts(caps, 1.0, window)
+        for row, cap in enumerate(caps):
+            decoded = oracles.gts_decoded(cap, 1.0, window)
+            assert counts[row] == len(decoded)
+            assert decode_gts(real_from_caps(cap), 1.0, window).decoded == decoded
+
+
+def test_capacity_and_gts_kernels_leave_their_inputs_alone():
+    rng = np.random.default_rng(26)
+    phis = rng.exponential(1.0, (5, 30))
+    phis_before = phis.tobytes()
+    caps = capacities(phis, PowerBudget.from_db(2.0))
+    assert phis.tobytes() == phis_before
+    caps_before = caps.tobytes()
+    for window in (1, 4, 30):
+        gts_accumulated_info(caps, window)
+        gts_counts(caps, 1.0, window)
+    assert caps.tobytes() == caps_before
 
 
 def test_gts_rejects_bad_window():
