@@ -13,15 +13,9 @@ __version__ = "0.1.0"
 
 from .analytic import (
     DecodeCountPmf,
-    binomial_se,
-    combined_se,
-    estimate_prefix_probs,
     je_pmf_exact_smallM,
     mt_pmf_exact,
-    mt_pmf_gaussian,
     mt_success_prob,
-    prefix_sum_rate,
-    prefix_sum_rate_mc,
 )
 from .bounds import InformedBound, ergodic_upper_bound, informed_upper_bound
 from .channel import (
@@ -78,10 +72,8 @@ __all__ = [
     "QuadratureError",
     "ST",
     "TS",
-    "binomial_se",
     "capacity_variance",
     "choose_m_prime",
-    "combined_se",
     "decode_aje",
     "decode_gts",
     "decode_je",
@@ -91,15 +83,11 @@ __all__ = [
     "effective_power",
     "ergodic_capacity",
     "ergodic_upper_bound",
-    "estimate_prefix_probs",
     "informed_upper_bound",
     "je_pmf_exact_smallM",
     "mt_pmf_exact",
-    "mt_pmf_gaussian",
     "mt_success_prob",
     "optimal_window",
-    "prefix_sum_rate",
-    "prefix_sum_rate_mc",
     "rayleigh_ergodic_closed_form",
     "run_experiment",
     "sample_realization",

@@ -1,10 +1,16 @@
 """Closed-form and semi-analytic performance quantities.
 
-Everything here is an independent route to numbers that the Monte Carlo
-engine also produces: the memoryless decode-count pmf and its Gaussian
-approximation, the Rayleigh single-block success probability, the
-prefix-sum identity for the joint-encoding average rate, and the exact
-joint-encoding pmf by nested quadrature for up to three blocks.
+Each is a route to numbers that the Monte Carlo engine also produces, by
+other means than running a decoder:
+
+* mt_success_prob - the single-block success probability Pr{cap >= R}
+  (closed form for the Rayleigh gain);
+* mt_pmf_exact - the memoryless decode-count pmf, binomial in log space;
+* prefix_sum_rate_mc - the joint-encoding average rate from the prefix-sum
+  identity E[n_d] = sum_m Pr{cap[1] + ... + cap[m] >= m R}, estimated on
+  the engine's trial streams, with its standard error;
+* je_pmf_exact_smallM - the exact joint-encoding pmf by nested quadrature
+  for up to three blocks.
 """
 
 from dataclasses import dataclass
@@ -82,70 +88,9 @@ def mt_pmf_exact(m_total: int, p: float) -> DecodeCountPmf:
     return DecodeCountPmf(probs=np.exp(log_probs))
 
 
-def mt_pmf_gaussian(m_total: int, p: float, m: float) -> float:
-    """Large-M Gaussian approximation of the binomial pmf at count m."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly inside (0, 1)")
-    var = m_total * p * (1.0 - p)
-    return float(np.exp(-((m - m_total * p) ** 2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var))
-
-
 # ---------------------------------------------------------------------------
 # joint encoding: prefix-sum identity for the average rate
 # ---------------------------------------------------------------------------
-
-
-def prefix_sum_rate(prefix_probs, rate_r: float) -> float:
-    """Average joint-encoding rate from the prefix-sum probabilities.
-
-    The expected decoded count equals the sum over m of
-    Pr{cap[1] + ... + cap[m] >= m R}, so the average rate is R/M times that
-    sum.
-    """
-    prefix_probs = np.asarray(prefix_probs, dtype=float)
-    if np.any(prefix_probs < 0.0) or np.any(prefix_probs > 1.0):
-        raise ValueError("prefix probabilities must lie in [0, 1]")
-    return rate_r / len(prefix_probs) * float(prefix_probs.sum())
-
-
-def _prefix_hits(model, power, m_total, rate_r, trials, master_seed):
-    """Per chunk, the (trials x M) indicators of cap[1]+...+cap[m] >= m R,
-    for trials 0..trials-1 on the engine's streams and in its chunks."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    thresholds = rate_r * np.arange(1, m_total + 1)
-    for start, count in _chunk_ranges(trials, m_total):
-        caps = capacities(_sample_gain_block(model, m_total, master_seed, start, count), power)
-        yield np.cumsum(caps, axis=1) >= thresholds
-
-
-def _rate_and_se(count_chunks, trials, rate_r, m_total) -> tuple[float, float]:
-    """Mean rate (R/M) E[count] and its standard error from per-trial counts."""
-    s1 = s2 = 0.0
-    for counts in count_chunks:
-        s1 += counts.sum()
-        s2 += (counts.astype(float) ** 2).sum()
-    mean = s1 / trials
-    var = max(s2 / trials - mean**2, 0.0) * trials / max(trials - 1, 1)
-    scale = rate_r / m_total
-    return scale * mean, scale * np.sqrt(var / trials)
-
-
-def estimate_prefix_probs(
-    model: FadingModel,
-    power: PowerBudget,
-    m_total: int,
-    rate_r: float,
-    trials: int,
-    master_seed: int,
-) -> np.ndarray:
-    """Monte Carlo estimates of Pr{cap[1]+...+cap[m] >= m R} for m = 1..M.
-
-    One pass per trial evaluates all m simultaneously on the partial sums;
-    trial streams follow the engine's (master_seed, trial) derivation.
-    """
-    hits = _prefix_hits(model, power, m_total, rate_r, trials, master_seed)
-    return sum(chunk.sum(axis=0) for chunk in hits) / trials
 
 
 def prefix_sum_rate_mc(
@@ -156,9 +101,26 @@ def prefix_sum_rate_mc(
     trials: int,
     master_seed: int,
 ) -> tuple[float, float]:
-    """Monte Carlo prefix-sum rate estimate and its standard error."""
-    hits = _prefix_hits(model, power, m_total, rate_r, trials, master_seed)
-    return _rate_and_se((chunk.sum(axis=1) for chunk in hits), trials, rate_r, m_total)
+    """Joint-encoding average rate from the prefix-sum identity, with its SE.
+
+    The expected decoded count equals the sum over m of
+    Pr{cap[1] + ... + cap[m] >= m R}, so the average rate is R/M times the
+    mean over trials of the number of m whose prefix sum clears m R.  Trials
+    0..trials-1 use the engine's (master_seed, trial) streams and chunks.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    thresholds = rate_r * np.arange(1, m_total + 1)
+    s1 = s2 = 0.0
+    for start, count in _chunk_ranges(trials, m_total):
+        caps = capacities(_sample_gain_block(model, m_total, master_seed, start, count), power)
+        counts = (np.cumsum(caps, axis=1) >= thresholds).sum(axis=1)
+        s1 += counts.sum()
+        s2 += (counts.astype(float) ** 2).sum()
+    mean = s1 / trials
+    var = max(s2 / trials - mean**2, 0.0) * trials / max(trials - 1, 1)
+    scale = rate_r / m_total
+    return scale * mean, scale * np.sqrt(var / trials)
 
 
 # ---------------------------------------------------------------------------
@@ -280,18 +242,3 @@ def je_pmf_exact_smallM(
         ]
     )
     return DecodeCountPmf(probs=probs)
-
-
-# ---------------------------------------------------------------------------
-# standard-error arithmetic for the acceptance gates
-# ---------------------------------------------------------------------------
-
-
-def binomial_se(p_hat: float, trials: int) -> float:
-    """Standard error of a probability estimated from `trials` indicators."""
-    return float(np.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials))
-
-
-def combined_se(*ses: float) -> float:
-    """Standard error of a difference of independent estimates."""
-    return float(np.sqrt(sum(se**2 for se in ses)))

@@ -31,16 +31,15 @@ def informed_counts(caps: np.ndarray, rate_r: float) -> np.ndarray:
     """Batched informed bound over (trials x blocks) capacity matrices.
 
     Decoding m messages needs (m - i + 1) R <= cap[i] + ... + cap[M] for
-    i = 1..m, which is monotone non-increasing in m.  Rearranged: m works iff
-    min over i <= m of (suffix_sum_i + i * R) >= (m + 1) * R.
+    i = 1..m.  Rearranged: m works iff the running minimum over i <= m of
+    (suffix_sum_i + i * R) is >= (m + 1) * R.  The running minimum never
+    increases in m and the threshold never decreases, in floating point too,
+    so the feasible m form a prefix 1..n and the count n is their number.
     """
-    trials, m_total = caps.shape
+    m_total = caps.shape[1]
     suffix = np.cumsum(caps[:, ::-1], axis=1)[:, ::-1]
     margin = np.minimum.accumulate(suffix + rate_r * np.arange(1, m_total + 1), axis=1)
-    feasible = margin >= rate_r * np.arange(2, m_total + 2)
-    any_feasible = feasible.any(axis=1)
-    last = m_total - 1 - np.argmax(feasible[:, ::-1], axis=1)
-    return np.where(any_feasible, last + 1, 0)
+    return (margin >= rate_r * np.arange(2, m_total + 2)).sum(axis=1)
 
 
 def ergodic_upper_bound(rate_r: float, c_bar: float) -> float:

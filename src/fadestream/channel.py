@@ -226,7 +226,7 @@ def capacity_variance(model: FadingModel, power: PowerBudget, tol: float = 1e-6)
     if model.kind == CONSTANT:
         return 0.0
     p = power.p_linear
-    mean = _rayleigh_expectation(lambda g: np.log1p(g * p) / LN2, tol)
+    mean = ergodic_capacity(model, power, tol)
     second = _rayleigh_expectation(lambda g: (np.log1p(g * p) / LN2) ** 2, tol)
     return max(second - mean**2, 0.0)
 

@@ -274,17 +274,19 @@ def je_counts(caps: np.ndarray, rate_r: float) -> np.ndarray:
     """Longest feasible prefix, vectorized over trials.
 
     The first m messages are jointly decodable from blocks 1..m iff
-    (m - j + 1) R <= cap[j] + ... + cap[m] for every j = 1..m.  With excess
-    e[t] = cap[t] - R and prefix sums p[m], that is p[m] >= max(p[0..m-1]);
-    the decoded count is the largest such m.
+    (m - j + 1) R <= cap[j] + ... + cap[m] for every j = 1..m.  With the walk
+    p[0] = 0, p[m] = (cap[1] - R) + ... + (cap[m] - R), that is
+    p[m] >= max(p[0..m-1]).  So the decoded count, the largest such m, is
+    the last index at which p reaches its maximum over 0..M: p at every
+    later index falls below that maximum, and the count is 0 when p[0] = 0
+    is the strict maximum.
     """
     trials, m_total = caps.shape
-    p = np.concatenate([np.zeros((trials, 1)), np.cumsum(caps - rate_r, axis=1)], axis=1)
-    running_max = np.maximum.accumulate(p, axis=1)
-    feasible = p[:, 1:] >= running_max[:, :-1]
-    any_feasible = feasible.any(axis=1)
-    last = m_total - 1 - np.argmax(feasible[:, ::-1], axis=1)
-    return np.where(any_feasible, last + 1, 0)
+    p = np.empty((trials, m_total + 1))
+    p[:, 0] = 0.0
+    np.subtract(caps, rate_r, out=p[:, 1:])
+    np.cumsum(p, axis=1, out=p)
+    return m_total - np.argmax(p[:, ::-1], axis=1)
 
 
 def aje_counts(caps: np.ndarray, rate_r: float, m_prime: int) -> np.ndarray:
@@ -292,13 +294,12 @@ def aje_counts(caps: np.ndarray, rate_r: float, m_prime: int) -> np.ndarray:
 
     Each of the blocks beyond m_prime is split into m_prime equal parts that
     repeat the original codewords, so message slot i <= m_prime accumulates
-    cap[i] + (cap[m_prime+1] + ... + cap[M]) / m_prime.
+    cap[i] + (cap[m_prime+1] + ... + cap[M]) / m_prime.  At m_prime = M the
+    surplus is 0.0 and this is je_counts.
     """
     m_total = caps.shape[1]
     if not 1 <= m_prime <= m_total:
         raise ValueError("m_prime must be in [1, M]")
-    if m_prime == m_total:
-        return je_counts(caps, rate_r)
     surplus = caps[:, m_prime:].sum(axis=1) / m_prime
     return je_counts(caps[:, :m_prime] + surplus[:, None], rate_r)
 

@@ -10,13 +10,7 @@ standard-error arithmetic where sampling is involved).
 import numpy as np
 import pytest
 
-from fadestream.analytic import (
-    binomial_se,
-    combined_se,
-    je_pmf_exact_smallM,
-    mt_success_prob,
-    prefix_sum_rate_mc,
-)
+from fadestream.analytic import je_pmf_exact_smallM, mt_success_prob, prefix_sum_rate_mc
 from fadestream.bounds import InformedBound, ergodic_upper_bound
 from fadestream.channel import (
     ChannelRealization,
@@ -44,6 +38,8 @@ from fadestream.schemes import (
     st_counts,
     ts_counts,
 )
+
+from gates import binomial_se, combined_se
 
 RAYLEIGH = FadingModel.rayleigh()
 SEED = 20260809

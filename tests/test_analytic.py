@@ -7,19 +7,16 @@ import pytest
 from scipy.integrate import quad
 
 from fadestream.analytic import (
-    binomial_se,
-    combined_se,
-    estimate_prefix_probs,
     je_pmf_exact_smallM,
     mt_pmf_exact,
-    mt_pmf_gaussian,
     mt_success_prob,
-    prefix_sum_rate,
     prefix_sum_rate_mc,
 )
 from fadestream.channel import FadingModel, PowerBudget, trial_stream
-from fadestream.engine import ExperimentSpec, run_experiment
+from fadestream.engine import ExperimentSpec, decode_counts, run_experiment
 from fadestream.schemes import JE, TS, je_counts, mt_counts
+
+from gates import binomial_se, combined_se
 
 RAYLEIGH = FadingModel.rayleigh()
 
@@ -97,46 +94,16 @@ def test_mt_pmf_matches_decode_histogram():
         assert abs(hist[m] - pmf.probs[m]) <= 3.0 * se + 1e-12
 
 
-def test_mt_pmf_gaussian_shape():
-    m_total, p = 400, 0.3
-    peak = mt_pmf_gaussian(m_total, p, m_total * p)
-    assert peak == pytest.approx(1.0 / np.sqrt(2 * np.pi * m_total * p * (1 - p)))
-    for k in (5.0, 17.0, 40.0):
-        assert mt_pmf_gaussian(m_total, p, m_total * p + k) == pytest.approx(
-            mt_pmf_gaussian(m_total, p, m_total * p - k)
-        )
-    with pytest.raises(ValueError):
-        mt_pmf_gaussian(10, 0.0, 1)
-    with pytest.raises(ValueError):
-        mt_pmf_gaussian(10, 1.0, 1)
-
-
-def test_mt_pmf_gaussian_approximates_binomial_at_large_m():
-    m_total, p = 10000, 0.5
-    exact = mt_pmf_exact(m_total, p).probs
-    approx = np.array([mt_pmf_gaussian(m_total, p, m) for m in range(m_total + 1)])
-    total_variation = 0.5 * np.abs(exact - approx).sum()
-    assert total_variation < 0.01
-
-
 # ---------------------------------------------------------------------------
 # prefix-sum identity for joint encoding
 # ---------------------------------------------------------------------------
 
 
-def test_prefix_sum_rate_formula_cases():
-    p = mt_success_prob(RAYLEIGH, PowerBudget(1.0), 1.0)
-    assert prefix_sum_rate([p], 1.0) == pytest.approx(p)  # single block: just R * p
-    assert prefix_sum_rate([1.0, 1.0, 1.0], 2.0) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        prefix_sum_rate([1.2], 1.0)
-
-
 def test_prefix_prob_estimates_are_deterministic():
-    a = estimate_prefix_probs(RAYLEIGH, PowerBudget(1.0), 5, 1.0, 2000, master_seed=77)
-    b = estimate_prefix_probs(RAYLEIGH, PowerBudget(1.0), 5, 1.0, 2000, master_seed=77)
-    assert np.array_equal(a, b)
-    assert np.all((a >= 0.0) & (a <= 1.0))
+    a = prefix_sum_rate_mc(RAYLEIGH, PowerBudget(1.0), 5, 1.0, 2000, master_seed=77)
+    b = prefix_sum_rate_mc(RAYLEIGH, PowerBudget(1.0), 5, 1.0, 2000, master_seed=77)
+    assert a == b  # bit-equal rate and standard error
+    assert 0.0 <= a[0] <= 1.0  # within [0, R]
 
 
 def test_prefix_identity_matches_independent_je_run():
@@ -159,19 +126,22 @@ def test_prefix_identity_matches_independent_je_run():
 
 
 def test_prefix_identity_holds_per_trial_in_expectation():
-    # the estimator's per-m probabilities reproduce the decoded-count mean
-    rng_seed = 43
-    m_total, trials = 6, 50000
-    power = PowerBudget.from_db(2.0)
-    probs = estimate_prefix_probs(RAYLEIGH, power, m_total, 1.0, trials, rng_seed)
-    caps = np.empty((trials, m_total))
-    for k in range(trials):
-        caps[k] = np.log2(1.0 + trial_stream(rng_seed, k).exponential(1.0, m_total) * power.p_linear)
-    # same trials, so the identity is exact up to decoder-vs-sum differences
-    assert prefix_sum_rate(probs, 1.0) * m_total == pytest.approx(probs.sum())
-    assert je_counts(caps, 1.0).mean() == pytest.approx(
-        probs.sum(), abs=4.0 * np.sqrt(m_total / trials)
+    # the identity's count and the je decoder's count on the same trials
+    seed, m_total, trials = 43, 6, 50000
+    est, _ = prefix_sum_rate_mc(
+        RAYLEIGH, PowerBudget.from_db(2.0), m_total, 1.0, trials, master_seed=seed
     )
+    spec = ExperimentSpec(
+        model=RAYLEIGH,
+        power_db=2.0,
+        m_total=m_total,
+        rate_r=1.0,
+        scheme=JE(),
+        trials=trials,
+        master_seed=seed,
+    )
+    counts, _ = decode_counts(spec)
+    assert counts.mean() == pytest.approx(est * m_total, abs=4.0 * np.sqrt(m_total / trials))
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,20 @@ def test_je_decode_cases():
     assert decode_je(real_from_caps([0.9, 0.9, 0.9]), 1.0).n_d == 0
 
 
+@pytest.mark.parametrize(
+    "caps, expect",
+    [
+        ([0.0, 3.0], 2),  # prefix 1 is infeasible, prefix 2 is not
+        ([1.0, 1.0], 2),  # the walk 0, 0, 0 ties its maximum: the last index counts
+        ([0.5], 0),  # the walk never returns to 0
+    ],
+)
+def test_je_count_is_the_last_maximum_of_the_walk(caps, expect):
+    caps = np.array([caps])
+    assert je_counts(caps, 1.0)[0] == expect
+    assert aje_counts(caps, 1.0, caps.shape[1])[0] == expect
+
+
 def test_je_decoded_set_is_prefix():
     rng = np.random.default_rng(5)
     for _ in range(200):
@@ -441,6 +455,7 @@ def test_equality_decodes_in_every_scheme():
     assert st_counts(st_real.phi[None, :], power.p_linear, 1.0)[0][0] == 2
     m_star = informed_counts(np.array([[0.0, 2.0, 2.0]]), 1.0)
     assert m_star[0] == 3
+    assert informed_counts(np.array([[1.0, 1.0]]), 1.0)[0] == 2  # 2R = 1 + 1 and R = 1
 
 
 def test_prefix_sum_probability_is_permutation_invariant():
