@@ -35,6 +35,7 @@ from .engine import (
     ExperimentSpec,
     optimal_window,
     run_experiment,
+    run_specs,
     sweep,
 )
 from .schemes import (
@@ -90,6 +91,7 @@ __all__ = [
     "optimal_window",
     "rayleigh_ergodic_closed_form",
     "run_experiment",
+    "run_specs",
     "sample_realization",
     "st_power_allocation",
     "st_subset_capacity",

@@ -221,14 +221,24 @@ def rayleigh_ergodic_closed_form(power: PowerBudget) -> float:
     return float(np.exp(x) * exp1(x) / LN2)
 
 
+def capacity_moments(
+    model: FadingModel, power: PowerBudget, tol: float = 1e-6
+) -> tuple[float, float]:
+    """Mean and variance of the instantaneous capacity, in bpcu and bpcu^2.
+
+    One quadrature per moment: the mean is ergodic_capacity's.
+    """
+    mean = ergodic_capacity(model, power, tol)
+    if model.kind == CONSTANT:
+        return mean, 0.0
+    p = power.p_linear
+    second = _rayleigh_expectation(lambda g: (np.log1p(g * p) / LN2) ** 2, tol)
+    return mean, max(second - mean**2, 0.0)
+
+
 def capacity_variance(model: FadingModel, power: PowerBudget, tol: float = 1e-6) -> float:
     """Variance of the instantaneous capacity, in bpcu^2."""
-    if model.kind == CONSTANT:
-        return 0.0
-    p = power.p_linear
-    mean = ergodic_capacity(model, power, tol)
-    second = _rayleigh_expectation(lambda g: (np.log1p(g * p) / LN2) ** 2, tol)
-    return max(second - mean**2, 0.0)
+    return capacity_moments(model, power, tol)[1]
 
 
 def effective_power(

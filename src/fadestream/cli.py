@@ -23,7 +23,8 @@ from .engine import (
     ExperimentSpec,
     derive_seed,
     received_power,
-    run_experiment,
+    run_experiment,  # unused here; bench/child.py HOOKS wrap cli.run_experiment
+    run_specs,
     sweep_specs,
 )
 from .schemes import AJE, GTS, JE, MT, ST, TS
@@ -125,12 +126,12 @@ def _row(spec: ExperimentSpec, result) -> dict:
         "approx_flag": result.approx_flag,
         "seed": spec.master_seed,
         "trials": result.trials_run,
-        "cmf": [float(x) for x in result.cmf],
+        "cmf": result.cmf,  # a numpy array; only the JSON rendering lists it
     }
 
 
 def _rows(specs, workers):
-    return [_row(spec, run_experiment(spec, workers=workers)) for spec in specs]
+    return [_row(spec, result) for spec, result in zip(specs, run_specs(specs, workers))]
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +374,7 @@ def _render_json(meta, rows) -> str:
         "tool": "fadestream",
         "version": __version__,
         "run": meta,
-        "rows": rows,
+        "rows": [{**row, "cmf": row["cmf"].tolist()} for row in rows],
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -414,7 +415,6 @@ def main(argv=None) -> int:
             meta, rows = _run_single_or_sweep(args)
         meta["format"] = out_format
         if out_format == "csv":
-            rows = [{k: v for k, v in row.items() if k != "cmf"} for row in rows]
             text = _render_csv(meta, rows)
         else:
             text = _render_json(meta, rows)

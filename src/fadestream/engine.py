@@ -8,7 +8,8 @@ the decode-count cmf all follow exactly.
 """
 
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
+import itertools
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +20,9 @@ from .channel import (
     FadingModel,
     PowerBudget,
     capacities,
-    capacity_variance,
+    capacity_moments,
     effective_power,
-    ergodic_capacity,
+    ergodic_capacity,  # unused here; bench/child.py HOOKS wrap engine.ergodic_capacity
     trial_stream,
 )
 from .schemes import AJE, GTS, JE, MT, ST, TS, SchemeConfig
@@ -52,10 +53,13 @@ _CAPACITY_KERNELS = {
 # budget.  The 4096-trial cap decides at M <= 4.
 _CHUNK_ELEMENTS = 2**14
 
-# tasks per worker in a pooled run, each a run of consecutive chunks whose
-# histograms the worker sums: fig4 at 4000 trials on two workers took 3.7 s
-# this way and 7.9 s with one task per chunk, whose hand-offs left the
-# workers idle; a few tasks per worker still even out the last ones
+# tasks per worker and spec in a pooled run, each a run of consecutive chunks
+# whose histograms the worker sums.  One task per chunk left the workers idle
+# in hand-offs (fig4, 4000 trials, two workers: 7.9 s against 3.7 s).  A
+# single-spec run needs several tasks per worker to keep every worker busy
+# to its end.  With one pool for all of fig4's specs (8000 trials, two
+# workers) 1, 2, 4 and 8 tasks took 5.3-6.8 s each, no difference within
+# the host's noise
 _TASKS_PER_WORKER = 4
 
 
@@ -121,13 +125,9 @@ def resolve_scheme(spec: ExperimentSpec) -> SchemeConfig | InformedBound:
     """Fill in derived scheme parameters (the adaptive message count)."""
     scheme = spec.scheme
     if isinstance(scheme, AJE) and scheme.m_prime is None:
-        power = received_power(spec)
+        c_mean, c_var = capacity_moments(spec.model, received_power(spec))
         m_prime = schemes.choose_m_prime(
-            ergodic_capacity(spec.model, power),
-            spec.rate_r,
-            spec.m_total,
-            scheme.safety,
-            c_var=capacity_variance(spec.model, power),
+            c_mean, spec.rate_r, spec.m_total, scheme.safety, c_var=c_var
         )
         return AJE(m_prime=m_prime, safety=scheme.safety)
     return scheme
@@ -160,8 +160,17 @@ def _decode_chunk(spec: ExperimentSpec, start: int, count: int) -> tuple[np.ndar
     return _CAPACITY_KERNELS[type(scheme)](caps, spec.rate_r, scheme), False
 
 
+def _chunk_size(m_total: int) -> int:
+    """Trials per chunk: _CHUNK_ELEMENTS gains, within [1, 4096] trials."""
+    return max(1, min(4096, _CHUNK_ELEMENTS // m_total))
+
+
+def _chunk_count(spec: ExperimentSpec) -> int:
+    return -(-spec.trials // _chunk_size(spec.m_total))
+
+
 def _chunk_ranges(trials: int, m_total: int):
-    chunk = max(1, min(4096, _CHUNK_ELEMENTS // m_total))
+    chunk = _chunk_size(m_total)
     return [(start, min(chunk, trials - start)) for start in range(0, trials, chunk)]
 
 
@@ -170,22 +179,19 @@ def _chunk_histogram(spec: ExperimentSpec, start: int, count: int) -> tuple[np.n
     return np.bincount(counts, minlength=spec.m_total + 1), approx
 
 
-def _sum_histograms(parts, m_total: int) -> tuple[np.ndarray, bool]:
-    """Sum (histogram, approximate flag) pairs as they arrive."""
-    hist = np.zeros(m_total + 1, dtype=np.int64)
+def _task_histogram(task) -> tuple[np.ndarray, bool]:
+    """Summed histogram and approximate flag of chunks [first, end) of a
+    resolved spec; a task is the compact tuple (spec, first, end)."""
+    spec, first, end = task
+    chunk = _chunk_size(spec.m_total)
+    hist = np.zeros(spec.m_total + 1, dtype=np.int64)
     approx = False
-    for part, part_approx in parts:
+    for index in range(first, end):
+        start = index * chunk
+        part, part_approx = _chunk_histogram(spec, start, min(chunk, spec.trials - start))
         hist += part
         approx = approx or part_approx
     return hist, approx
-
-
-def _task_histogram(args) -> tuple[np.ndarray, bool]:
-    """Summed histogram of a run of consecutive chunks of one spec."""
-    spec, ranges = args
-    return _sum_histograms(
-        (_chunk_histogram(spec, start, count) for start, count in ranges), spec.m_total
-    )
 
 
 def decode_counts(spec: ExperimentSpec) -> tuple[np.ndarray, bool]:
@@ -204,18 +210,67 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     """Run all trials and aggregate the decode-count statistics.
 
     The reduction is an integer histogram sum, so the result is bit-identical
-    for any chunking and any number of workers.
+    for any chunking and any number of workers (workers > 1 runs through
+    run_specs).
     """
+    if workers > 1:
+        return run_specs([spec], workers)[0]
     spec = dataclasses.replace(spec, scheme=resolve_scheme(spec))
-    ranges = _chunk_ranges(spec.trials, spec.m_total)
-    if workers > 1 and len(ranges) > 1:
-        size = -(-len(ranges) // (_TASKS_PER_WORKER * workers))
-        tasks = [(spec, ranges[i : i + size]) for i in range(0, len(ranges), size)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            hist, approx = _sum_histograms(pool.map(_task_histogram, tasks), spec.m_total)
-    else:
-        hist, approx = _task_histogram((spec, ranges))
+    hist, approx = _task_histogram((spec, 0, _chunk_count(spec)))
     return _result_from_histogram(hist, spec, approx)
+
+
+def run_specs(specs, workers: int = 1) -> list[ExperimentResult]:
+    """run_experiment of every spec, in order, with one process pool for all.
+
+    At workers > 1 one pool runs the chunk tasks of every spec.  Tasks are
+    made lazily, spec by spec, with at most 2 * workers in flight, and each
+    spec's histogram becomes its result when its last task arrives.  Seeds
+    and chunking are each spec's own, so each result equals run_experiment's.
+    At workers == 1, or with a single chunk in all, every spec runs through
+    run_experiment in this process.
+    """
+    specs = list(specs)
+    if workers <= 1 or sum(map(_chunk_count, specs)) <= 1:
+        return [run_experiment(spec) for spec in specs]
+    results = [None] * len(specs)
+    partial = {}  # spec index -> [resolved spec, histogram, approx flag, tasks not yet back]
+
+    def tasks():
+        for index, spec in enumerate(specs):
+            spec = dataclasses.replace(spec, scheme=resolve_scheme(spec))
+            chunks = _chunk_count(spec)
+            size = -(-chunks // (_TASKS_PER_WORKER * workers))
+            firsts = range(0, chunks, size)
+            partial[index] = [spec, np.zeros(spec.m_total + 1, dtype=np.int64), False, len(firsts)]
+            for first in firsts:
+                yield index, (spec, first, min(first + size, chunks))
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for index, (hist, approx) in _completed(pool, tasks(), 2 * workers):
+            entry = partial[index]
+            entry[1] += hist
+            entry[2] = entry[2] or approx
+            entry[3] -= 1
+            if entry[3] == 0:
+                del partial[index]
+                results[index] = _result_from_histogram(entry[1], entry[0], entry[2])
+    return results
+
+
+def _completed(pool, tasks, limit: int):
+    """(key, _task_histogram(task)) for each (key, task) of `tasks`, in order
+    of completion, with at most `limit` tasks submitted and not yet yielded."""
+    tasks = iter(tasks)
+    in_flight = {}
+    while True:
+        for key, task in itertools.islice(tasks, limit - len(in_flight)):
+            in_flight[pool.submit(_task_histogram, task)] = key
+        if not in_flight:
+            return
+        done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+        for future in done:
+            yield in_flight.pop(future), future.result()
 
 
 def _result_from_histogram(hist: np.ndarray, spec: ExperimentSpec, approx: bool) -> ExperimentResult:
@@ -272,10 +327,10 @@ def sweep_specs(base: ExperimentSpec, axis: str, values) -> list[ExperimentSpec]
 def sweep(
     base: ExperimentSpec, axis: str, values, workers: int = 1
 ) -> list[tuple[float, ExperimentResult]]:
-    """One experiment per axis value, on the specs of sweep_specs."""
+    """One experiment per axis value, on the specs of sweep_specs, run by
+    run_specs (one process pool for the sweep at workers > 1)."""
     values = list(values)
-    specs = sweep_specs(base, axis, values)
-    return [(value, run_experiment(spec, workers=workers)) for value, spec in zip(values, specs)]
+    return list(zip(values, run_specs(sweep_specs(base, axis, values), workers)))
 
 
 def optimal_window(

@@ -130,8 +130,8 @@ def test_aje_run_records_resolved_m_prime(tmp_path):
 
 
 def test_aje_row_reuses_the_scheme_its_run_resolved(tmp_path, monkeypatch):
-    """Three quadratures resolve M' (c_bar and the capacity variance) and one
-    gives the row's c_bar; the row does not resolve the scheme again."""
+    """Two quadratures resolve M' (the capacity's mean and second moment) and
+    one gives the row's c_bar; the row does not resolve the scheme again."""
     calls = []
     expectation = channel._rayleigh_expectation
     monkeypatch.setattr(
@@ -140,7 +140,7 @@ def test_aje_row_reuses_the_scheme_its_run_resolved(tmp_path, monkeypatch):
     cli._cached_cbar.cache_clear()
     assert run_cli("--scheme", "aje", "--blocks", "100", "--rate", "8", "--snr-db", "20",
                    "--trials", "50", "--out", str(tmp_path / "aje.csv")) == 0
-    assert len(calls) == 4
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +380,7 @@ def test_runtime_failures_exit_3_with_no_output(tmp_path, capsys, monkeypatch, e
     def fail(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(cli, "run_experiment", fail)
+    monkeypatch.setattr(cli, "run_specs", fail)
     out = tmp_path / "out.csv"
     code = run_cli("--scheme", "mt", "--blocks", "4", "--rate", "1", "--snr-db", "0",
                    "--trials", "50", "--out", str(out))
@@ -390,3 +390,21 @@ def test_runtime_failures_exit_3_with_no_output(tmp_path, capsys, monkeypatch, e
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith(f"fadestream: error: run failed: {type(error).__name__}")
+
+
+def _exit_worker(task):
+    os._exit(1)
+
+
+def test_a_dead_pool_worker_exits_3_with_no_output(tmp_path, capfd, monkeypatch):
+    """A worker that dies mid-run breaks the pool (the forked workers run the
+    patched task function)."""
+    monkeypatch.setattr(engine, "_task_histogram", _exit_worker)
+    out = tmp_path / "out.csv"
+    code = run_cli("--preset", "fig4", "--trials", "40", "--workers", "2", "--out", str(out))
+    assert code == 3
+    assert os.listdir(tmp_path) == []
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("fadestream: error: run failed: BrokenProcessPool")

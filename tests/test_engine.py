@@ -1,6 +1,7 @@
 """Experiment runner: determinism, statistics accounting, sweeps."""
 
 import dataclasses
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from fadestream.bounds import InformedBound
 from fadestream.channel import (
     FadingModel,
     PowerBudget,
-    ergodic_capacity,
+    capacity_moments,
     sample_realization,
     trial_stream,
 )
@@ -23,6 +24,7 @@ from fadestream.engine import (
     received_power,
     resolve_scheme,
     run_experiment,
+    run_specs,
     sweep,
     sweep_specs,
 )
@@ -149,14 +151,15 @@ def test_aje_message_count_is_resolved_once_per_experiment(monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return ergodic_capacity(*args, **kwargs)
+        return capacity_moments(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "ergodic_capacity", counted)
+    monkeypatch.setattr(engine, "capacity_moments", counted)
     spec = make_spec(scheme=AJE(), trials=9000, m_total=10)
     assert len(engine._chunk_ranges(spec.trials, spec.m_total)) == 6
     run_experiment(spec, workers=1)
     decode_counts(spec)
-    assert len(calls) == 2
+    run_experiment(spec, workers=2)  # resolved in the parent, not per task
+    assert len(calls) == 3
 
 
 def test_run_experiment_memory_is_bounded_at_long_deadlines():
@@ -248,6 +251,103 @@ def test_spec_validation_rejects_bad_inputs():
         make_spec(scheme=AJE(m_prime=11), m_total=10)
     with pytest.raises(ValueError):
         make_spec(scheme="mt")
+
+
+# ---------------------------------------------------------------------------
+# one process pool per call
+# ---------------------------------------------------------------------------
+
+
+def mixed_specs():
+    """Specs of every kind run_specs meets: several M, one chunk or many,
+    an unresolved aje, a capped st, gts and the informed bound."""
+    return [
+        make_spec(scheme=JE(), m_total=2000, trials=60, power_db=2.0),  # 8 chunks
+        make_spec(scheme=MT(), trials=300),  # a single chunk
+        make_spec(scheme=AJE(), power_db=20.0, m_total=100, rate_r=8.0, trials=400),
+        make_spec(scheme=ST(exact_subset_limit=4, heuristic_subset_cap=2), m_total=30, trials=1200),
+        make_spec(scheme=GTS(window=5), m_total=500, trials=200, master_seed=8),
+        make_spec(scheme=InformedBound(), m_total=50, trials=1000),
+    ]
+
+
+class CountingPool(engine.ProcessPoolExecutor):
+    """Counts pools started and the most tasks submitted and not yet done."""
+
+    starts = 0
+    peak = 0
+    _lock = threading.Lock()
+    _outstanding = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).starts += 1
+        super().__init__(*args, **kwargs)
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = super().submit(fn, *args, **kwargs)
+        cls = type(self)
+        with cls._lock:
+            cls._outstanding += 1
+            cls.peak = max(cls.peak, cls._outstanding)
+        future.add_done_callback(cls._done)
+        return future
+
+    @classmethod
+    def _done(cls, future):
+        with cls._lock:
+            cls._outstanding -= 1
+
+
+@pytest.fixture
+def counting_pool(monkeypatch):
+    pool = type("Pool", (CountingPool,), {"starts": 0, "peak": 0, "_outstanding": 0})
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", pool)
+    return pool
+
+
+def test_run_specs_matches_per_spec_runs(counting_pool):
+    specs = mixed_specs()
+    assert len(engine._chunk_ranges(specs[0].trials, specs[0].m_total)) == 8
+    assert len(engine._chunk_ranges(specs[1].trials, specs[1].m_total)) == 1
+    expected = [run_experiment(spec) for spec in specs]
+    assert counting_pool.starts == 0
+    for workers in (1, 2, 3):
+        starts, counting_pool.peak = counting_pool.starts, 0
+        got = run_specs(specs, workers)
+        assert counting_pool.starts - starts == (workers > 1)
+        assert counting_pool.peak <= 2 * workers
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a.cmf, b.cmf)
+            assert a.mean_rate == b.mean_rate
+            assert a.rate_se == b.rate_se
+            assert a.approx_flag == b.approx_flag
+            assert a.scheme == b.scheme
+    assert expected[2].scheme.m_prime == 67  # aje resolved
+    assert expected[3].approx_flag  # st capped
+
+
+def test_pooled_runs_keep_at_most_two_tasks_per_worker_in_flight(counting_pool, monkeypatch):
+    monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", 10)  # one trial per chunk at M = 10
+    specs = [make_spec(scheme=JE(), trials=40, master_seed=seed) for seed in range(5)]
+    expected = [run_experiment(spec) for spec in specs]
+    got = run_specs(specs, workers=2)  # 8 tasks per spec, 40 in all
+    assert counting_pool.starts == 1
+    assert 1 < counting_pool.peak <= 4
+    assert [r.cmf.tolist() for r in got] == [r.cmf.tolist() for r in expected]
+
+
+def test_sweeps_start_one_pool_per_call(counting_pool):
+    base = make_spec(scheme=GTS(window=1), m_total=2000, trials=40)
+    sweep(base, "window", [1, 10, 100], workers=1)
+    optimal_window(base, [1, 10, 100], workers=1)
+    assert counting_pool.starts == 0
+    sweep(base, "window", [1, 10, 100], workers=2)
+    assert counting_pool.starts == 1
+    optimal_window(base, [1, 10, 100], workers=2)
+    assert counting_pool.starts == 2
+    run_experiment(make_spec(trials=5), workers=2)  # a single chunk runs in this process
+    assert counting_pool.starts == 2
 
 
 # ---------------------------------------------------------------------------
