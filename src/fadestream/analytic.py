@@ -16,7 +16,6 @@ other means than running a decoder:
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln
 
 from .channel import (
@@ -147,6 +146,10 @@ def _capacity_tail(c, p_linear):
 
 
 def _quad(f, lo, hi, tol, points=()):
+    # imported here: scipy.integrate is only needed by je_pmf_exact_smallM,
+    # and importing it at start-up would cost every run about 25 MB
+    from scipy.integrate import quad
+
     inner = [x for x in points if lo < x < hi]
     value, abserr = quad(f, lo, hi, epsabs=tol, limit=200, points=inner or None)
     if abserr > 10.0 * tol + 1e-12:

@@ -1,8 +1,11 @@
 """Each decoding rule written out by its definition, one realization at a
 time: the independent second implementation that every batched kernel in
-fadestream is checked against.  Each oracle returns the decoded count."""
+fadestream is checked against.  Each decoding oracle returns the decoded
+count.  capacity_moments restates the capacity statistics by adaptive
+quadrature, against the package's fixed rule."""
 
 import numpy as np
+from scipy.integrate import quad
 
 from fadestream.channel import LN2
 
@@ -74,3 +77,18 @@ def informed_feasible(cap, rate_r, m):
 
 def informed_count(cap, rate_r):
     return max(m for m in range(len(cap) + 1) if informed_feasible(cap, rate_r, m))
+
+
+def capacity_moments(p_linear):
+    """Mean and variance of log2(1 + g P) under the Rayleigh density exp(-g),
+    by scipy's adaptive quadrature over [0, 1/P] and [1/P, inf); the variance
+    integrates the squared deviation from the mean directly."""
+
+    def expect(f):
+        return sum(
+            quad(lambda g: f(g) * np.exp(-g), lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+            for lo, hi in ((0.0, 1.0 / p_linear), (1.0 / p_linear, np.inf))
+        )
+
+    mean = expect(lambda g: np.log1p(g * p_linear) / LN2)
+    return mean, expect(lambda g: (np.log1p(g * p_linear) / LN2 - mean) ** 2)

@@ -5,11 +5,14 @@ import pickle
 import numpy as np
 import pytest
 
+import oracles
 from fadestream import engine
 from fadestream.channel import (
     ChannelRealization,
     FadingModel,
     PowerBudget,
+    QuadratureError,
+    capacity_moments,
     capacity_variance,
     effective_power,
     ergodic_capacity,
@@ -185,6 +188,31 @@ def test_quadrature_matches_closed_form():
         assert ergodic_capacity(RAYLEIGH, power) == pytest.approx(
             rayleigh_ergodic_closed_form(power), abs=1e-6
         )
+
+
+@pytest.mark.parametrize("db", [-20.0, -10.0, 0.0, 1.44, 10.0, 20.0, 30.0, 40.0, 44.0, 50.0, 60.0])
+def test_ergodic_capacity_matches_closed_form_to_rounding(db):
+    power = PowerBudget.from_db(db)
+    assert ergodic_capacity(RAYLEIGH, power) == pytest.approx(
+        rayleigh_ergodic_closed_form(power), rel=1e-13
+    )
+
+
+@pytest.mark.parametrize("db", [-10.0, -3.0, 0.0, 2.0, 10.0, 20.0, 30.0, 40.0])
+def test_capacity_variance_matches_adaptive_quadrature(db):
+    power = PowerBudget.from_db(db)
+    mean, variance = capacity_moments(RAYLEIGH, power)
+    expect_mean, expect_variance = oracles.capacity_moments(power.p_linear)
+    assert mean == pytest.approx(expect_mean, rel=1e-13)
+    assert variance == pytest.approx(expect_variance, rel=1e-13)
+
+
+def test_a_tolerance_below_the_error_estimate_raises():
+    power = PowerBudget.from_db(20.0)
+    with pytest.raises(QuadratureError):
+        ergodic_capacity(RAYLEIGH, power, tol=1e-18)
+    with pytest.raises(QuadratureError):
+        capacity_moments(RAYLEIGH, power, tol=1e-18)
 
 
 def test_ergodic_capacity_strictly_increasing_in_power():

@@ -4,17 +4,22 @@ import csv
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+import fadestream
+import oracles
 from fadestream import channel, cli, engine
 from fadestream.bounds import InformedBound
 from fadestream.cli import CSV_COLUMNS, main
 from fadestream.engine import ExperimentSpec, run_experiment
 from fadestream.channel import FadingModel, QuadratureError
-from fadestream.schemes import AJE, GTS, JE, MT, ST, TS
+from fadestream.schemes import AJE, GTS, JE, MT, ST, TS, choose_m_prime
 
 
 def run_cli(*argv):
@@ -141,6 +146,31 @@ def test_aje_row_reuses_the_scheme_its_run_resolved(tmp_path, monkeypatch):
     assert run_cli("--scheme", "aje", "--blocks", "100", "--rate", "8", "--snr-db", "20",
                    "--trials", "50", "--out", str(tmp_path / "aje.csv")) == 0
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("snr_db", ["44", "48", "60"])
+def test_aje_runs_at_high_snr(tmp_path, snr_db):
+    out = tmp_path / "aje.csv"
+    assert run_cli("--scheme", "aje", "--blocks", "10", "--rate", "1", "--snr-db", snr_db,
+                   "--trials", "50", "--out", str(out)) == 0
+    _, rows = read_csv(out)
+    assert 1 <= int(rows[0]["m_prime"]) <= 10
+
+
+@pytest.mark.parametrize("preset", ["fig5a", "fig5b", "fig6a", "fig6b", "fig7", "fig8"])
+def test_preset_m_primes_match_adaptive_quadrature_moments(preset):
+    """M' for every aje point equals the choice made from scipy-quad moments."""
+    specs = [s for s in cli.PRESETS[preset]["build"](10, 1) if isinstance(s.scheme, AJE)]
+    assert specs
+    for spec in specs:
+        c_mean, c_var = _oracle_moments(engine.received_power(spec).p_linear)
+        expect = choose_m_prime(c_mean, spec.rate_r, spec.m_total, spec.scheme.safety, c_var=c_var)
+        assert engine.resolve_scheme(spec).m_prime == expect
+
+
+@lru_cache(maxsize=None)
+def _oracle_moments(p_linear):
+    return oracles.capacity_moments(p_linear)
 
 
 # ---------------------------------------------------------------------------
@@ -408,3 +438,39 @@ def test_a_dead_pool_worker_exits_3_with_no_output(tmp_path, capfd, monkeypatch)
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("fadestream: error: run failed: BrokenProcessPool")
+
+
+# ---------------------------------------------------------------------------
+# start-up imports
+# ---------------------------------------------------------------------------
+
+_IMPORT_GUARD = """
+import os, sys
+import fadestream.cli as cli
+out = sys.argv[1]
+aje = ["--scheme", "aje", "--blocks", "20", "--rate", "1", "--snr-db", "2", "--trials", "20"]
+assert cli.main(aje + ["--out", os.path.join(out, "aje.csv")]) == 0
+fig4 = ["--preset", "fig4", "--trials", "4", "--workers", "2"]
+assert cli.main(fig4 + ["--out", os.path.join(out, "fig4.csv")]) == 0
+assert "scipy.integrate" not in sys.modules
+import fadestream
+pmf = fadestream.je_pmf_exact_smallM(
+    2, fadestream.FadingModel.rayleigh(), fadestream.PowerBudget.from_db(2.0), 1.0
+)
+assert abs(pmf.probs.sum() - 1.0) < 1e-6
+assert "scipy.integrate" in sys.modules
+"""
+
+
+def test_cli_runs_never_import_scipy_integrate(tmp_path):
+    """A fresh interpreter runs an aje point and a pooled preset without
+    loading scipy.integrate; the exact small-M pmf still loads it on use."""
+    src = os.path.dirname(os.path.dirname(fadestream.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert sorted(os.listdir(tmp_path)) == ["aje.csv", "fig4.csv"]
