@@ -12,7 +12,7 @@ import numpy as np
 from fadestream import (
     FadingModel,
     PowerBudget,
-    capacity_variance,
+    capacity_moments,
     effective_power,
     ergodic_capacity,
     rayleigh_ergodic_closed_form,
@@ -35,7 +35,7 @@ for db in (-3.0, 0.0, 1.44, 2.0, 20.0):
     p = PowerBudget.from_db(db)
     c_q = ergodic_capacity(model, p)
     c_f = rayleigh_ergodic_closed_form(p)
-    sd = np.sqrt(capacity_variance(model, p))
+    sd = np.sqrt(capacity_moments(model, p)[1])
     print(f"{db:8.2f} {c_q:11.4f} {c_f:12.4f} {sd:9.4f}")
 
 print("\n== path loss drags the mean capacity below the message rate ==")

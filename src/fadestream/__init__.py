@@ -23,7 +23,7 @@ from .channel import (
     FadingModel,
     PowerBudget,
     QuadratureError,
-    capacity_variance,
+    capacity_moments,
     effective_power,
     ergodic_capacity,
     rayleigh_ergodic_closed_form,
@@ -73,7 +73,7 @@ __all__ = [
     "QuadratureError",
     "ST",
     "TS",
-    "capacity_variance",
+    "capacity_moments",
     "choose_m_prime",
     "decode_aje",
     "decode_gts",

@@ -111,7 +111,9 @@ def prefix_sum_rate_mc(
         raise ValueError("trials must be >= 1")
     thresholds = rate_r * np.arange(1, m_total + 1)
     s1 = s2 = 0.0
-    for start, count in _chunk_ranges(trials, m_total):
+    starts = _chunk_ranges(trials, m_total)
+    for start in starts:
+        count = min(starts.step, trials - start)
         caps = capacities(_sample_gain_block(model, m_total, master_seed, start, count), power)
         counts = (np.cumsum(caps, axis=1) >= thresholds).sum(axis=1)
         s1 += counts.sum()

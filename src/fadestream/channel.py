@@ -265,11 +265,6 @@ def capacity_moments(
     return mean, _rayleigh_expectation(lambda g: (np.log1p(g * p) / LN2 - mean) ** 2, tol)
 
 
-def capacity_variance(model: FadingModel, power: PowerBudget, tol: float = 1e-6) -> float:
-    """Variance of the instantaneous capacity, in bpcu^2."""
-    return capacity_moments(model, power, tol)[1]
-
-
 def effective_power(
     power: PowerBudget, distance: float, path_loss_exponent: float
 ) -> PowerBudget:

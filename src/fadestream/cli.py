@@ -405,8 +405,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _validate_run_args(args)
-        if args.sweep is not None and args.preset is None:
-            _parse_sweep(args.sweep)  # fail fast on malformed sweeps
         if args.preset is not None:
             out_format = args.out_format or PRESETS[args.preset]["format"]
             meta, rows = _run_preset(args)

@@ -89,10 +89,7 @@ class ExperimentSpec:
             raise ValueError("power_db must be finite")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must fit in 64 bits")
-        if self.distance is not None:
-            d, alpha = self.distance
-            if d <= 0.0 or alpha <= 0.0:
-                raise ValueError("distance and path_loss_exponent must be positive")
+        received_power(self)  # a non-finite distance or a power lost to underflow raises
         if isinstance(self.scheme, GTS) and self.scheme.window > self.m_total:
             raise ValueError("gts window cannot exceed m_total")
         if isinstance(self.scheme, AJE) and self.scheme.m_prime is not None:
@@ -143,7 +140,7 @@ def _sample_gain_block(
     return phis
 
 
-def _decode_chunk(spec: ExperimentSpec, start: int, count: int) -> tuple[np.ndarray, bool]:
+def _decode_chunk(spec: ExperimentSpec, start: int, count: int) -> np.ndarray:
     """Decoded counts for trials [start, start + count) of a resolved spec."""
     power = received_power(spec)
     phis = _sample_gain_block(spec.model, spec.m_total, spec.master_seed, start, count)
@@ -157,105 +154,86 @@ def _decode_chunk(spec: ExperimentSpec, start: int, count: int) -> tuple[np.ndar
             scheme.heuristic_subset_cap,
         )
     caps = capacities(phis, power)
-    return _CAPACITY_KERNELS[type(scheme)](caps, spec.rate_r, scheme), False
+    return _CAPACITY_KERNELS[type(scheme)](caps, spec.rate_r, scheme)
 
 
-def _chunk_size(m_total: int) -> int:
-    """Trials per chunk: _CHUNK_ELEMENTS gains, within [1, 4096] trials."""
-    return max(1, min(4096, _CHUNK_ELEMENTS // m_total))
+def _chunk_ranges(trials: int, m_total: int) -> range:
+    """First trial of each chunk; the step is the chunk size, _CHUNK_ELEMENTS
+    gains within [1, 4096] trials, and the last chunk ends at `trials`."""
+    return range(0, trials, max(1, min(4096, _CHUNK_ELEMENTS // m_total)))
 
 
-def _chunk_count(spec: ExperimentSpec) -> int:
-    return -(-spec.trials // _chunk_size(spec.m_total))
+def _chunk_histogram(spec: ExperimentSpec, start: int, count: int) -> np.ndarray:
+    return np.bincount(_decode_chunk(spec, start, count), minlength=spec.m_total + 1)
 
 
-def _chunk_ranges(trials: int, m_total: int):
-    chunk = _chunk_size(m_total)
-    return [(start, min(chunk, trials - start)) for start in range(0, trials, chunk)]
-
-
-def _chunk_histogram(spec: ExperimentSpec, start: int, count: int) -> tuple[np.ndarray, bool]:
-    counts, approx = _decode_chunk(spec, start, count)
-    return np.bincount(counts, minlength=spec.m_total + 1), approx
-
-
-def _task_histogram(task) -> tuple[np.ndarray, bool]:
-    """Summed histogram and approximate flag of chunks [first, end) of a
-    resolved spec; a task is the compact tuple (spec, first, end)."""
+def _task_histogram(task) -> np.ndarray:
+    """Summed histogram of chunks [first, end) of a resolved spec; a task is
+    the compact tuple (spec, first, end)."""
     spec, first, end = task
-    chunk = _chunk_size(spec.m_total)
+    starts = _chunk_ranges(spec.trials, spec.m_total)[first:end]
     hist = np.zeros(spec.m_total + 1, dtype=np.int64)
-    approx = False
-    for index in range(first, end):
-        start = index * chunk
-        part, part_approx = _chunk_histogram(spec, start, min(chunk, spec.trials - start))
-        hist += part
-        approx = approx or part_approx
-    return hist, approx
+    for start in starts:
+        hist += _chunk_histogram(spec, start, min(starts.step, spec.trials - start))
+    return hist
 
 
-def decode_counts(spec: ExperimentSpec) -> tuple[np.ndarray, bool]:
-    """Per-trial decoded counts in trial order, plus the approximate flag.
+def _resolved(spec: ExperimentSpec) -> ExperimentSpec:
+    return dataclasses.replace(spec, scheme=resolve_scheme(spec))
+
+
+def decode_counts(spec: ExperimentSpec) -> np.ndarray:
+    """Per-trial decoded counts in trial order.
 
     Mainly for paired per-trial comparisons (e.g. checking that no scheme
     ever beats the informed bound on the same realization).
     """
-    spec = dataclasses.replace(spec, scheme=resolve_scheme(spec))
-    parts = [_decode_chunk(spec, start, count) for start, count in _chunk_ranges(spec.trials, spec.m_total)]
-    approx = any(a for _, a in parts)
-    return np.concatenate([c for c, _ in parts]), approx
+    spec = _resolved(spec)
+    starts = _chunk_ranges(spec.trials, spec.m_total)
+    return np.concatenate(
+        [_decode_chunk(spec, start, min(starts.step, spec.trials - start)) for start in starts]
+    )
 
 
-def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
-    """Run all trials and aggregate the decode-count statistics.
+def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
+    """Run all trials in this process and aggregate the decode-count statistics.
 
     The reduction is an integer histogram sum, so the result is bit-identical
-    for any chunking and any number of workers (workers > 1 runs through
-    run_specs).
+    for any chunking; run_specs([spec], workers)[0] is the same result from a
+    process pool.
     """
-    if workers > 1:
-        return run_specs([spec], workers)[0]
-    spec = dataclasses.replace(spec, scheme=resolve_scheme(spec))
-    hist, approx = _task_histogram((spec, 0, _chunk_count(spec)))
-    return _result_from_histogram(hist, spec, approx)
+    spec = _resolved(spec)
+    chunks = len(_chunk_ranges(spec.trials, spec.m_total))
+    return _result_from_histogram(_task_histogram((spec, 0, chunks)), spec)
 
 
 def run_specs(specs, workers: int = 1) -> list[ExperimentResult]:
     """run_experiment of every spec, in order, with one process pool for all.
 
-    At workers > 1 one pool runs the chunk tasks of every spec.  Tasks are
-    made lazily, spec by spec, with at most 2 * workers in flight, and each
-    spec's histogram becomes its result when its last task arrives.  Seeds
-    and chunking are each spec's own, so each result equals run_experiment's.
-    At workers == 1, or with a single chunk in all, every spec runs through
+    Every spec is resolved first, so a failing resolution starts no pool.  At
+    workers > 1 one pool runs the chunk tasks of every spec, made lazily with
+    at most 2 * workers in flight; each task's histogram is added into its
+    spec's, and the results are built once the pool has closed.  Seeds and
+    chunking are each spec's own, so each result equals run_experiment's.  At
+    workers == 1, or with a single chunk in all, every spec runs through
     run_experiment in this process.
     """
-    specs = list(specs)
-    if workers <= 1 or sum(map(_chunk_count, specs)) <= 1:
+    specs = [_resolved(spec) for spec in specs]
+    chunks = [len(_chunk_ranges(spec.trials, spec.m_total)) for spec in specs]
+    if workers <= 1 or sum(chunks) <= 1:
         return [run_experiment(spec) for spec in specs]
-    results = [None] * len(specs)
-    partial = {}  # spec index -> [resolved spec, histogram, approx flag, tasks not yet back]
 
     def tasks():
-        for index, spec in enumerate(specs):
-            spec = dataclasses.replace(spec, scheme=resolve_scheme(spec))
-            chunks = _chunk_count(spec)
-            size = -(-chunks // (_TASKS_PER_WORKER * workers))
-            firsts = range(0, chunks, size)
-            partial[index] = [spec, np.zeros(spec.m_total + 1, dtype=np.int64), False, len(firsts)]
-            for first in firsts:
-                yield index, (spec, first, min(first + size, chunks))
+        for index, (spec, count) in enumerate(zip(specs, chunks)):
+            size = -(-count // (_TASKS_PER_WORKER * workers))
+            for first in range(0, count, size):
+                yield index, (spec, first, min(first + size, count))
 
+    hists = [np.zeros(spec.m_total + 1, dtype=np.int64) for spec in specs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for index, (hist, approx) in _completed(pool, tasks(), 2 * workers):
-            entry = partial[index]
-            entry[1] += hist
-            entry[2] = entry[2] or approx
-            entry[3] -= 1
-            if entry[3] == 0:
-                del partial[index]
-                results[index] = _result_from_histogram(entry[1], entry[0], entry[2])
-    return results
+        for index, hist in _completed(pool, tasks(), 2 * workers):
+            hists[index] += hist
+    return [_result_from_histogram(hist, spec) for hist, spec in zip(hists, specs)]
 
 
 def _completed(pool, tasks, limit: int):
@@ -273,7 +251,7 @@ def _completed(pool, tasks, limit: int):
             yield in_flight.pop(future), future.result()
 
 
-def _result_from_histogram(hist: np.ndarray, spec: ExperimentSpec, approx: bool) -> ExperimentResult:
+def _result_from_histogram(hist: np.ndarray, spec: ExperimentSpec) -> ExperimentResult:
     n = int(hist.sum())
     m = np.arange(spec.m_total + 1, dtype=float)
     mean_decoded = float(m @ hist) / n
@@ -284,7 +262,7 @@ def _result_from_histogram(hist: np.ndarray, spec: ExperimentSpec, approx: bool)
         rate_se=spec.rate_r * float(np.sqrt(var / n)) / spec.m_total,
         cmf=np.cumsum(hist) / n,
         mean_decoded=mean_decoded,
-        approx_flag=approx,
+        approx_flag=isinstance(spec.scheme, ST) and spec.scheme.approximate(spec.m_total),
         trials_run=n,
         scheme=spec.scheme,
     )

@@ -98,6 +98,10 @@ class ST:
         if self.exact_subset_limit < 1 or self.heuristic_subset_cap < 1:
             raise ValueError("subset search bounds must be >= 1")
 
+    def approximate(self, m_total: int) -> bool:
+        """Whether M blocks run the capped search, whose outcome is approximate."""
+        return m_total > self.exact_subset_limit
+
 
 SchemeConfig = MT | JE | AJE | TS | GTS | ST
 
@@ -176,8 +180,8 @@ def decode_st(
     """Greedy subset decoding of the superimposed messages; see st_counts."""
     _check_rate(rate_r)
     limits = (config.exact_subset_limit, config.heuristic_subset_cap)
-    counts, approximate = st_counts(real.phi[None, :], power.p_linear, rate_r, *limits)
-    return _outcome(range(1, counts[0] + 1), real.m_blocks, rate_r, approximate)
+    n_d = st_counts(real.phi[None, :], power.p_linear, rate_r, *limits)[0]
+    return _outcome(range(1, n_d + 1), real.m_blocks, rate_r, config.approximate(real.m_blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +355,8 @@ def st_counts(
     rate_r: float,
     exact_subset_limit: int = 20,
     heuristic_subset_cap: int = 4,
-) -> tuple[np.ndarray, bool]:
-    """Greedy superposition decoding; returns (counts, approximate_flag).
+) -> np.ndarray:
+    """Greedy superposition decoding: the decoded count of each trial.
 
     The greedy decoder repeatedly decodes the smallest subset size i whose
     best candidate clears i * R (st_subset_capacity), subtracts it, and
@@ -367,11 +371,11 @@ def st_counts(
     O(trials x M); it sums all M block terms, zeros included, so it equals
     row j of the full (M+1) x M profile bit for bit.  Beyond
     exact_subset_limit blocks, runs are capped at heuristic_subset_cap and
-    the counts are flagged approximate.
+    the counts are approximate (ST.approximate).
     """
     trials, m_total = phis.shape
-    approximate = m_total > exact_subset_limit
-    max_run = heuristic_subset_cap if approximate else m_total
+    capped = ST(exact_subset_limit, heuristic_subset_cap).approximate(m_total)
+    max_run = heuristic_subset_cap if capped else m_total
     t = np.arange(1, m_total + 1)
     per_message = phis * (p_linear / t)
     best = np.log1p(per_message * t).sum(axis=1) / LN2  # key row 0
@@ -391,4 +395,4 @@ def st_counts(
         moved = running[improved]
         anchor[moved] = j
         best[moved] = key[improved]
-    return anchor, approximate
+    return anchor

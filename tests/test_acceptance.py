@@ -290,7 +290,7 @@ def test_c10_bound_dominance():
         c_bar = ergodic_capacity(RAYLEIGH, PowerBudget.from_db(power_db))
         for m_total in (2, 10, 50):
             seed = SEED + 1000 + int(10 * power_db) + m_total
-            bound_counts, _ = decode_counts(spec(InformedBound(), power_db, m_total, trials, seed))
+            bound_counts = decode_counts(spec(InformedBound(), power_db, m_total, trials, seed))
             worst = None
             for tag, scheme in (
                 ("mt", MT()),
@@ -300,7 +300,7 @@ def test_c10_bound_dominance():
                 ("gts", GTS(window=min(10, m_total))),
                 ("st", ST()),
             ):
-                counts, _ = decode_counts(spec(scheme, power_db, m_total, trials, seed))
+                counts = decode_counts(spec(scheme, power_db, m_total, trials, seed))
                 excess = int(np.sum(counts > bound_counts))
                 if excess:
                     worst = f"{tag} beats the bound on {excess} trials"
@@ -361,10 +361,10 @@ def test_c12_st_search_sanity():
         phis = np.empty((trials, m_total))
         for k in range(trials):
             phis[k] = RAYLEIGH.sample_gains(trial_stream(SEED + 120 + m_total, k), m_total)
-        exact, approx_exact = st_counts(phis, p_linear, rate, m_total, m_total)
-        single_user, _ = st_counts(phis, p_linear, rate, 1, 1)  # size-1 subsets only
-        heuristic, approx_heur = st_counts(phis, p_linear, rate, 1, 4)
-        assert not approx_exact and approx_heur
+        exact = st_counts(phis, p_linear, rate, m_total, m_total)
+        single_user = st_counts(phis, p_linear, rate, 1, 1)  # size-1 subsets only
+        heuristic = st_counts(phis, p_linear, rate, 1, 4)
+        assert not ST(m_total, m_total).approximate(m_total) and ST(1, 4).approximate(m_total)
         checks.append(
             (
                 f"exact >= single-user SIC (M={m_total})",

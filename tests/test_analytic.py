@@ -140,7 +140,7 @@ def test_prefix_identity_holds_per_trial_in_expectation():
         trials=trials,
         master_seed=seed,
     )
-    counts, _ = decode_counts(spec)
+    counts = decode_counts(spec)
     assert counts.mean() == pytest.approx(est * m_total, abs=4.0 * np.sqrt(m_total / trials))
 
 

@@ -7,7 +7,7 @@ attribute would break its traced runs without failing any test here.
 import importlib.util
 from pathlib import Path
 
-from fadestream import engine
+from fadestream import cli, engine
 from fadestream.channel import FadingModel
 from fadestream.schemes import JE, MT, ST
 
@@ -47,3 +47,21 @@ def test_serial_run_specs_calls_run_experiment_once_per_spec(monkeypatch):
     ]
     assert len(engine.run_specs(specs, 1)) == 3
     assert calls == specs
+
+
+def test_traced_cli_runs_make_the_calls_the_benchmark_expects(tmp_path, monkeypatch):
+    """child.py's trace mode checks every spec's sampler, chunk and kernel
+    calls against engine._chunk_ranges; a run path that skips or repeats a
+    layer call would only show up in a traced benchmark run."""
+    child = load_child()
+    for owner, attr, _, _ in child.HOOKS:
+        monkeypatch.setattr(owner, attr, getattr(owner, attr))  # restored at teardown
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", engine.ProcessPoolExecutor)
+    tracer = child.Tracer()
+    child.install(tracer, "trace")
+    out = str(tmp_path / "out")
+    assert cli.main(["--preset", "fig5a", "--trials", "30", "--out", out]) == 0
+    assert tracer.points == 7
+    assert cli.main(["--preset", "fig7", "--trials", "30", "--out", out]) == 0
+    assert tracer.points == 7 + 120
+    assert tracer.problems == []

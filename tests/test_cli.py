@@ -370,6 +370,28 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--distance", "nan", "--path-loss", "3"),
+        ("--distance", "inf", "--path-loss", "3"),
+        ("--distance", "10", "--path-loss", "400"),  # the received power underflows to 0
+        ("--distance", "1", "--path-loss", "3", "--sweep", "distance=1,nan"),
+    ],
+    ids=["nan", "inf", "underflow", "sweep"],
+)
+def test_distances_without_a_received_power_exit_2_before_any_pool(
+    tmp_path, capsys, counting_pool, flags
+):
+    out = tmp_path / "out.csv"
+    code = run_cli("--scheme", "mt", "--blocks", "10", "--rate", "1", "--snr-db", "2",
+                   "--trials", "4000", "--workers", "2", *flags, "--out", str(out))
+    assert code == 2
+    assert counting_pool.starts == 0
+    assert os.listdir(tmp_path) == []
+    assert capsys.readouterr().err.startswith("fadestream: error: ")
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["--does-not-exist"])

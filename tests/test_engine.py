@@ -1,7 +1,6 @@
 """Experiment runner: determinism, statistics accounting, sweeps."""
 
 import dataclasses
-import threading
 import tracemalloc
 
 import numpy as np
@@ -28,7 +27,7 @@ from fadestream.engine import (
     sweep,
     sweep_specs,
 )
-from fadestream.schemes import AJE, GTS, JE, MT, ST, TS, decode_mt
+from fadestream.schemes import AJE, GTS, JE, MT, ST, TS, decode_mt, decode_st
 
 RAYLEIGH = FadingModel.rayleigh()
 
@@ -64,8 +63,8 @@ def test_repeated_runs_are_bit_identical():
 
 def test_worker_count_does_not_change_results():
     spec = make_spec(scheme=TS(), trials=9000, m_total=30)
-    serial = run_experiment(spec, workers=1)
-    parallel = run_experiment(spec, workers=3)
+    serial = run_experiment(spec)
+    parallel = run_specs([spec], 3)[0]
     assert serial.mean_rate == parallel.mean_rate
     assert serial.rate_se == parallel.rate_se
     assert np.array_equal(serial.cmf, parallel.cmf)
@@ -134,6 +133,21 @@ def test_approx_flag_tracks_st_mode():
     assert run_experiment(heuristic).approx_flag
 
 
+@pytest.mark.parametrize("m_total", [6, 7])
+def test_approx_flag_agrees_with_st_at_the_exact_subset_limit(counting_pool, monkeypatch, m_total):
+    scheme = ST(exact_subset_limit=6)
+    approximate = scheme.approximate(m_total)
+    assert approximate == (m_total == 7)
+    monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", 10 * m_total)  # 10 trials per chunk
+    spec = make_spec(scheme=scheme, m_total=m_total, trials=60)
+    assert run_experiment(spec).approx_flag == approximate
+    assert run_specs([spec], 2)[0].approx_flag == approximate
+    assert counting_pool.starts == 1
+    power = received_power(spec)
+    real = sample_realization(RAYLEIGH, power, m_total, trial_stream(spec.master_seed, 0))
+    assert decode_st(real, spec.rate_r, power, scheme).approximate == approximate
+
+
 def test_aje_resolves_adaptive_message_count():
     spec = make_spec(scheme=AJE(), power_db=20.0, m_total=100, rate_r=8.0, trials=10)
     resolved = resolve_scheme(spec)
@@ -156,9 +170,9 @@ def test_aje_message_count_is_resolved_once_per_experiment(monkeypatch):
     monkeypatch.setattr(engine, "capacity_moments", counted)
     spec = make_spec(scheme=AJE(), trials=9000, m_total=10)
     assert len(engine._chunk_ranges(spec.trials, spec.m_total)) == 6
-    run_experiment(spec, workers=1)
+    run_experiment(spec)
     decode_counts(spec)
-    run_experiment(spec, workers=2)  # resolved in the parent, not per task
+    run_specs([spec], 2)  # resolved in the parent, not per task
     assert len(calls) == 3
 
 
@@ -211,20 +225,22 @@ def test_results_do_not_depend_on_the_chunk_budget(monkeypatch, scheme):
         monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", budget)
         assert len(engine._chunk_ranges(spec.trials, spec.m_total)) == chunks
         runs.append((run_experiment(spec), decode_counts(spec)))
-    (small, (small_counts, small_approx)), (large, (large_counts, large_approx)) = runs
+    (small, small_counts), (large, large_counts) = runs
     assert np.array_equal(small.cmf, large.cmf)
     assert small.mean_rate == large.mean_rate
     assert small.rate_se == large.rate_se
-    assert small.approx_flag == large.approx_flag == small_approx == large_approx
+    assert small.approx_flag == large.approx_flag == (
+        isinstance(scheme, ST) and scheme.approximate(spec.m_total)
+    )
     assert np.array_equal(small_counts, large_counts)
     assert 0 < small.mean_decoded < spec.m_total  # a nontrivial histogram
 
 
 def test_decode_counts_matches_run_experiment():
     spec = make_spec(scheme=JE(), trials=5000, m_total=8)
-    counts, approx = decode_counts(spec)
+    counts = decode_counts(spec)
     res = run_experiment(spec)
-    assert not approx
+    assert not res.approx_flag
     assert counts.mean() == pytest.approx(res.mean_decoded, rel=1e-12)
     assert np.array_equal(np.cumsum(np.bincount(counts, minlength=9)) / 5000, res.cmf)
 
@@ -253,6 +269,18 @@ def test_spec_validation_rejects_bad_inputs():
         make_spec(scheme="mt")
 
 
+@pytest.mark.parametrize(
+    "distance",
+    [(np.nan, 3.0), (np.inf, 3.0), (2.0, np.nan), (10.0, 400.0)],
+    ids=["nan", "inf", "nan-exponent", "underflow"],
+)
+def test_spec_rejects_distances_without_a_received_power(distance):
+    """10**-400 underflows the received power to 0; the others are not numbers
+    a path loss can use.  Each raises at construction, not in a run."""
+    with pytest.raises(ValueError):
+        make_spec(distance=distance)
+
+
 # ---------------------------------------------------------------------------
 # one process pool per call
 # ---------------------------------------------------------------------------
@@ -269,40 +297,6 @@ def mixed_specs():
         make_spec(scheme=GTS(window=5), m_total=500, trials=200, master_seed=8),
         make_spec(scheme=InformedBound(), m_total=50, trials=1000),
     ]
-
-
-class CountingPool(engine.ProcessPoolExecutor):
-    """Counts pools started and the most tasks submitted and not yet done."""
-
-    starts = 0
-    peak = 0
-    _lock = threading.Lock()
-    _outstanding = 0
-
-    def __init__(self, *args, **kwargs):
-        type(self).starts += 1
-        super().__init__(*args, **kwargs)
-
-    def submit(self, fn, /, *args, **kwargs):
-        future = super().submit(fn, *args, **kwargs)
-        cls = type(self)
-        with cls._lock:
-            cls._outstanding += 1
-            cls.peak = max(cls.peak, cls._outstanding)
-        future.add_done_callback(cls._done)
-        return future
-
-    @classmethod
-    def _done(cls, future):
-        with cls._lock:
-            cls._outstanding -= 1
-
-
-@pytest.fixture
-def counting_pool(monkeypatch):
-    pool = type("Pool", (CountingPool,), {"starts": 0, "peak": 0, "_outstanding": 0})
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", pool)
-    return pool
 
 
 def test_run_specs_matches_per_spec_runs(counting_pool):
@@ -346,7 +340,7 @@ def test_sweeps_start_one_pool_per_call(counting_pool):
     assert counting_pool.starts == 1
     optimal_window(base, [1, 10, 100], workers=2)
     assert counting_pool.starts == 2
-    run_experiment(make_spec(trials=5), workers=2)  # a single chunk runs in this process
+    run_specs([make_spec(trials=5)], 2)  # a single chunk runs in this process
     assert counting_pool.starts == 2
 
 

@@ -12,7 +12,7 @@ from fadestream.channel import (
     FadingModel,
     PowerBudget,
     capacities,
-    capacity_variance,
+    capacity_moments,
     trial_stream,
 )
 from fadestream.schemes import (
@@ -149,7 +149,7 @@ def test_je_count_matches_exact_m_conditions():
 
 
 def test_choose_m_prime_cases():
-    c_var = capacity_variance(FadingModel.rayleigh(), PowerBudget.from_db(20.0))
+    c_var = capacity_moments(FadingModel.rayleigh(), PowerBudget.from_db(20.0))[1]
     # 20 dB, R=8, M=100.  A Monte Carlo sweep with M' pinned (50000 trials at
     # the adaptive-encoding acceptance seed) gives mean rates 66 -> 5.137,
     # 67 -> 5.157, 68 -> 5.139, 69 -> 5.057, 70 -> 4.873: the best M' is 67,
@@ -452,7 +452,7 @@ def test_equality_decodes_in_every_scheme():
     power = PowerBudget(2.0)
     st_real = ChannelRealization.from_gains([1.0, 1.0], power)
     assert decode_st(st_real, 1.0, power).n_d == 2  # second step is exactly tight
-    assert st_counts(st_real.phi[None, :], power.p_linear, 1.0)[0][0] == 2
+    assert st_counts(st_real.phi[None, :], power.p_linear, 1.0)[0] == 2
     m_star = informed_counts(np.array([[0.0, 2.0, 2.0]]), 1.0)
     assert m_star[0] == 3
     assert informed_counts(np.array([[1.0, 1.0]]), 1.0)[0] == 2  # 2R = 1 + 1 and R = 1
@@ -487,8 +487,8 @@ def test_batched_decoders_match_scalar_decoders():
         window = max(1, m_total // 2)
         m_prime = max(1, m_total - 1)
         max_run = 2 if m_total > 4 else m_total
-        counts_st, approx = st_counts(phis, power.p_linear, 1.0, 4, 2)
-        assert approx == (m_total > 4)
+        counts_st = st_counts(phis, power.p_linear, 1.0, 4, 2)
+        assert ST(4, 2).approximate(m_total) == (m_total > 4)
         for row in range(200):
             cap = caps[row]
             assert mt_counts(caps, 1.0)[row] == oracles.mt_count(cap, 1.0)
@@ -531,7 +531,8 @@ def test_st_counts_match_full_profile_decoder(m_total, rate, expect):
     power = PowerBudget.from_db(10.0)
     rng = np.random.default_rng(17)
     phis = rng.exponential(1.0, (150, m_total))
-    counts, approx = st_counts(phis, power.p_linear, rate)
+    counts = st_counts(phis, power.p_linear, rate)
+    approx = ST().approximate(m_total)
     assert approx == (m_total > LIMIT)
     max_run = ST().heuristic_subset_cap if approx else m_total
     for row in range(len(phis)):
@@ -549,9 +550,9 @@ def test_st_counts_memory_is_linear_in_blocks():
     phis = np.random.default_rng(18).exponential(1.0, (16, 2000))
     tracemalloc.start()
     try:
-        counts, approx = st_counts(phis, PowerBudget.from_db(2.0).p_linear, 1.0)
+        counts = st_counts(phis, PowerBudget.from_db(2.0).p_linear, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert approx and counts.max() > 100  # the scan ran well past the first rows
+    assert ST().approximate(2000) and counts.max() > 100  # the scan ran well past the first rows
     assert peak < 8 * 2**20
