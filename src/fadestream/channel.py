@@ -7,6 +7,7 @@ downstream (decoders, bounds, experiment runner) works on these per-block
 capacities, never on channel symbols.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,15 @@ class FadingModel:
         return out
 
 
+def _power_or_inf(base: float, exponent: float) -> float:
+    """base**exponent, or inf where Python's float power raises OverflowError;
+    PowerBudget then rejects the inf with its ValueError."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class PowerBudget:
     """Average transmit power as a linear SNR against unit-variance noise."""
@@ -93,7 +103,7 @@ class PowerBudget:
 
     @classmethod
     def from_db(cls, snr_db: float) -> "PowerBudget":
-        return cls(p_linear=10.0 ** (snr_db / 10.0))
+        return cls(p_linear=_power_or_inf(10.0, snr_db / 10.0))
 
     @property
     def db(self) -> float:
@@ -273,4 +283,5 @@ def effective_power(
         raise ValueError("distance must be positive")
     if not (np.isfinite(path_loss_exponent) and path_loss_exponent > 0.0):
         raise ValueError("path_loss_exponent must be positive")
-    return PowerBudget(p_linear=power.p_linear * distance**-path_loss_exponent)
+    return PowerBudget(p_linear=power.p_linear * _power_or_inf(distance, -path_loss_exponent))
+

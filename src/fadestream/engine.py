@@ -105,7 +105,6 @@ class ExperimentResult:
     rate_se: float
     cmf: np.ndarray  # cmf[m] = Pr{decoded count <= m}, m = 0..M
     mean_decoded: float
-    approx_flag: bool
     trials_run: int
     scheme: SchemeConfig | InformedBound  # as run: aje's m_prime resolved
 
@@ -146,13 +145,7 @@ def _decode_chunk(spec: ExperimentSpec, start: int, count: int) -> np.ndarray:
     phis = _sample_gain_block(spec.model, spec.m_total, spec.master_seed, start, count)
     scheme = spec.scheme
     if isinstance(scheme, ST):
-        return schemes.st_counts(
-            phis,
-            power.p_linear,
-            spec.rate_r,
-            scheme.exact_subset_limit,
-            scheme.heuristic_subset_cap,
-        )
+        return schemes.st_counts(phis, power.p_linear, spec.rate_r)
     caps = capacities(phis, power)
     return _CAPACITY_KERNELS[type(scheme)](caps, spec.rate_r, scheme)
 
@@ -262,7 +255,6 @@ def _result_from_histogram(hist: np.ndarray, spec: ExperimentSpec) -> Experiment
         rate_se=spec.rate_r * float(np.sqrt(var / n)) / spec.m_total,
         cmf=np.cumsum(hist) / n,
         mean_decoded=mean_decoded,
-        approx_flag=isinstance(spec.scheme, ST) and spec.scheme.approximate(spec.m_total),
         trials_run=n,
         scheme=spec.scheme,
     )

@@ -84,23 +84,7 @@ class GTS:
 
 @dataclass(frozen=True)
 class ST:
-    """Superposition transmission with its subset-search bounds.
-
-    Realizations with more than exact_subset_limit blocks switch the subset
-    search to contiguous index runs of length <= heuristic_subset_cap, and
-    the outcome is flagged approximate.
-    """
-
-    exact_subset_limit: int = 20
-    heuristic_subset_cap: int = 4
-
-    def __post_init__(self):
-        if self.exact_subset_limit < 1 or self.heuristic_subset_cap < 1:
-            raise ValueError("subset search bounds must be >= 1")
-
-    def approximate(self, m_total: int) -> bool:
-        """Whether M blocks run the capped search, whose outcome is approximate."""
-        return m_total > self.exact_subset_limit
+    pass
 
 
 SchemeConfig = MT | JE | AJE | TS | GTS | ST
@@ -113,15 +97,12 @@ class DecodeOutcome:
     decoded: frozenset
     n_d: int
     rate: float
-    approximate: bool = False
 
 
-def _outcome(decoded, m_total: int, rate_r: float, approximate: bool = False) -> DecodeOutcome:
+def _outcome(decoded, m_total: int, rate_r: float) -> DecodeOutcome:
     decoded = frozenset(int(i) for i in decoded)
     n_d = len(decoded)
-    return DecodeOutcome(
-        decoded=decoded, n_d=n_d, rate=n_d * rate_r / m_total, approximate=approximate
-    )
+    return DecodeOutcome(decoded=decoded, n_d=n_d, rate=n_d * rate_r / m_total)
 
 
 def _check_rate(rate_r: float):
@@ -174,14 +155,11 @@ def decode_gts(real: ChannelRealization, rate_r: float, window: int) -> DecodeOu
     return _outcome(np.flatnonzero(info >= rate_r) + 1, real.m_blocks, rate_r)
 
 
-def decode_st(
-    real: ChannelRealization, rate_r: float, power: PowerBudget, config: ST = ST()
-) -> DecodeOutcome:
+def decode_st(real: ChannelRealization, rate_r: float, power: PowerBudget) -> DecodeOutcome:
     """Greedy subset decoding of the superimposed messages; see st_counts."""
     _check_rate(rate_r)
-    limits = (config.exact_subset_limit, config.heuristic_subset_cap)
-    n_d = st_counts(real.phi[None, :], power.p_linear, rate_r, *limits)[0]
-    return _outcome(range(1, n_d + 1), real.m_blocks, rate_r, config.approximate(real.m_blocks))
+    n_d = st_counts(real.phi[None, :], power.p_linear, rate_r)[0]
+    return _outcome(range(1, n_d + 1), real.m_blocks, rate_r)
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +327,7 @@ def gts_counts(caps: np.ndarray, rate_r: float, window: int) -> np.ndarray:
     return (gts_accumulated_info(caps, window) >= rate_r).sum(axis=1)
 
 
-def st_counts(
-    phis: np.ndarray,
-    p_linear: float,
-    rate_r: float,
-    exact_subset_limit: int = 20,
-    heuristic_subset_cap: int = 4,
-) -> np.ndarray:
+def st_counts(phis: np.ndarray, p_linear: float, rate_r: float) -> np.ndarray:
     """Greedy superposition decoding: the decoded count of each trial.
 
     The greedy decoder repeatedly decodes the smallest subset size i whose
@@ -366,33 +338,35 @@ def st_counts(
     messages s+1..M decode jointly at H[s] = sum_t log2(1 + phi_t (P/t)
     max(t - s, 0)).  By the chain rule the earliest size-i run decodes iff
     K[s+i] <= K[s] for K[j] = H[j] + j R, so decoding jumps along the running
-    minima of K, stopping once the next is more than max_run positions away.
-    Row j of K is built only for the trials still scanning, so memory is
-    O(trials x M); it sums all M block terms, zeros included, so it equals
-    row j of the full (M+1) x M profile bit for bit.  Beyond
-    exact_subset_limit blocks, runs are capped at heuristic_subset_cap and
-    the counts are approximate (ST.approximate).
+    minima of K, and the count is the last index attaining the minimum.
+
+    Row j of K sums only the blocks t > j, the others being zero terms, and
+    is built only for the trials still scanning, so memory is O(trials x M).
+    A trial stops scanning once j R exceeds its running minimum: the log sum
+    is >= 0, and adding a non-negative term to j R cannot round below j R, so
+    K[j] and every later row are >= j R and can never move its minimum again.
     """
     trials, m_total = phis.shape
-    capped = ST(exact_subset_limit, heuristic_subset_cap).approximate(m_total)
-    max_run = heuristic_subset_cap if capped else m_total
-    t = np.arange(1, m_total + 1)
+    t = np.arange(1, m_total + 1, dtype=float)
     per_message = phis * (p_linear / t)
     best = np.log1p(per_message * t).sum(axis=1) / LN2  # key row 0
     anchor = np.zeros(trials, dtype=np.int64)
-    running = np.arange(trials)  # trials whose scan has not stopped
+    counts = np.zeros(trials, dtype=np.int64)
+    running = np.arange(trials)  # trials still scanning; best, anchor, per_message follow
     for j in range(1, m_total + 1):
-        going = j - anchor[running] <= max_run
+        going = rate_r * j <= best
         if not going.all():
-            running = running[going]
-            per_message = per_message[going]
+            counts[running] = anchor
+            running, best, anchor, per_message = (
+                running[going], best[going], anchor[going], per_message[going]
+            )
             if running.size == 0:
                 break
-        terms = per_message * np.maximum(t - j, 0)
+        terms = per_message[:, j:] * t[: m_total - j]  # the blocks t > j, times t - j
         key = np.log1p(terms, out=terms).sum(axis=1) / LN2 + rate_r * j
         # <= moves the anchor to the last index attaining the running minimum
-        improved = key <= best[running]
-        moved = running[improved]
-        anchor[moved] = j
-        best[moved] = key[improved]
-    return anchor
+        improved = key <= best
+        anchor[improved] = j
+        best[improved] = key[improved]
+    counts[running] = anchor
+    return counts

@@ -54,7 +54,11 @@ def ts_count(cap, rate_r):
 def st_count(phi, p_linear, rate_r, max_run):
     """Greedy superposition decoding as a scan over the full (M+1) x M
     capacity profile: the running minima of H[j] + j R (see st_counts),
-    whose rows st_counts sums term for term, so the counts agree exactly."""
+    stopping once the next minimum is more than max_run positions away.
+    max_run = M is the exact decoder, 1 single-user SIC.  Each row here sums
+    all M block terms, zeros included, where st_counts sums only the
+    non-zero ones; the two sums can differ in the last bit, which changes a
+    count only where a key equals its running minimum to within that bit."""
     phi = np.asarray(phi, dtype=float)
     t = np.arange(1, len(phi) + 1)
     remaining = np.clip(t[None, :] - np.arange(len(phi) + 1)[:, None], 0, None)

@@ -6,7 +6,6 @@ import pytest
 from fadestream.bounds import ergodic_upper_bound, informed_counts, informed_upper_bound
 from fadestream.channel import ChannelRealization, PowerBudget, ergodic_capacity, FadingModel
 from fadestream.schemes import (
-    ST,
     decode_je,
     decode_mt,
     decode_st,
@@ -61,7 +60,7 @@ def test_every_scheme_is_dominated_by_the_bound():
         assert decode_mt(real, rate).n_d <= m_star
         assert decode_je(real, rate).n_d <= m_star
         assert decode_ts(real, rate).n_d <= m_star
-        assert decode_st(real, rate, power, ST(exact_subset_limit=10)).n_d <= m_star
+        assert decode_st(real, rate, power).n_d <= m_star
 
 
 def test_mean_bound_rate_respects_ergodic_ceiling():

@@ -40,6 +40,8 @@ def test_power_budget_rejects_nonpositive():
         PowerBudget(0.0)
     with pytest.raises(ValueError):
         PowerBudget(-1.0)
+    with pytest.raises(ValueError):
+        PowerBudget.from_db(4000.0)  # 10**400 overflows a float
 
 
 def test_realization_validation():
@@ -265,3 +267,5 @@ def test_effective_power_rejects_bad_distance():
         effective_power(PowerBudget(1.0), 0.0, 3.0)
     with pytest.raises(ValueError):
         effective_power(PowerBudget(1.0), -2.0, 3.0)
+    with pytest.raises(ValueError):
+        effective_power(PowerBudget(1.0), 1e-10, 400.0)  # 1e-10**-400 overflows a float

@@ -48,7 +48,7 @@ def test_single_run_row_matches_binomial_mean(tmp_path):
     )
     assert code == 0
     header, rows = read_csv(out)
-    assert header[0].startswith("# fadestream csv schema=1")
+    assert header[0].startswith("# fadestream csv schema=2")
     assert len(rows) == 1
     row = rows[0]
     assert row["scheme"] == "mt"
@@ -58,7 +58,6 @@ def test_single_run_row_matches_binomial_mean(tmp_path):
     se = np.sqrt(50 * 0.4878 * (1 - 0.4878) / 100000)
     assert abs(mean_decoded - 24.39) <= 3.0 * se + 0.01
     assert row["window"] == "" and row["m_prime"] == "" and row["distance"] == ""
-    assert row["approx_flag"] == "false"
     assert list(rows[0].keys()) == list(CSV_COLUMNS)
 
 
@@ -81,7 +80,7 @@ def test_json_roundtrip_reconstructs_numeric_fields(tmp_path):
     )
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
     row = doc["rows"][0]
     spec = ExperimentSpec(
         model=FadingModel.rayleigh(), power_db=2.0, m_total=8, rate_r=1.0,
@@ -252,8 +251,7 @@ def test_every_row_regenerates_from_its_own_fields(tmp_path, argv):
 
 def test_scheme_tables_agree_with_parser_and_configs():
     options = {opt for action in cli.build_parser()._actions for opt in action.option_strings}
-    flag_values = {"--window": 3, "--alpha-safety": 0.5, "--st-exact-limit": 7,
-                   "--st-heuristic-cap": 2}
+    flag_values = {"--window": 3, "--alpha-safety": 0.5}
     assert set(cli._SCHEME_FLAGS) == set(flag_values)
     for flag, (tag, field) in cli._SCHEME_FLAGS.items():
         assert flag in options
@@ -376,9 +374,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ("--distance", "nan", "--path-loss", "3"),
         ("--distance", "inf", "--path-loss", "3"),
         ("--distance", "10", "--path-loss", "400"),  # the received power underflows to 0
+        ("--distance", "1e-10", "--path-loss", "400"),  # the path gain overflows
         ("--distance", "1", "--path-loss", "3", "--sweep", "distance=1,nan"),
     ],
-    ids=["nan", "inf", "underflow", "sweep"],
+    ids=["nan", "inf", "underflow", "overflow", "sweep"],
 )
 def test_distances_without_a_received_power_exit_2_before_any_pool(
     tmp_path, capsys, counting_pool, flags
@@ -388,6 +387,16 @@ def test_distances_without_a_received_power_exit_2_before_any_pool(
                    "--trials", "4000", "--workers", "2", *flags, "--out", str(out))
     assert code == 2
     assert counting_pool.starts == 0
+    assert os.listdir(tmp_path) == []
+    assert capsys.readouterr().err.startswith("fadestream: error: ")
+
+
+def test_overflowing_snr_exits_2(tmp_path, capsys):
+    """10**400 overflows a float: the power is rejected, not a traceback."""
+    out = tmp_path / "out.csv"
+    code = run_cli("--scheme", "mt", "--blocks", "5", "--rate", "1", "--snr-db", "4000",
+                   "--trials", "10", "--out", str(out))
+    assert code == 2
     assert os.listdir(tmp_path) == []
     assert capsys.readouterr().err.startswith("fadestream: error: ")
 

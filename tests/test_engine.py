@@ -27,7 +27,7 @@ from fadestream.engine import (
     sweep,
     sweep_specs,
 )
-from fadestream.schemes import AJE, GTS, JE, MT, ST, TS, decode_mt, decode_st
+from fadestream.schemes import AJE, GTS, JE, MT, ST, TS, decode_mt
 
 RAYLEIGH = FadingModel.rayleigh()
 
@@ -126,28 +126,6 @@ def test_standard_error_scales_with_trials():
     assert ratio == pytest.approx(2.0, rel=0.10)
 
 
-def test_approx_flag_tracks_st_mode():
-    exact = make_spec(scheme=ST(exact_subset_limit=20), m_total=10, trials=50)
-    assert not run_experiment(exact).approx_flag
-    heuristic = make_spec(scheme=ST(exact_subset_limit=5), m_total=10, trials=50)
-    assert run_experiment(heuristic).approx_flag
-
-
-@pytest.mark.parametrize("m_total", [6, 7])
-def test_approx_flag_agrees_with_st_at_the_exact_subset_limit(counting_pool, monkeypatch, m_total):
-    scheme = ST(exact_subset_limit=6)
-    approximate = scheme.approximate(m_total)
-    assert approximate == (m_total == 7)
-    monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", 10 * m_total)  # 10 trials per chunk
-    spec = make_spec(scheme=scheme, m_total=m_total, trials=60)
-    assert run_experiment(spec).approx_flag == approximate
-    assert run_specs([spec], 2)[0].approx_flag == approximate
-    assert counting_pool.starts == 1
-    power = received_power(spec)
-    real = sample_realization(RAYLEIGH, power, m_total, trial_stream(spec.master_seed, 0))
-    assert decode_st(real, spec.rate_r, power, scheme).approximate == approximate
-
-
 def test_aje_resolves_adaptive_message_count():
     spec = make_spec(scheme=AJE(), power_db=20.0, m_total=100, rate_r=8.0, trials=10)
     resolved = resolve_scheme(spec)
@@ -212,8 +190,7 @@ CHUNK_INVARIANCE_SCHEMES = [
     TS(),
     GTS(window=4),
     InformedBound(),
-    ST(),  # exact: M = 9 is within the exact subset limit
-    ST(exact_subset_limit=4, heuristic_subset_cap=2),  # capped
+    ST(),
 ]
 
 
@@ -229,9 +206,6 @@ def test_results_do_not_depend_on_the_chunk_budget(monkeypatch, scheme):
     assert np.array_equal(small.cmf, large.cmf)
     assert small.mean_rate == large.mean_rate
     assert small.rate_se == large.rate_se
-    assert small.approx_flag == large.approx_flag == (
-        isinstance(scheme, ST) and scheme.approximate(spec.m_total)
-    )
     assert np.array_equal(small_counts, large_counts)
     assert 0 < small.mean_decoded < spec.m_total  # a nontrivial histogram
 
@@ -240,7 +214,6 @@ def test_decode_counts_matches_run_experiment():
     spec = make_spec(scheme=JE(), trials=5000, m_total=8)
     counts = decode_counts(spec)
     res = run_experiment(spec)
-    assert not res.approx_flag
     assert counts.mean() == pytest.approx(res.mean_decoded, rel=1e-12)
     assert np.array_equal(np.cumsum(np.bincount(counts, minlength=9)) / 5000, res.cmf)
 
@@ -288,12 +261,12 @@ def test_spec_rejects_distances_without_a_received_power(distance):
 
 def mixed_specs():
     """Specs of every kind run_specs meets: several M, one chunk or many,
-    an unresolved aje, a capped st, gts and the informed bound."""
+    an unresolved aje, st, gts and the informed bound."""
     return [
         make_spec(scheme=JE(), m_total=2000, trials=60, power_db=2.0),  # 8 chunks
         make_spec(scheme=MT(), trials=300),  # a single chunk
         make_spec(scheme=AJE(), power_db=20.0, m_total=100, rate_r=8.0, trials=400),
-        make_spec(scheme=ST(exact_subset_limit=4, heuristic_subset_cap=2), m_total=30, trials=1200),
+        make_spec(scheme=ST(), m_total=30, trials=1200),
         make_spec(scheme=GTS(window=5), m_total=500, trials=200, master_seed=8),
         make_spec(scheme=InformedBound(), m_total=50, trials=1000),
     ]
@@ -315,10 +288,8 @@ def test_run_specs_matches_per_spec_runs(counting_pool):
             assert np.array_equal(a.cmf, b.cmf)
             assert a.mean_rate == b.mean_rate
             assert a.rate_se == b.rate_se
-            assert a.approx_flag == b.approx_flag
             assert a.scheme == b.scheme
     assert expected[2].scheme.m_prime == 67  # aje resolved
-    assert expected[3].approx_flag  # st capped
 
 
 def test_pooled_runs_keep_at_most_two_tasks_per_worker_in_flight(counting_pool, monkeypatch):

@@ -16,7 +16,6 @@ from fadestream.channel import (
     trial_stream,
 )
 from fadestream.schemes import (
-    ST,
     aje_counts,
     choose_m_prime,
     decode_aje,
@@ -318,7 +317,7 @@ def test_st_decode_hand_worked():
     real = ChannelRealization.from_gains([1.0, 1.0], power)
     # first message decodes alone, then the second sees a clean block on equality
     out = decode_st(real, 1.0, power)
-    assert out.decoded == frozenset({1, 2}) and not out.approximate
+    assert out.decoded == frozenset({1, 2})
     out = decode_st(real, 1.5, power)
     assert out.decoded == frozenset({1})
     dead = ChannelRealization.from_gains([0.0, 0.0, 0.0], power)
@@ -333,13 +332,12 @@ def test_st_single_message_equals_mt():
         assert decode_st(real, 1.0, power).n_d == decode_mt(real, 1.0).n_d
 
 
-def _st_algorithm1_reference(phi, power, rate_r, run_cap=None):
+def _st_algorithm1_reference(phi, power, rate_r):
     """Literal greedy subset decoder built on st_subset_capacity.
 
-    Enumerates all subsets of the undecoded set in size order (optionally
-    only contiguous index runs of bounded length), decodes the maximizer
-    with lexicographic tie-break, and repeats.  Independent of the capacity
-    profile scan used in production.
+    Enumerates all subsets of the undecoded set in size order, decodes the
+    maximizer with lexicographic tie-break, and repeats.  Independent of the
+    capacity profile scan used in production.
     """
     m_total = len(phi)
     alloc = st_power_allocation(m_total, power)
@@ -348,17 +346,7 @@ def _st_algorithm1_reference(phi, power, rate_r, run_cap=None):
     while undecoded:
         progress = False
         for size in range(1, len(undecoded) + 1):
-            if run_cap is not None and size > run_cap:
-                break
-            ordered = sorted(undecoded)
-            if run_cap is None:
-                candidates = itertools.combinations(ordered, size)
-            else:
-                candidates = (
-                    tuple(ordered[a : a + size])
-                    for a in range(len(ordered) - size + 1)
-                    if ordered[a + size - 1] - ordered[a] == size - 1
-                )
+            candidates = itertools.combinations(sorted(undecoded), size)
             best_value, best_subset = -np.inf, None
             for cand in candidates:  # lexicographic order; strict > keeps the first max
                 value = st_subset_capacity(phi, alloc, undecoded, cand)
@@ -374,26 +362,22 @@ def _st_algorithm1_reference(phi, power, rate_r, run_cap=None):
     return decoded
 
 
-@pytest.mark.parametrize("run_cap", [None, 2])
-def test_st_decode_matches_subset_enumeration(run_cap):
-    """Production scan vs exhaustive Algorithm-1 enumeration, both modes."""
+def test_st_decode_matches_subset_enumeration():
+    """Production scan vs exhaustive Algorithm-1 enumeration, M <= 8."""
     rng = np.random.default_rng(12)
     for _ in range(150):
-        m_total = int(rng.integers(1, 7))
+        m_total = int(rng.integers(1, 9))
         power = PowerBudget(float(rng.uniform(0.3, 8.0)))
         rate = float(rng.uniform(0.3, 2.0))
         phi = rng.exponential(1.0, m_total)
         real = ChannelRealization.from_gains(phi, power)
-        if run_cap is None:
-            config = ST(exact_subset_limit=m_total)
-        else:
-            config = ST(exact_subset_limit=1, heuristic_subset_cap=run_cap)
-        expected = _st_algorithm1_reference(phi, power, rate, run_cap=run_cap)
-        got = decode_st(real, rate, power, config)
-        assert got.decoded == frozenset(expected)
+        expected = _st_algorithm1_reference(phi, power, rate)
+        assert decode_st(real, rate, power).decoded == frozenset(expected)
 
 
 def test_st_heuristic_never_beats_exact():
+    """Decoded runs capped at 4 messages (the oracle's max_run) never beat
+    the exact greedy decoder."""
     rng = np.random.default_rng(13)
     equal = 0
     cases = 400
@@ -401,11 +385,11 @@ def test_st_heuristic_never_beats_exact():
         m_total = int(rng.integers(2, 11))
         power = PowerBudget(float(rng.uniform(0.3, 10.0)))
         rate = float(rng.uniform(0.3, 2.0))
-        real = ChannelRealization.from_gains(rng.exponential(1.0, m_total), power)
-        exact = decode_st(real, rate, power, ST(exact_subset_limit=m_total))
-        heur = decode_st(real, rate, power, ST(exact_subset_limit=1, heuristic_subset_cap=4))
-        assert heur.n_d <= exact.n_d
-        equal += heur.n_d == exact.n_d
+        phi = rng.exponential(1.0, m_total)
+        exact = decode_st(ChannelRealization.from_gains(phi, power), rate, power).n_d
+        heur = oracles.st_count(phi, power.p_linear, rate, max_run=4)
+        assert heur <= exact
+        equal += heur == exact
     print(f"\nheuristic equals exact on {equal}/{cases} realizations")
     assert equal > 0
 
@@ -486,9 +470,7 @@ def test_batched_decoders_match_scalar_decoders():
         caps = np.log1p(phis * power.p_linear) / np.log(2.0)
         window = max(1, m_total // 2)
         m_prime = max(1, m_total - 1)
-        max_run = 2 if m_total > 4 else m_total
-        counts_st = st_counts(phis, power.p_linear, 1.0, 4, 2)
-        assert ST(4, 2).approximate(m_total) == (m_total > 4)
+        counts_st = st_counts(phis, power.p_linear, 1.0)
         for row in range(200):
             cap = caps[row]
             assert mt_counts(caps, 1.0)[row] == oracles.mt_count(cap, 1.0)
@@ -496,7 +478,7 @@ def test_batched_decoders_match_scalar_decoders():
             assert ts_counts(caps, 1.0)[row] == oracles.ts_count(cap, 1.0)
             assert gts_counts(caps, 1.0, window)[row] == oracles.gts_count(cap, 1.0, window)
             assert aje_counts(caps, 1.0, m_prime)[row] == oracles.aje_count(cap, 1.0, m_prime)
-            assert counts_st[row] == oracles.st_count(phis[row], power.p_linear, 1.0, max_run)
+            assert counts_st[row] == oracles.st_count(phis[row], power.p_linear, 1.0, m_total)
 
 
 def test_kernels_match_oracles_on_exact_ties():
@@ -521,22 +503,17 @@ def test_kernels_match_oracles_on_exact_ties():
     assert ties > 1000
 
 
-LIMIT = ST().exact_subset_limit
-
-
-@pytest.mark.parametrize("m_total", [LIMIT, LIMIT + 1])
+@pytest.mark.parametrize("m_total", [20, 21, 50, 100])
 @pytest.mark.parametrize("rate, expect", [(1e-3, "all"), (1.0, None), (3.0, None), (50.0, "none")])
 def test_st_counts_match_full_profile_decoder(m_total, rate, expect):
-    """Row-by-row batched scan vs the full-profile scan oracle, per trial."""
+    """Row-by-row batched scan vs the full-profile scan oracle, per trial,
+    with decoded runs of any length."""
     power = PowerBudget.from_db(10.0)
     rng = np.random.default_rng(17)
     phis = rng.exponential(1.0, (150, m_total))
     counts = st_counts(phis, power.p_linear, rate)
-    approx = ST().approximate(m_total)
-    assert approx == (m_total > LIMIT)
-    max_run = ST().heuristic_subset_cap if approx else m_total
     for row in range(len(phis)):
-        assert counts[row] == oracles.st_count(phis[row], power.p_linear, rate, max_run)
+        assert counts[row] == oracles.st_count(phis[row], power.p_linear, rate, m_total)
     if expect == "all":
         assert np.all(counts == m_total)
     elif expect == "none":
@@ -554,5 +531,5 @@ def test_st_counts_memory_is_linear_in_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ST().approximate(2000) and counts.max() > 100  # the scan ran well past the first rows
+    assert counts.max() > 100  # the scan ran well past the first rows
     assert peak < 8 * 2**20
