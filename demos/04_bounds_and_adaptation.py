@@ -61,8 +61,7 @@ for i, r in enumerate(rates):
     row = f"{r:5.1f} " + " ".join(f"{curves[tag][i]:7.3f}" for tag, _ in SCHEMES)
     print(row + f" {ergodic_upper_bound(r, c_bar):9.3f}")
 print("adaptive joint encoding keeps the message count that maximizes its predicted")
-print("decoded count (at most ~95% of capacity in message units)")
-print("and stays near both bounds; plain joint encoding dies past R ~ 6.")
+print("decoded count and stays near both bounds; plain joint encoding dies past R ~ 6.")
 
 print("\n== mean decoded rate vs distance (R=1, path loss exponent 3) ==")
 distances = list(range(1, 11))

@@ -222,6 +222,10 @@ _COARSE_NODES, _COARSE_WEIGHTS = _gauss_legendre_pieces(10)
 _NODES = np.hstack((_FINE_NODES, _COARSE_NODES))  # one evaluation of f for both rules
 
 
+# largest error estimate that ergodic_capacity and capacity_moments accept
+_QUAD_TOL = 1e-6
+
+
 def _rayleigh_expectation(f, tol: float) -> float:
     """Integral of f(g) * exp(-g) over g > 0 by a fixed composite rule.
 
@@ -241,12 +245,12 @@ def _rayleigh_expectation(f, tol: float) -> float:
     return float(fine.sum())
 
 
-def ergodic_capacity(model: FadingModel, power: PowerBudget, tol: float = 1e-6) -> float:
+def ergodic_capacity(model: FadingModel, power: PowerBudget) -> float:
     """Mean instantaneous capacity E[log2(1 + phi * P)] in bpcu."""
     if model.kind == CONSTANT:
         return float(np.log1p(model.gain * power.p_linear) / LN2)
     p = power.p_linear
-    return _rayleigh_expectation(lambda g: np.log1p(g * p) / LN2, tol)
+    return _rayleigh_expectation(lambda g: np.log1p(g * p) / LN2, _QUAD_TOL)
 
 
 def rayleigh_ergodic_closed_form(power: PowerBudget) -> float:
@@ -259,20 +263,19 @@ def rayleigh_ergodic_closed_form(power: PowerBudget) -> float:
     return float(np.exp(x) * exp1(x) / LN2)
 
 
-def capacity_moments(
-    model: FadingModel, power: PowerBudget, tol: float = 1e-6
-) -> tuple[float, float]:
+def capacity_moments(model: FadingModel, power: PowerBudget) -> tuple[float, float]:
     """Mean and variance of the instantaneous capacity, in bpcu and bpcu^2.
 
     One quadrature per moment: the mean is ergodic_capacity's, and the
     variance integrates the squared deviation from it, which avoids the
     cancellation of E[C^2] - E[C]^2 at high SNR.
     """
-    mean = ergodic_capacity(model, power, tol)
+    mean = ergodic_capacity(model, power)
     if model.kind == CONSTANT:
         return mean, 0.0
     p = power.p_linear
-    return mean, _rayleigh_expectation(lambda g: (np.log1p(g * p) / LN2 - mean) ** 2, tol)
+    variance = _rayleigh_expectation(lambda g: (np.log1p(g * p) / LN2 - mean) ** 2, _QUAD_TOL)
+    return mean, variance
 
 
 def effective_power(

@@ -44,7 +44,6 @@ SCHEME_TAGS = tuple(_SCHEME_CLASSES)
 # scheme flag -> (tag of the only scheme it applies to, configuration field)
 _SCHEME_FLAGS = {
     "--window": ("gts", "window"),
-    "--alpha-safety": ("aje", "safety"),
 }
 
 CSV_COLUMNS = (
@@ -229,19 +228,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trials", type=int, help="Monte Carlo trials per operating point")
     parser.add_argument("--seed", type=int, help="64-bit master seed (default 1)")
     parser.add_argument("--window", type=int, help="gts window size W")
-    parser.add_argument(
-        "--alpha-safety",
-        type=float,
-        help="aje cap on the kept message load as a fraction of mean capacity; "
-        "M' maximizes the predicted decoded count below it (default 0.95)",
-    )
     parser.add_argument("--distance", type=float, help="transmitter-receiver distance")
     parser.add_argument("--path-loss", type=float, help="path loss exponent alpha")
     parser.add_argument("--sweep", metavar="AXIS=V1,V2,...", help=f"sweep one axis of {SWEEP_AXES}")
     parser.add_argument("--preset", choices=sorted(PRESETS))
     parser.add_argument("--out", default="-", help="output path ('-' for stdout)")
     parser.add_argument("--format", choices=("csv", "json"), dest="out_format")
-    parser.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    parser.add_argument(
+        "--workers", type=int, default=1, help="parallel worker processes (at most one per CPU)"
+    )
     return parser
 
 

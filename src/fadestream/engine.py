@@ -9,6 +9,7 @@ the decode-count cmf all follow exactly.
 
 import dataclasses
 import itertools
+import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -122,10 +123,8 @@ def resolve_scheme(spec: ExperimentSpec) -> SchemeConfig | InformedBound:
     scheme = spec.scheme
     if isinstance(scheme, AJE) and scheme.m_prime is None:
         c_mean, c_var = capacity_moments(spec.model, received_power(spec))
-        m_prime = schemes.choose_m_prime(
-            c_mean, spec.rate_r, spec.m_total, scheme.safety, c_var=c_var
-        )
-        return AJE(m_prime=m_prime, safety=scheme.safety)
+        m_prime = schemes.choose_m_prime(c_mean, spec.rate_r, spec.m_total, c_var=c_var)
+        return AJE(m_prime=m_prime)
     return scheme
 
 
@@ -204,17 +203,19 @@ def run_specs(specs, workers: int = 1) -> list[ExperimentResult]:
     """run_experiment of every spec, in order, with one process pool for all.
 
     Every spec is resolved first, so a failing resolution starts no pool.  At
-    workers > 1 one pool runs the chunk tasks of every spec, made lazily with
-    at most 2 * workers in flight; each task's histogram is added into its
-    spec's, and the results are built once the pool has closed.  Seeds and
-    chunking are each spec's own, so each result equals run_experiment's.  At
-    workers == 1, or with a single chunk in all, every spec runs through
-    run_experiment in this process.
+    workers > 1 one pool of min(workers, CPUs) processes runs the chunk tasks
+    of every spec, made lazily with at most two per process in flight; each
+    task's histogram is added into its spec's, and the results are built once
+    the pool has closed.  Seeds and chunking are each spec's own, so each
+    result equals run_experiment's.  At workers == 1, or with a single chunk
+    in all, every spec runs through run_experiment in this process.
     """
     specs = [_resolved(spec) for spec in specs]
     chunks = [len(_chunk_ranges(spec.trials, spec.m_total)) for spec in specs]
     if workers <= 1 or sum(chunks) <= 1:
         return [run_experiment(spec) for spec in specs]
+    # the fork start method forks every process of the pool at its first task
+    workers = min(workers, os.cpu_count() or 1)
 
     def tasks():
         for index, (spec, count) in enumerate(zip(specs, chunks)):
@@ -267,6 +268,8 @@ def _result_from_histogram(hist: np.ndarray, spec: ExperimentSpec) -> Experiment
 
 def derive_seed(master_seed: int, index: int) -> int:
     """Independent 64-bit child seed for sweep point `index`."""
+    if not 0 <= master_seed < 2**64:
+        raise ValueError("master_seed must fit in 64 bits")
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
     return int(ss.generate_state(1, np.uint64)[0])
 

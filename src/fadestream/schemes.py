@@ -55,17 +55,14 @@ class AJE:
 
     With m_prime=None the experiment runner picks it from the mean and the
     variance of the block capacity via choose_m_prime: the M' that maximizes
-    the predicted decoded count, no larger than safety * M * c_bar / R.
+    the predicted decoded count.
     """
 
     m_prime: int | None = None
-    safety: float = 0.95
 
     def __post_init__(self):
         if self.m_prime is not None and self.m_prime < 1:
             raise ValueError("m_prime must be >= 1")
-        if not 0.0 < self.safety <= 1.0:
-            raise ValueError("safety must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -167,15 +164,11 @@ def decode_st(real: ChannelRealization, rate_r: float, power: PowerBudget) -> De
 # ---------------------------------------------------------------------------
 
 
-def choose_m_prime(
-    c_bar: float, rate_r: float, m_total: int, safety: float = 0.95, *, c_var: float
-) -> int:
+def choose_m_prime(c_bar: float, rate_r: float, m_total: int, *, c_var: float) -> int:
     """Number of messages to keep in adaptive joint encoding.
 
-    Picks the M' in [1, min(M, round(safety * M * c_bar / R))] that maximizes
-    the predicted decoded count; ties go to the smaller M'.  The cap rounds
-    half away from zero, so `safety` backs the largest message load off from
-    the mean capacity.
+    Picks the M' in [1, M] that maximizes the predicted decoded count; ties
+    go to the smaller M'.
 
     Given the trailing sum T = C_{M'+1} + ... + C_M, the boosted increments
     C_i + T/M' - R are exchangeable, and Sparre Andersen's fluctuation
@@ -183,18 +176,17 @@ def choose_m_prime(
     S_n.  Each term uses the normal approximation with mean n (M c_bar/M' - R)
     and variance c_var (n + n^2 (M - M') / M'^2), where c_var is the variance
     of one block's capacity.  With c_var = 0 every block carries c_bar, and
-    the exact answer floor(M c_bar / R), clamped into [1, M], is kept under
-    the same cap.  The search costs O(M^2).
+    the exact answer floor(M c_bar / R), clamped into [1, M], is returned.
+    The search costs O(M^2).
     """
     if c_bar <= 0.0 or rate_r <= 0.0:
         raise ValueError("c_bar and rate_r must be positive")
     if not (np.isfinite(c_var) and c_var >= 0.0):
         raise ValueError("c_var must be finite and non-negative")
-    cap = int(np.clip(np.floor(safety * m_total * c_bar / rate_r + 0.5), 1, m_total))
     if c_var == 0.0:
-        return int(np.clip(np.floor(m_total * c_bar / rate_r), 1, cap))
-    predicted = np.empty(cap)
-    for m_prime in range(1, cap + 1):
+        return int(np.clip(np.floor(m_total * c_bar / rate_r), 1, m_total))
+    predicted = np.empty(m_total)
+    for m_prime in range(1, m_total + 1):
         n = np.arange(1, m_prime + 1, dtype=float)
         drift = n * (m_total * c_bar / m_prime - rate_r)
         spread = np.sqrt(c_var * (n + n * n * (m_total - m_prime) / m_prime**2))

@@ -8,9 +8,11 @@ from fadestream import engine
 
 
 class CountingPool(engine.ProcessPoolExecutor):
-    """Counts pools started and the most tasks submitted and not yet done."""
+    """Counts pools started, tasks submitted and the most tasks submitted and
+    not yet done."""
 
     starts = 0
+    submits = 0
     peak = 0
     _lock = threading.Lock()
     _outstanding = 0
@@ -23,6 +25,7 @@ class CountingPool(engine.ProcessPoolExecutor):
         future = super().submit(fn, *args, **kwargs)
         cls = type(self)
         with cls._lock:
+            cls.submits += 1
             cls._outstanding += 1
             cls.peak = max(cls.peak, cls._outstanding)
         future.add_done_callback(cls._done)
@@ -36,6 +39,6 @@ class CountingPool(engine.ProcessPoolExecutor):
 
 @pytest.fixture
 def counting_pool(monkeypatch):
-    pool = type("Pool", (CountingPool,), {"starts": 0, "peak": 0, "_outstanding": 0})
+    pool = type("Pool", (CountingPool,), {"starts": 0, "submits": 0, "peak": 0, "_outstanding": 0})
     monkeypatch.setattr(engine, "ProcessPoolExecutor", pool)
     return pool

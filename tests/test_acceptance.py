@@ -192,9 +192,7 @@ def test_c07_aje_near_bound():
     c_bar = ergodic_capacity(RAYLEIGH, PowerBudget.from_db(power_db))
     checks = []
     for idx, rate in enumerate((2.0, 4.0, 8.0)):
-        run = run_experiment(
-            spec(AJE(safety=0.95), power_db, m_total, 50000, SEED + 70 + idx, rate_r=rate)
-        )
+        run = run_experiment(spec(AJE(), power_db, m_total, 50000, SEED + 70 + idx, rate_r=rate))
         target = 0.85 * ergodic_upper_bound(rate, c_bar)
         checks.append(
             (
@@ -204,9 +202,7 @@ def test_c07_aje_near_bound():
             )
         )
     rate = 8.0
-    aje_run = run_experiment(
-        spec(AJE(safety=0.95), power_db, m_total, 20000, SEED + 75, rate_r=rate)
-    )
+    aje_run = run_experiment(spec(AJE(), power_db, m_total, 20000, SEED + 75, rate_r=rate))
     for tag, scheme in (
         ("mt", MT()),
         ("je", JE()),
@@ -296,7 +292,7 @@ def test_c10_bound_dominance():
             for tag, scheme in (
                 ("mt", MT()),
                 ("je", JE()),
-                ("aje", AJE(safety=0.95)),
+                ("aje", AJE()),
                 ("ts", TS()),
                 ("gts", GTS(window=min(10, m_total))),
                 ("st", ST()),

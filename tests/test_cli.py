@@ -163,7 +163,7 @@ def test_preset_m_primes_match_adaptive_quadrature_moments(preset):
     assert specs
     for spec in specs:
         c_mean, c_var = _oracle_moments(engine.received_power(spec).p_linear)
-        expect = choose_m_prime(c_mean, spec.rate_r, spec.m_total, spec.scheme.safety, c_var=c_var)
+        expect = choose_m_prime(c_mean, spec.rate_r, spec.m_total, c_var=c_var)
         assert engine.resolve_scheme(spec).m_prime == expect
 
 
@@ -251,7 +251,7 @@ def test_every_row_regenerates_from_its_own_fields(tmp_path, argv):
 
 def test_scheme_tables_agree_with_parser_and_configs():
     options = {opt for action in cli.build_parser()._actions for opt in action.option_strings}
-    flag_values = {"--window": 3, "--alpha-safety": 0.5}
+    flag_values = {"--window": 3}
     assert set(cli._SCHEME_FLAGS) == set(flag_values)
     for flag, (tag, field) in cli._SCHEME_FLAGS.items():
         assert flag in options
@@ -365,6 +365,14 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     # malformed sweep
     assert run_cli("--scheme", "mt", "--blocks", "10", "--rate", "1",
                    "--snr-db", "2", "--sweep", "nonsense=1,2") == 2
+    # a preset seed outside 64 bits, as a single run rejects it
+    assert run_cli("--preset", "fig5a", "--trials", "10", "--seed", str(2**64)) == 2
+    assert capsys.readouterr().err.endswith("master_seed must fit in 64 bits\n")
+    # the removed aje safety flag is unknown to the parser
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--scheme", "aje", "--blocks", "10", "--rate", "1",
+                "--snr-db", "2", "--alpha-safety", "0.9")
+    assert exc.value.code == 2
     capsys.readouterr()
 
 

@@ -131,11 +131,24 @@ def test_aje_resolves_adaptive_message_count():
     resolved = resolve_scheme(spec)
     # A Monte Carlo sweep with M' pinned (50000 trials at the adaptive-encoding
     # acceptance seed) gives 66 -> 5.137, 67 -> 5.157, 68 -> 5.139,
-    # 69 -> 5.057, 70 -> 4.873; the safety cap round(0.95 * 100 * 5.884 / 8)
-    # = 70 only bounds the search.
+    # 69 -> 5.057, 70 -> 4.873.
     assert resolved.m_prime == 67
     pinned = make_spec(scheme=AJE(m_prime=33), m_total=100, trials=10)
     assert resolve_scheme(pinned).m_prime == 33
+
+
+def test_aje_rate_approaches_the_ergodic_capacity_at_long_deadlines():
+    """At M = 10**4 the chosen message load M' R / (M c_bar) is 0.982.
+
+    Measured once: 0.96956 c_bar with SE 0.00123 c_bar.  Any M' at or below
+    0.95 M c_bar / R (6987 here) would hold the rate to at most 0.94996 c_bar.
+    """
+    spec = make_spec(scheme=AJE(), power_db=20.0, m_total=10**4, rate_r=8.0, trials=300,
+                     master_seed=11)
+    result = run_experiment(spec)
+    c_bar = capacity_moments(RAYLEIGH, received_power(spec))[0]
+    assert result.scheme.m_prime == 7219
+    assert result.mean_rate > 0.96 * c_bar
 
 
 def test_aje_message_count_is_resolved_once_per_experiment(monkeypatch):
@@ -299,6 +312,39 @@ def test_pooled_runs_keep_at_most_two_tasks_per_worker_in_flight(counting_pool, 
     got = run_specs(specs, workers=2)  # 8 tasks per spec, 40 in all
     assert counting_pool.starts == 1
     assert 1 < counting_pool.peak <= 4
+    assert [r.cmf.tolist() for r in got] == [r.cmf.tolist() for r in expected]
+
+
+def test_a_pool_has_at_most_one_process_per_cpu(monkeypatch):
+    """The fork start method forks every process at the first task, so the
+    pool size, not the requested worker count, is what a run forks."""
+
+    class Refused(Exception):
+        pass
+
+    sizes = []
+
+    def no_pool(max_workers):
+        sizes.append(max_workers)
+        raise Refused  # before any process starts
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+    spec = make_spec(trials=9000)  # 6 chunks
+    for cpus, size in ((2, 2), (None, 1)):
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
+        with pytest.raises(Refused):
+            run_specs([spec], 5000)
+        assert sizes.pop() == size
+
+
+def test_tasks_and_in_flight_limit_follow_the_pool_size(counting_pool, monkeypatch):
+    monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", 10)  # one trial per chunk at M = 10
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 1)
+    specs = [make_spec(scheme=JE(), trials=40, master_seed=seed) for seed in range(5)]
+    expected = [run_experiment(spec) for spec in specs]
+    got = run_specs(specs, workers=3)  # a pool of one process: 4 tasks per spec
+    assert (counting_pool.starts, counting_pool.submits) == (1, 20)
+    assert counting_pool.peak <= 2
     assert [r.cmf.tolist() for r in got] == [r.cmf.tolist() for r in expected]
 
 

@@ -148,14 +148,16 @@ def test_je_count_matches_exact_m_conditions():
 
 
 def test_choose_m_prime_cases():
-    c_var = capacity_moments(FadingModel.rayleigh(), PowerBudget.from_db(20.0))[1]
+    c_mean, c_var = capacity_moments(FadingModel.rayleigh(), PowerBudget.from_db(20.0))
     # 20 dB, R=8, M=100.  A Monte Carlo sweep with M' pinned (50000 trials at
     # the adaptive-encoding acceptance seed) gives mean rates 66 -> 5.137,
-    # 67 -> 5.157, 68 -> 5.139, 69 -> 5.057, 70 -> 4.873: the best M' is 67,
-    # not the 70 of the cap round(0.95 * 100 * 5.88 / 8).
-    assert choose_m_prime(5.88, 8.0, 100, 0.95, c_var=c_var) == 67
-    assert choose_m_prime(2.0, 1.0, 100, 0.95, c_var=c_var) == 100  # clamp at M
-    assert choose_m_prime(0.001, 1.0, 10, 0.95, c_var=c_var) == 1  # clamp at 1
+    # 67 -> 5.157, 68 -> 5.139, 69 -> 5.057, 70 -> 4.873: the best M' is 67.
+    assert choose_m_prime(5.88, 8.0, 100, c_var=c_var) == 67
+    # at M=1000 the message load M' R / (M c_bar) = 0.960 is above 0.95
+    assert choose_m_prime(c_mean, 8.0, 1000, c_var=c_var) == 706
+    assert choose_m_prime(2.0, 1.0, 100, c_var=c_var) == 100  # clamp at M
+    low_mean, low_var = capacity_moments(FadingModel.rayleigh(), PowerBudget.from_db(-10.0))
+    assert choose_m_prime(low_mean, 1.0, 10, c_var=low_var) == 1  # clamp at 1
 
 
 def test_choose_m_prime_constant_channel_is_exact():
@@ -164,9 +166,8 @@ def test_choose_m_prime_constant_channel_is_exact():
     caps = np.full((1, 100), 1.07)
     assert aje_counts(caps, 2.0, 53)[0] == 53
     assert aje_counts(caps, 2.0, 54)[0] == 0
-    assert choose_m_prime(1.07, 2.0, 100, 1.0, c_var=0.0) == 53  # cap 54
-    assert choose_m_prime(1.07, 2.0, 100, 0.95, c_var=0.0) == 51  # cap 51
-    assert choose_m_prime(0.001, 1.0, 10, 1.0, c_var=0.0) == 1
+    assert choose_m_prime(1.07, 2.0, 100, c_var=0.0) == 53
+    assert choose_m_prime(0.001, 1.0, 10, c_var=0.0) == 1
 
 
 def test_aje_with_full_message_set_is_je():
