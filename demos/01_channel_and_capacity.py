@@ -33,9 +33,9 @@ print("\n== ergodic capacity: quadrature vs closed form ==")
 print(f"{'SNR (dB)':>8} {'quadrature':>11} {'closed form':>12} {'std dev':>9}")
 for db in (-3.0, 0.0, 1.44, 2.0, 20.0):
     p = PowerBudget.from_db(db)
-    c_q = ergodic_capacity(model, p)
+    c_q = ergodic_capacity(p)
     c_f = rayleigh_ergodic_closed_form(p)
-    sd = np.sqrt(capacity_moments(model, p)[1])
+    sd = np.sqrt(capacity_moments(p)[1])
     print(f"{db:8.2f} {c_q:11.4f} {c_f:12.4f} {sd:9.4f}")
 
 print("\n== path loss drags the mean capacity below the message rate ==")
@@ -43,6 +43,6 @@ base = PowerBudget.from_db(20.0)
 print(f"{'distance':>8} {'eff. SNR (dB)':>14} {'mean capacity':>14}")
 for d in (1, 2, 4, 5, 6, 8):
     received = effective_power(base, distance=d, path_loss_exponent=3.0)
-    print(f"{d:8d} {received.db:14.2f} {ergodic_capacity(model, received):14.4f}")
+    print(f"{d:8d} {received.db:14.2f} {ergodic_capacity(received):14.4f}")
 print("\nwith rate 1 bpcu, the mean capacity crosses 1 between d=4 and d=5;")
 print("the joint-encoding scheme collapses right there (see demo 04).")

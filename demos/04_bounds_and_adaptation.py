@@ -47,7 +47,7 @@ def base_spec(scheme, *, rate=1.0, distance=None, seed=11):
     )
 
 
-c_bar = ergodic_capacity(MODEL, PowerBudget.from_db(20.0))
+c_bar = ergodic_capacity(PowerBudget.from_db(20.0))
 print(f"mean capacity at 20 dB: {c_bar:.3f} bpcu")
 
 print("\n== mean decoded rate vs message rate (M=100, 20 dB) ==")
@@ -73,7 +73,7 @@ print(f"{'d':>3} " + " ".join(f"{tag:>7}" for tag, _ in SCHEMES) + f" {'mean cap
 for i, d in enumerate(distances):
     received = effective_power(PowerBudget.from_db(20.0), d, 3.0)
     row = f"{d:3d} " + " ".join(f"{dist_curves[tag][i]:7.3f}" for tag, _ in SCHEMES)
-    print(row + f" {ergodic_capacity(MODEL, received):9.3f}")
+    print(row + f" {ergodic_capacity(received):9.3f}")
 
 try:
     import matplotlib

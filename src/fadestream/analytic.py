@@ -18,15 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .channel import (
-    CONSTANT,
-    LN2,
-    RAYLEIGH_UNIT_MEAN,
-    FadingModel,
-    PowerBudget,
-    QuadratureError,
-    capacities,
-)
+from .channel import LN2, FadingModel, PowerBudget, QuadratureError, capacities
 from .engine import _chunk_ranges, _sample_gain_block
 
 # ---------------------------------------------------------------------------
@@ -61,15 +53,12 @@ class DecodeCountPmf:
 # ---------------------------------------------------------------------------
 
 
-def mt_success_prob(model: FadingModel, power: PowerBudget, rate_r: float) -> float:
-    """Per-block decode probability Pr{log2(1 + phi P) >= R}.
-
-    For the Rayleigh gain this is the exponential tail exp(-(2^R - 1) / P).
+def mt_success_prob(power: PowerBudget, rate_r: float) -> float:
+    """Per-block decode probability Pr{log2(1 + phi P) >= R}: the exponential
+    tail exp(-(2^R - 1) / P) of the Rayleigh gain.
     """
     if rate_r <= 0.0:
         raise ValueError("rate_r must be positive")
-    if model.kind == CONSTANT:
-        return 1.0 if np.log1p(model.gain * power.p_linear) / LN2 >= rate_r else 0.0
     return float(np.exp(-(2.0**rate_r - 1.0) / power.p_linear))
 
 
@@ -214,13 +203,11 @@ def _fail_block_prob(j, p_linear, r, tol):
     return _quad(lambda y1: _capacity_pdf(y1, p_linear) * inner(y1), 0.0, r, tol)
 
 
-def je_pmf_exact_smallM(
-    m_total: int,
-    model: FadingModel,
-    power: PowerBudget,
-    rate_r: float,
-    tol: float = 1e-5,
-) -> DecodeCountPmf:
+# absolute tolerance of je_pmf_exact_smallM's nested quadrature
+_JE_PMF_TOL = 1e-5
+
+
+def je_pmf_exact_smallM(m_total: int, power: PowerBudget, rate_r: float) -> DecodeCountPmf:
     """Exact joint-encoding decode-count pmf by nested quadrature, M <= 3.
 
     The probability of decoding exactly m messages factorizes (the blocks
@@ -231,14 +218,12 @@ def je_pmf_exact_smallM(
     """
     if m_total not in (1, 2, 3):
         raise ValueError("exact pmf quadrature supports m_total in {1, 2, 3} only")
-    if model.kind != RAYLEIGH_UNIT_MEAN:
-        raise ValueError("exact pmf quadrature is defined for the Rayleigh model")
     if rate_r <= 0.0:
         raise ValueError("rate_r must be positive")
     p = power.p_linear
     # capacity tail mass beyond c_max is < 1e-13
     c_max = float(np.log2(1.0 + p * np.log(1e13)))
-    inner_tol = tol / 20.0
+    inner_tol = _JE_PMF_TOL / 20.0
     probs = np.array(
         [
             _decode_block_prob(m, p, rate_r, inner_tol, c_max)

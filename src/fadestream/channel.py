@@ -15,9 +15,6 @@ from scipy.special import exp1
 
 LN2 = float(np.log(2.0))
 
-RAYLEIGH_UNIT_MEAN = "rayleigh-unit-mean"
-CONSTANT = "constant"
-
 # Gain integration cutoff: the exp(-g) tail beyond this point contributes
 # less than 1e-9 to any expectation taken in this package.
 _GAIN_CUTOFF = 40.0
@@ -36,49 +33,33 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class FadingModel:
-    """Distribution of the per-block channel power gain.
+    """The per-block channel power gain: unit-mean Rayleigh fading, density
+    exp(-g) for g > 0, the one model of this package.
 
-    ``rayleigh()`` gives the unit-mean Rayleigh-fading power gain with
-    density exp(-g) for g > 0.  ``constant(g)`` is a degenerate point mass,
-    useful as a test stub for zero-variance channels.
+    It has no parameters; it names the gain distribution that an experiment
+    samples, and the capacity statistics below are for this distribution.
     """
-
-    kind: str = RAYLEIGH_UNIT_MEAN
-    gain: float = 1.0  # point-mass location, used by the constant kind only
-
-    def __post_init__(self):
-        if self.kind not in (RAYLEIGH_UNIT_MEAN, CONSTANT):
-            raise ValueError(f"unknown fading model kind: {self.kind!r}")
-        if self.kind == CONSTANT and not (np.isfinite(self.gain) and self.gain >= 0.0):
-            raise ValueError("constant gain must be finite and non-negative")
 
     @classmethod
     def rayleigh(cls) -> "FadingModel":
-        return cls(kind=RAYLEIGH_UNIT_MEAN)
-
-    @classmethod
-    def constant(cls, gain: float) -> "FadingModel":
-        return cls(kind=CONSTANT, gain=float(gain))
+        return cls()
 
     def sample_gains(
         self, rng: np.random.Generator, n: int, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """Draw n i.i.d. gains from the model, into `out` if given.
+        """Draw n i.i.d. gains, into `out` if given.
 
         `out` must be a contiguous float64 vector of length n; it is filled
         and returned, so a caller can draw straight into a row of its block.
         """
         if out is None:
             out = np.empty(n)
-        if self.kind == RAYLEIGH_UNIT_MEAN:
-            # inverse transform g = -ln(u), u uniform on (0, 1], in place:
-            # the same draws and bits as -log1p(-rng.random(n))
-            rng.random(out=out)  # no size: random() would check it against out
-            np.negative(out, out=out)
-            np.log1p(out, out=out)
-            np.negative(out, out=out)
-        else:
-            out.fill(self.gain)
+        # inverse transform g = -ln(u), u uniform on (0, 1], in place:
+        # the same draws and bits as -log1p(-rng.random(n))
+        rng.random(out=out)  # no size: random() would check it against out
+        np.negative(out, out=out)
+        np.log1p(out, out=out)
+        np.negative(out, out=out)
         return out
 
 
@@ -245,10 +226,8 @@ def _rayleigh_expectation(f, tol: float) -> float:
     return float(fine.sum())
 
 
-def ergodic_capacity(model: FadingModel, power: PowerBudget) -> float:
+def ergodic_capacity(power: PowerBudget) -> float:
     """Mean instantaneous capacity E[log2(1 + phi * P)] in bpcu."""
-    if model.kind == CONSTANT:
-        return float(np.log1p(model.gain * power.p_linear) / LN2)
     p = power.p_linear
     return _rayleigh_expectation(lambda g: np.log1p(g * p) / LN2, _QUAD_TOL)
 
@@ -263,16 +242,14 @@ def rayleigh_ergodic_closed_form(power: PowerBudget) -> float:
     return float(np.exp(x) * exp1(x) / LN2)
 
 
-def capacity_moments(model: FadingModel, power: PowerBudget) -> tuple[float, float]:
+def capacity_moments(power: PowerBudget) -> tuple[float, float]:
     """Mean and variance of the instantaneous capacity, in bpcu and bpcu^2.
 
     One quadrature per moment: the mean is ergodic_capacity's, and the
     variance integrates the squared deviation from it, which avoids the
     cancellation of E[C^2] - E[C]^2 at high SNR.
     """
-    mean = ergodic_capacity(model, power)
-    if model.kind == CONSTANT:
-        return mean, 0.0
+    mean = ergodic_capacity(power)
     p = power.p_linear
     variance = _rayleigh_expectation(lambda g: (np.log1p(g * p) / LN2 - mean) ** 2, _QUAD_TOL)
     return mean, variance

@@ -19,6 +19,7 @@ from . import __version__
 from .bounds import InformedBound, ergodic_upper_bound
 from .channel import FadingModel, PowerBudget, QuadratureError, ergodic_capacity
 from .engine import (
+    INT_AXES,
     SWEEP_AXES,
     ExperimentSpec,
     derive_seed,
@@ -65,8 +66,6 @@ CSV_COLUMNS = (
 
 SCHEMA_VERSION = 2
 
-_INT_AXES = ("m_total", "window")
-
 # failures of a valid run; they exit 3 like an unwritable output
 _RUNTIME_ERRORS = (QuadratureError, MemoryError, BrokenProcessPool)
 
@@ -96,13 +95,13 @@ def _scheme_tag(scheme):
 
 
 @lru_cache(maxsize=None)
-def _cached_cbar(model: FadingModel, p_linear: float) -> float:
-    return ergodic_capacity(model, PowerBudget(p_linear))
+def _cached_cbar(p_linear: float) -> float:
+    return ergodic_capacity(PowerBudget(p_linear))
 
 
 def _row(spec: ExperimentSpec, result) -> dict:
     scheme = result.scheme
-    c_bar = _cached_cbar(spec.model, received_power(spec).p_linear)
+    c_bar = _cached_cbar(received_power(spec).p_linear)
     return {
         "scheme": _scheme_tag(scheme),
         "blocks": spec.m_total,
@@ -249,7 +248,7 @@ def _parse_sweep(text: str):
         raise UsageError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     if not rest.strip():
         return axis, []
-    cast = int if axis in _INT_AXES else float
+    cast = int if axis in INT_AXES else float
     try:
         values = [cast(v) for v in rest.split(",")]
     except ValueError as exc:
@@ -331,8 +330,6 @@ def _run_preset(args):
 def _csv_cell(value):
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)

@@ -9,6 +9,7 @@ the decode-count cmf all follow exactly.
 
 import dataclasses
 import itertools
+import numbers
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ from .channel import (
 from .schemes import AJE, GTS, JE, MT, ST, TS, SchemeConfig
 
 SWEEP_AXES = ("power_db", "rate_r", "m_total", "window", "distance")
+INT_AXES = ("m_total", "window")  # sweep axes whose values are integers
 
 # kernel(caps, rate_r, scheme) per scheme configuration, looked up by name at
 # call time so that wrappers on the module attributes see every call; st
@@ -80,6 +82,9 @@ class ExperimentSpec:
     def __post_init__(self):
         if not isinstance(self.scheme, (ST, *_CAPACITY_KERNELS)):
             raise ValueError(f"unknown scheme configuration: {self.scheme!r}")
+        for name in ("m_total", "trials", "master_seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.m_total < 1:
             raise ValueError("m_total must be >= 1")
         if self.trials < 1:
@@ -122,7 +127,7 @@ def resolve_scheme(spec: ExperimentSpec) -> SchemeConfig | InformedBound:
     """Fill in derived scheme parameters (the adaptive message count)."""
     scheme = spec.scheme
     if isinstance(scheme, AJE) and scheme.m_prime is None:
-        c_mean, c_var = capacity_moments(spec.model, received_power(spec))
+        c_mean, c_var = capacity_moments(received_power(spec))
         m_prime = schemes.choose_m_prime(c_mean, spec.rate_r, spec.m_total, c_var=c_var)
         return AJE(m_prime=m_prime)
     return scheme
@@ -285,12 +290,16 @@ def sweep_specs(base: ExperimentSpec, axis: str, values) -> list[ExperimentSpec]
         raise ValueError("distance sweep needs a base (distance, path_loss) pair")
     specs = []
     for index, value in enumerate(values):
+        if axis in INT_AXES:
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{axis} sweep values must be integers, not {value!r}")
+            value = int(value)
         if axis == "window":
-            change = {"scheme": GTS(window=int(value))}
+            change = {"scheme": GTS(window=value)}
         elif axis == "distance":
             change = {"distance": (float(value), base.distance[1])}
         else:
-            change = {axis: int(value) if axis == "m_total" else float(value)}
+            change = {axis: value if axis in INT_AXES else float(value)}
         specs.append(
             dataclasses.replace(base, **change, master_seed=derive_seed(base.master_seed, index))
         )

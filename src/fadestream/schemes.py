@@ -27,6 +27,7 @@ one-row batch of a ChannelRealization.  The test suite checks the kernels
 against independent rule-by-definition implementations in tests/oracles.py.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +62,10 @@ class AJE:
     m_prime: int | None = None
 
     def __post_init__(self):
-        if self.m_prime is not None and self.m_prime < 1:
-            raise ValueError("m_prime must be >= 1")
+        if self.m_prime is not None and not (
+            isinstance(self.m_prime, numbers.Integral) and self.m_prime >= 1
+        ):
+            raise ValueError("m_prime must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -75,8 +78,8 @@ class GTS:
     window: int
 
     def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
+        if not (isinstance(self.window, numbers.Integral) and self.window >= 1):
+            raise ValueError("window must be an integer >= 1")
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,7 @@ def report(number, name, checks):
 def test_c01_ergodic_capacity_anchors():
     checks = []
     for db, expected in ((-3.0, 0.522), (0.0, 0.86), (1.44, 1.07), (2.0, 1.158)):
-        c_bar = ergodic_capacity(RAYLEIGH, PowerBudget.from_db(db))
+        c_bar = ergodic_capacity(PowerBudget.from_db(db))
         checks.append(
             (
                 f"quadrature at {db} dB",
@@ -83,7 +83,7 @@ def test_c01_ergodic_capacity_anchors():
     worst = 0.0
     for p_linear in (0.1, 0.5, 1.0, 1.585, 10.0, 100.0):
         power = PowerBudget(p_linear)
-        gap = abs(ergodic_capacity(RAYLEIGH, power) - rayleigh_ergodic_closed_form(power))
+        gap = abs(ergodic_capacity(power) - rayleigh_ergodic_closed_form(power))
         worst = max(worst, gap)
     checks.append(("closed-form agreement", worst <= 1e-6, f"worst gap {worst:.2e} (tol 1e-6)"))
     report(1, "ergodic capacity anchors", checks)
@@ -91,7 +91,7 @@ def test_c01_ergodic_capacity_anchors():
 
 def test_c02_mt_success_probability():
     power = PowerBudget.from_db(1.44)
-    p = mt_success_prob(RAYLEIGH, power, 1.0)
+    p = mt_success_prob(power, 1.0)
     draws = 10**6
     real = sample_realization(RAYLEIGH, power, draws, trial_stream(SEED, 2))
     p_hat = float(np.mean(real.cap >= 1.0))
@@ -128,7 +128,7 @@ def test_c03_prefix_sum_identity_vs_je_runs():
 
 def test_c04_exact_small_deadline_pmf():
     power = PowerBudget.from_db(1.44)
-    pmf = je_pmf_exact_smallM(2, RAYLEIGH, power, 1.0)
+    pmf = je_pmf_exact_smallM(2, power, 1.0)
     trials = 10**6
     run = run_experiment(spec(JE(), 1.44, 2, trials, SEED + 4))
     hist = np.diff(run.cmf, prepend=0.0)
@@ -189,7 +189,7 @@ def test_c06_je_zero_decode_mass():
 
 def test_c07_aje_near_bound():
     m_total, power_db = 100, 20.0
-    c_bar = ergodic_capacity(RAYLEIGH, PowerBudget.from_db(power_db))
+    c_bar = ergodic_capacity(PowerBudget.from_db(power_db))
     checks = []
     for idx, rate in enumerate((2.0, 4.0, 8.0)):
         run = run_experiment(spec(AJE(), power_db, m_total, 50000, SEED + 70 + idx, rate_r=rate))
@@ -284,7 +284,7 @@ def test_c10_bound_dominance():
     trials, rate = 10**5, 1.0
     checks = []
     for power_db in (-3.0, 2.0, 20.0):
-        c_bar = ergodic_capacity(RAYLEIGH, PowerBudget.from_db(power_db))
+        c_bar = ergodic_capacity(PowerBudget.from_db(power_db))
         for m_total in (2, 10, 50):
             seed = SEED + 1000 + int(10 * power_db) + m_total
             bound_counts = decode_counts(spec(InformedBound(), power_db, m_total, trials, seed))

@@ -27,14 +27,14 @@ RAYLEIGH = FadingModel.rayleigh()
 
 
 def test_mt_success_prob_reference_point():
-    p = mt_success_prob(RAYLEIGH, PowerBudget.from_db(1.44), 1.0)
+    p = mt_success_prob(PowerBudget.from_db(1.44), 1.0)
     assert p == pytest.approx(0.4879, abs=5e-4)
     assert abs(p - 0.5) < 0.02  # the operating point quoted as "p = 0.5"
 
 
 def test_mt_success_prob_limits():
-    assert mt_success_prob(RAYLEIGH, PowerBudget(1.0), 1e-12) == pytest.approx(1.0)
-    assert mt_success_prob(RAYLEIGH, PowerBudget(1.0), 1.0) == pytest.approx(np.exp(-1.0))
+    assert mt_success_prob(PowerBudget(1.0), 1e-12) == pytest.approx(1.0)
+    assert mt_success_prob(PowerBudget(1.0), 1.0) == pytest.approx(np.exp(-1.0))
 
 
 def test_mt_success_prob_matches_tail_quadrature():
@@ -43,18 +43,13 @@ def test_mt_success_prob_matches_tail_quadrature():
         power = PowerBudget.from_db(db)
         threshold = (2.0**rate - 1.0) / power.p_linear
         tail, _ = quad(lambda g: np.exp(-g), threshold, 60.0)
-        assert mt_success_prob(RAYLEIGH, power, rate) == pytest.approx(tail, abs=1e-9)
-
-
-def test_mt_success_prob_constant_stub():
-    assert mt_success_prob(FadingModel.constant(1.0), PowerBudget(1.0), 1.0) == 1.0
-    assert mt_success_prob(FadingModel.constant(0.5), PowerBudget(1.0), 1.0) == 0.0
+        assert mt_success_prob(power, rate) == pytest.approx(tail, abs=1e-9)
 
 
 @pytest.mark.parametrize("db", [0.0, 1.44])
 def test_mt_success_prob_against_monte_carlo(db):
     power = PowerBudget.from_db(db)
-    p = mt_success_prob(RAYLEIGH, power, 1.0)
+    p = mt_success_prob(power, 1.0)
     draws = 200000
     caps = np.log2(1.0 + trial_stream(31, 0).exponential(1.0, draws) * power.p_linear)
     p_hat = float(np.mean(caps >= 1.0))
@@ -83,7 +78,7 @@ def test_mt_pmf_mean_and_normalization():
 def test_mt_pmf_matches_decode_histogram():
     m_total, trials = 50, 200000
     power = PowerBudget.from_db(1.44)
-    p = mt_success_prob(RAYLEIGH, power, 1.0)
+    p = mt_success_prob(power, 1.0)
     pmf = mt_pmf_exact(m_total, p)
     caps = np.log2(
         1.0 + trial_stream(32, 0).exponential(1.0, (trials, m_total)) * power.p_linear
@@ -151,15 +146,15 @@ def test_prefix_identity_holds_per_trial_in_expectation():
 
 def test_je_pmf_single_block_collapses_to_tail():
     power = PowerBudget.from_db(1.44)
-    p = mt_success_prob(RAYLEIGH, power, 1.0)
-    pmf = je_pmf_exact_smallM(1, RAYLEIGH, power, 1.0)
+    p = mt_success_prob(power, 1.0)
+    pmf = je_pmf_exact_smallM(1, power, 1.0)
     assert pmf.probs[1] == pytest.approx(p, abs=1e-6)
     assert pmf.probs[0] == pytest.approx(1.0 - p, abs=1e-6)
 
 
 @pytest.mark.parametrize("m_total", [2, 3])
 def test_je_pmf_normalizes(m_total):
-    pmf = je_pmf_exact_smallM(m_total, RAYLEIGH, PowerBudget.from_db(1.44), 1.0)
+    pmf = je_pmf_exact_smallM(m_total, PowerBudget.from_db(1.44), 1.0)
     assert abs(pmf.probs.sum() - 1.0) < 1e-4
     assert np.all(pmf.probs >= 0.0)
 
@@ -168,7 +163,7 @@ def test_je_pmf_normalizes(m_total):
 def test_je_pmf_matches_monte_carlo_histogram(m_total):
     trials = 200000
     power = PowerBudget.from_db(1.44)
-    pmf = je_pmf_exact_smallM(m_total, RAYLEIGH, power, 1.0)
+    pmf = je_pmf_exact_smallM(m_total, power, 1.0)
     caps = np.log2(
         1.0 + trial_stream(33, 0).exponential(1.0, (trials, m_total)) * power.p_linear
     )
@@ -179,9 +174,7 @@ def test_je_pmf_matches_monte_carlo_histogram(m_total):
 
 def test_je_pmf_rejects_unsupported_inputs():
     with pytest.raises(ValueError):
-        je_pmf_exact_smallM(4, RAYLEIGH, PowerBudget(1.0), 1.0)
-    with pytest.raises(ValueError):
-        je_pmf_exact_smallM(2, FadingModel.constant(1.0), PowerBudget(1.0), 1.0)
+        je_pmf_exact_smallM(4, PowerBudget(1.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +185,7 @@ def test_je_pmf_rejects_unsupported_inputs():
 def test_ts_estimate_single_block():
     # with M = 1 the one message gets the whole block, as under mt
     power = PowerBudget.from_db(0.0)
-    p = mt_success_prob(RAYLEIGH, power, 1.0)
+    p = mt_success_prob(power, 1.0)
     spec = ExperimentSpec(
         model=RAYLEIGH,
         power_db=0.0,
@@ -204,23 +197,6 @@ def test_ts_estimate_single_block():
     )
     run = run_experiment(spec)
     assert abs(run.mean_rate - p) <= 3.0 * run.rate_se
-
-
-def test_ts_estimate_deterministic_channel_hits_rate():
-    # constant capacity c = M * R makes the last message exactly decodable
-    m_total, rate = 4, 1.0
-    spec = ExperimentSpec(
-        model=FadingModel.constant(2.0 ** (m_total * rate) - 1.0),
-        power_db=0.0,
-        m_total=m_total,
-        rate_r=rate,
-        scheme=TS(),
-        trials=100,
-        master_seed=52,
-    )
-    run = run_experiment(spec)
-    assert run.mean_rate == pytest.approx(rate)
-    assert run.rate_se == 0.0
 
 
 @pytest.mark.parametrize("estimate", [prefix_sum_rate_mc])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fadestream.bounds import ergodic_upper_bound, informed_counts, informed_upper_bound
-from fadestream.channel import ChannelRealization, PowerBudget, ergodic_capacity, FadingModel
+from fadestream.channel import ChannelRealization, PowerBudget, ergodic_capacity
 from fadestream.schemes import (
     decode_je,
     decode_mt,
@@ -71,7 +71,7 @@ def test_mean_bound_rate_respects_ergodic_ceiling():
         caps = np.log1p(rng.exponential(1.0, (trials, m_total)) * power.p_linear) / np.log(2.0)
         rates = informed_counts(caps, rate) * rate / m_total
         se = rates.std(ddof=1) / np.sqrt(trials)
-        ceiling = ergodic_upper_bound(rate, ergodic_capacity(FadingModel.rayleigh(), power))
+        ceiling = ergodic_upper_bound(rate, ergodic_capacity(power))
         assert rates.mean() <= ceiling + 3 * se
 
 

@@ -142,16 +142,6 @@ def test_sampled_rows_are_the_inverse_transform_of_the_keyed_stream(master_seed,
             assert phis[k].tobytes() == expect.tobytes()
 
 
-def test_constant_model_samples_its_point_mass():
-    model = FadingModel.constant(0.7)
-    assert np.array_equal(model.sample_gains(trial_stream(1, 0), 4), np.full(4, 0.7))
-    out = np.zeros(4)
-    assert model.sample_gains(trial_stream(1, 0), 4, out=out) is out
-    assert np.array_equal(out, np.full(4, 0.7))
-    phis = engine._sample_gain_block(model, 3, 1, 10, 2)
-    assert np.array_equal(phis, np.full((2, 3), 0.7))
-
-
 def test_trial_stream_survives_pickle():
     stream = trial_stream(2**64 - 1, 7)
     reference = _keyed_philox(2**64 - 1, 7)
@@ -179,14 +169,14 @@ def test_trial_stream_calls_are_independent_objects():
 def test_ergodic_capacity_reference_points():
     # quoted operating points for the unit-mean Rayleigh channel
     for db, expected in ((-3.0, 0.522), (0.0, 0.86), (1.44, 1.07), (2.0, 1.158)):
-        c_bar = ergodic_capacity(RAYLEIGH, PowerBudget.from_db(db))
+        c_bar = ergodic_capacity(PowerBudget.from_db(db))
         assert c_bar == pytest.approx(expected, abs=0.01)
 
 
 def test_quadrature_matches_closed_form():
     for p_linear in (0.1, 0.5, 1.0, 1.585, 10.0, 100.0):
         power = PowerBudget(p_linear)
-        assert ergodic_capacity(RAYLEIGH, power) == pytest.approx(
+        assert ergodic_capacity(power) == pytest.approx(
             rayleigh_ergodic_closed_form(power), abs=1e-6
         )
 
@@ -194,7 +184,7 @@ def test_quadrature_matches_closed_form():
 @pytest.mark.parametrize("db", [-20.0, -10.0, 0.0, 1.44, 10.0, 20.0, 30.0, 40.0, 44.0, 50.0, 60.0])
 def test_ergodic_capacity_matches_closed_form_to_rounding(db):
     power = PowerBudget.from_db(db)
-    assert ergodic_capacity(RAYLEIGH, power) == pytest.approx(
+    assert ergodic_capacity(power) == pytest.approx(
         rayleigh_ergodic_closed_form(power), rel=1e-13
     )
 
@@ -202,7 +192,7 @@ def test_ergodic_capacity_matches_closed_form_to_rounding(db):
 @pytest.mark.parametrize("db", [-10.0, -3.0, 0.0, 2.0, 10.0, 20.0, 30.0, 40.0])
 def test_capacity_variance_matches_adaptive_quadrature(db):
     power = PowerBudget.from_db(db)
-    mean, variance = capacity_moments(RAYLEIGH, power)
+    mean, variance = capacity_moments(power)
     expect_mean, expect_variance = oracles.capacity_moments(power.p_linear)
     assert mean == pytest.approx(expect_mean, rel=1e-13)
     assert variance == pytest.approx(expect_variance, rel=1e-13)
@@ -214,16 +204,14 @@ def test_a_tolerance_below_the_error_estimate_raises():
     def capacity(g):
         return np.log1p(g * power.p_linear) / channel.LN2
 
-    assert channel._rayleigh_expectation(capacity, channel._QUAD_TOL) == ergodic_capacity(
-        RAYLEIGH, power
-    )
+    assert channel._rayleigh_expectation(capacity, channel._QUAD_TOL) == ergodic_capacity(power)
     with pytest.raises(QuadratureError):
         channel._rayleigh_expectation(capacity, 1e-18)
 
 
 def test_ergodic_capacity_strictly_increasing_in_power():
     grid = np.logspace(-1.5, 2.5, 12)
-    values = [ergodic_capacity(RAYLEIGH, PowerBudget(p)) for p in grid]
+    values = [ergodic_capacity(PowerBudget(p)) for p in grid]
     assert np.all(np.diff(values) > 0.0)
 
 
@@ -231,14 +219,7 @@ def test_sample_mean_capacity_matches_quadrature():
     power = PowerBudget.from_db(2.0)
     real = sample_realization(RAYLEIGH, power, 10**6, trial_stream(7, 0))
     se = real.cap.std(ddof=1) / np.sqrt(len(real.cap))
-    assert real.cap.mean() == pytest.approx(ergodic_capacity(RAYLEIGH, power), abs=4 * se)
-
-
-def test_constant_model_has_zero_variance():
-    stub = FadingModel.constant(2.5)
-    power = PowerBudget(1.0)
-    assert capacity_moments(stub, power)[1] == 0.0
-    assert ergodic_capacity(stub, power) == pytest.approx(np.log2(3.5))
+    assert real.cap.mean() == pytest.approx(ergodic_capacity(power), abs=4 * se)
 
 
 @pytest.mark.parametrize("db", [0.0, 2.0])
@@ -252,7 +233,7 @@ def test_capacity_variance_against_sample_variance(db):
     # SE of the sample variance via the fourth central moment
     fourth = np.mean((caps - caps.mean()) ** 4)
     se = np.sqrt((fourth - sample_var**2) / len(caps))
-    assert capacity_moments(RAYLEIGH, power)[1] == pytest.approx(sample_var, abs=3 * se)
+    assert capacity_moments(power)[1] == pytest.approx(sample_var, abs=3 * se)
 
 
 # ---------------------------------------------------------------------------

@@ -493,9 +493,7 @@ fig4 = ["--preset", "fig4", "--trials", "4", "--workers", "2"]
 assert cli.main(fig4 + ["--out", os.path.join(out, "fig4.csv")]) == 0
 assert "scipy.integrate" not in sys.modules
 import fadestream
-pmf = fadestream.je_pmf_exact_smallM(
-    2, fadestream.FadingModel.rayleigh(), fadestream.PowerBudget.from_db(2.0), 1.0
-)
+pmf = fadestream.je_pmf_exact_smallM(2, fadestream.PowerBudget.from_db(2.0), 1.0)
 assert abs(pmf.probs.sum() - 1.0) < 1e-6
 assert "scipy.integrate" in sys.modules
 """

@@ -146,7 +146,7 @@ def test_aje_rate_approaches_the_ergodic_capacity_at_long_deadlines():
     spec = make_spec(scheme=AJE(), power_db=20.0, m_total=10**4, rate_r=8.0, trials=300,
                      master_seed=11)
     result = run_experiment(spec)
-    c_bar = capacity_moments(RAYLEIGH, received_power(spec))[0]
+    c_bar = capacity_moments(received_power(spec))[0]
     assert result.scheme.m_prime == 7219
     assert result.mean_rate > 0.96 * c_bar
 
@@ -253,6 +253,10 @@ def test_spec_validation_rejects_bad_inputs():
         make_spec(scheme=AJE(m_prime=11), m_total=10)
     with pytest.raises(ValueError):
         make_spec(scheme="mt")
+    for field, value in (("m_total", 4.5), ("m_total", 4.0), ("trials", 2.5), ("master_seed", 1.5)):
+        with pytest.raises(ValueError):
+            make_spec(**{field: value})
+    assert make_spec(m_total=np.int64(4), trials=np.int32(5), master_seed=np.uint64(3)).m_total == 4
 
 
 @pytest.mark.parametrize(
@@ -377,6 +381,15 @@ def test_sweep_rejects_unknown_or_inapplicable_axis():
         sweep(make_spec(scheme=MT()), "window", [1, 2])
     with pytest.raises(ValueError):
         sweep(make_spec(distance=None), "distance", [1.0, 2.0])
+    with pytest.raises(ValueError):
+        sweep_specs(make_spec(), "m_total", [4.7])
+    with pytest.raises(ValueError):
+        sweep_specs(make_spec(), "m_total", [4.0])
+    with pytest.raises(ValueError):
+        sweep_specs(make_spec(scheme=GTS(window=1)), "window", [2.9])
+    specs = sweep_specs(make_spec(scheme=GTS(window=1)), "window", [np.int64(2)])
+    assert type(specs[0].scheme.window) is int
+    assert type(sweep_specs(make_spec(), "m_total", [np.int64(4)])[0].m_total) is int
 
 
 def test_sweep_uses_independent_derived_seeds():
@@ -437,9 +450,8 @@ def test_optimal_window_single_candidate():
 
 
 def test_optimal_window_breaks_ties_toward_small_windows():
-    # constant channel rich enough that every window decodes everything
-    stub = FadingModel.constant(2.0 ** (12 * 1.0) - 1.0)
-    base = make_spec(model=stub, scheme=GTS(window=1), m_total=12, trials=50)
+    # at 60 dB every window decodes every message of all 50 trials
+    base = make_spec(power_db=60.0, scheme=GTS(window=1), m_total=12, trials=50)
     window, result = optimal_window(base, [7, 3, 9])
     assert window == 3
     assert result.mean_rate == pytest.approx(1.0)

@@ -9,13 +9,14 @@ import pytest
 from fadestream.bounds import informed_counts
 from fadestream.channel import (
     ChannelRealization,
-    FadingModel,
     PowerBudget,
     capacities,
     capacity_moments,
     trial_stream,
 )
 from fadestream.schemes import (
+    AJE,
+    GTS,
     aje_counts,
     choose_m_prime,
     decode_aje,
@@ -148,7 +149,7 @@ def test_je_count_matches_exact_m_conditions():
 
 
 def test_choose_m_prime_cases():
-    c_mean, c_var = capacity_moments(FadingModel.rayleigh(), PowerBudget.from_db(20.0))
+    c_mean, c_var = capacity_moments(PowerBudget.from_db(20.0))
     # 20 dB, R=8, M=100.  A Monte Carlo sweep with M' pinned (50000 trials at
     # the adaptive-encoding acceptance seed) gives mean rates 66 -> 5.137,
     # 67 -> 5.157, 68 -> 5.139, 69 -> 5.057, 70 -> 4.873: the best M' is 67.
@@ -156,7 +157,7 @@ def test_choose_m_prime_cases():
     # at M=1000 the message load M' R / (M c_bar) = 0.960 is above 0.95
     assert choose_m_prime(c_mean, 8.0, 1000, c_var=c_var) == 706
     assert choose_m_prime(2.0, 1.0, 100, c_var=c_var) == 100  # clamp at M
-    low_mean, low_var = capacity_moments(FadingModel.rayleigh(), PowerBudget.from_db(-10.0))
+    low_mean, low_var = capacity_moments(PowerBudget.from_db(-10.0))
     assert choose_m_prime(low_mean, 1.0, 10, c_var=low_var) == 1  # clamp at 1
 
 
@@ -194,6 +195,8 @@ def test_aje_rejects_bad_m_prime():
         decode_aje(real_from_caps([1.0, 1.0]), 1.0, 0)
     with pytest.raises(ValueError):
         decode_aje(real_from_caps([1.0, 1.0]), 1.0, 3)
+    with pytest.raises(ValueError):
+        AJE(m_prime=2.5)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +274,8 @@ def test_gts_rejects_bad_window():
         decode_gts(real_from_caps([1.0, 1.0]), 1.0, 0)
     with pytest.raises(ValueError):
         decode_gts(real_from_caps([1.0, 1.0]), 1.0, 3)
+    with pytest.raises(ValueError):
+        GTS(window=2.5)
 
 
 # ---------------------------------------------------------------------------
