@@ -9,7 +9,6 @@ import numpy as np
 
 from fadestream import (
     ChannelRealization,
-    FadingModel,
     PowerBudget,
     decode_aje,
     decode_gts,

@@ -15,7 +15,6 @@ from fadestream import (
     FadingModel,
     GTS,
     optimal_window,
-    run_experiment,
     sweep,
 )
 

@@ -9,8 +9,6 @@ Reproduces the two headline comparisons at desk scale and saves a figure:
     the other schemes degrade gradually.
 """
 
-import numpy as np
-
 from fadestream import (
     AJE,
     JE,
@@ -24,7 +22,6 @@ from fadestream import (
     effective_power,
     ergodic_capacity,
     ergodic_upper_bound,
-    run_experiment,
     sweep,
 )
 

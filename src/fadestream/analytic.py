@@ -16,7 +16,7 @@ other means than running a decoder:
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+import scipy  # scipy.special loads on first use, in mt_pmf_exact
 
 from .channel import LN2, FadingModel, PowerBudget, QuadratureError, capacities
 from .engine import _chunk_ranges, _sample_gain_block
@@ -71,6 +71,7 @@ def mt_pmf_exact(m_total: int, p: float) -> DecodeCountPmf:
         probs = np.zeros(m_total + 1)
         probs[m_total if p == 1.0 else 0] = 1.0
         return DecodeCountPmf(probs=probs)
+    gammaln = scipy.special.gammaln
     log_comb = gammaln(m_total + 1) - gammaln(m + 1) - gammaln(m_total - m + 1)
     log_probs = log_comb + m * np.log(p) + (m_total - m) * np.log1p(-p)
     return DecodeCountPmf(probs=np.exp(log_probs))

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1
+import scipy  # scipy.special loads on first use; bench/child.py reads sys.modules["scipy"]
 
 LN2 = float(np.log(2.0))
 
@@ -239,7 +239,7 @@ def rayleigh_ergodic_closed_form(power: PowerBudget) -> float:
     independent cross-check for the quadrature route.
     """
     x = 1.0 / power.p_linear
-    return float(np.exp(x) * exp1(x) / LN2)
+    return float(np.exp(x) * scipy.special.exp1(x) / LN2)
 
 
 def capacity_moments(power: PowerBudget) -> tuple[float, float]:

@@ -7,6 +7,7 @@ into an integer histogram, from which the mean rate, its standard error, and
 the decode-count cmf all follow exactly.
 """
 
+import ctypes
 import dataclasses
 import itertools
 import numbers
@@ -46,15 +47,38 @@ _CAPACITY_KERNELS = {
 
 # elements of a chunk's trials x M gains.  At 2**14 one trials x M float64
 # array is 128 KiB, so a chunk's gains, capacities and kernel temporaries
-# (under 1 MiB together) stay in a core's 2 MiB L2 cache, and malloc reuses
-# the same heap pages from chunk to chunk.  From 2**15 up, glibc's
-# malloc often returned a chunk's freed arrays to the system and the next
-# chunk faulted them back in: 10-18 minor page faults and about 25 us of
-# system time per trial at M = 2000, none at 2**14.  Per trial at M = 2000
-# (one worker on a 2-vCPU 2.1 GHz Xeon): gts (W=50) 68 us, je 78 us,
-# informed bound 67 us, against 94, 110 and 108 us at the former 10**6
-# budget.  The 4096-trial cap decides at M <= 4.
+# (under 1 MiB together) stay in a core's 2 MiB L2 cache.  Per trial at
+# M = 2000 (one worker on a 2-vCPU 2.1 GHz Xeon): gts (W=50) 68 us, je
+# 78 us, informed bound 67 us, against 94, 110 and 108 us at the former
+# 10**6 budget.  The 4096-trial cap decides at M <= 4.
 _CHUNK_ELEMENTS = 2**14
+
+
+# By default glibc's malloc serves an allocation of 128 KiB or more with its
+# own mmap and unmaps it when it is freed (the threshold then follows the
+# largest block freed), and it trims a free top of the heap over twice that.
+# A chunk's arrays are about 128 KiB each, or one trial's M blocks above
+# 2**14, so chunk after chunk faulted its pages back in.  In one process
+# (2-vCPU 2.1 GHz Xeon), fig4 at 2000 trials took about 405000 minor page
+# faults; gts (W=50) at M = 20000 and 40000 took 168 and 205 faults and 751
+# and 1269 us per trial.  With the thresholds set below: 122 faults in all,
+# and 0 faults and 503 and 850 us per trial.  Importing scipy.special used
+# to raise the thresholds far enough for M = 2000 only.
+def _keep_chunk_memory_in_heap():
+    """Set the thresholds once per process, so that arrays below 4 MiB stay
+    in the heap and the next chunk reuses their pages; pool workers inherit
+    them through fork.  A no-op where the C library has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library by name
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD (malloc.h)
+    mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
+
+
+_keep_chunk_memory_in_heap()
 
 # tasks per worker and spec in a pooled run, each a run of consecutive chunks
 # whose histograms the worker sums.  One task per chunk left the workers idle

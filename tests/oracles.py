@@ -2,10 +2,12 @@
 time: the independent second implementation that every batched kernel in
 fadestream is checked against.  Each decoding oracle returns the decoded
 count.  capacity_moments restates the capacity statistics by adaptive
-quadrature, against the package's fixed rule."""
+quadrature, against the package's fixed rule, and choose_m_prime restates
+aje's M' search one M' at a time with scipy's normal cdf."""
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 from fadestream.channel import LN2
 
@@ -96,3 +98,16 @@ def capacity_moments(p_linear):
 
     mean = expect(lambda g: np.log1p(g * p_linear) / LN2)
     return mean, expect(lambda g: (np.log1p(g * p_linear) / LN2 - mean) ** 2)
+
+
+def choose_m_prime(c_bar, rate_r, m_total, c_var):
+    """The M' in [1, M] with the largest predicted decoded count
+    sum_{n=1..M'} Phi(n (M c_bar/M' - R) / sqrt(c_var (n + n^2 (M - M')/M'^2))),
+    the smallest on ties; c_var > 0."""
+    predicted = np.empty(m_total)
+    for m_prime in range(1, m_total + 1):
+        n = np.arange(1, m_prime + 1, dtype=float)
+        drift = n * (m_total * c_bar / m_prime - rate_r)
+        spread = np.sqrt(c_var * (n + n * n * (m_total - m_prime) / m_prime**2))
+        predicted[m_prime - 1] = ndtr(drift / spread).sum()
+    return int(np.argmax(predicted)) + 1

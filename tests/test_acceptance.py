@@ -8,7 +8,6 @@ standard-error arithmetic where sampling is involved).
 """
 
 import numpy as np
-import pytest
 
 from fadestream.analytic import je_pmf_exact_smallM, mt_success_prob, prefix_sum_rate_mc
 from fadestream.bounds import InformedBound, ergodic_upper_bound

@@ -5,8 +5,13 @@ attribute would break its traced runs without failing any test here.
 """
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import fadestream
 from fadestream import cli, engine
 from fadestream.channel import FadingModel
 from fadestream.schemes import JE, MT, ST
@@ -65,3 +70,17 @@ def test_traced_cli_runs_make_the_calls_the_benchmark_expects(tmp_path, monkeypa
     assert cli.main(["--preset", "fig7", "--trials", "30", "--out", out]) == 0
     assert tracer.points == 7 + 120
     assert tracer.problems == []
+
+
+def test_probe_reports_the_scipy_version_from_a_fresh_interpreter():
+    """child.py reads sys.modules["scipy"] after `import fadestream.cli`, so
+    the CLI's import must load scipy itself, even with no scipy.special."""
+    src = os.path.dirname(os.path.dirname(fadestream.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(CHILD), "probe"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["versions"]["scipy"]

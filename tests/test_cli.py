@@ -158,13 +158,15 @@ def test_aje_runs_at_high_snr(tmp_path, snr_db):
 
 @pytest.mark.parametrize("preset", ["fig5a", "fig5b", "fig6a", "fig6b", "fig7", "fig8"])
 def test_preset_m_primes_match_adaptive_quadrature_moments(preset):
-    """M' for every aje point equals the choice made from scipy-quad moments."""
+    """M' for every aje point equals the choice made from scipy-quad moments,
+    and the one that the search with scipy's normal cdf makes."""
     specs = [s for s in cli.PRESETS[preset]["build"](10, 1) if isinstance(s.scheme, AJE)]
     assert specs
     for spec in specs:
         c_mean, c_var = _oracle_moments(engine.received_power(spec).p_linear)
         expect = choose_m_prime(c_mean, spec.rate_r, spec.m_total, c_var=c_var)
         assert engine.resolve_scheme(spec).m_prime == expect
+        assert oracles.choose_m_prime(c_mean, spec.rate_r, spec.m_total, c_var) == expect
 
 
 @lru_cache(maxsize=None)
@@ -486,22 +488,30 @@ def test_a_dead_pool_worker_exits_3_with_no_output(tmp_path, capfd, monkeypatch)
 _IMPORT_GUARD = """
 import os, sys
 import fadestream.cli as cli
+assert "scipy" in sys.modules and "scipy.special" not in sys.modules
 out = sys.argv[1]
 aje = ["--scheme", "aje", "--blocks", "20", "--rate", "1", "--snr-db", "2", "--trials", "20"]
 assert cli.main(aje + ["--out", os.path.join(out, "aje.csv")]) == 0
 fig4 = ["--preset", "fig4", "--trials", "4", "--workers", "2"]
 assert cli.main(fig4 + ["--out", os.path.join(out, "fig4.csv")]) == 0
 assert "scipy.integrate" not in sys.modules
+assert "scipy.special" not in sys.modules
 import fadestream
-pmf = fadestream.je_pmf_exact_smallM(2, fadestream.PowerBudget.from_db(2.0), 1.0)
+power = fadestream.PowerBudget.from_db(2.0)
+assert abs(fadestream.rayleigh_ergodic_closed_form(power) - fadestream.ergodic_capacity(power)) < 1e-12
+assert "scipy.special" in sys.modules
+assert abs(fadestream.mt_pmf_exact(3, 0.5).probs[1] - 0.375) < 1e-15
+pmf = fadestream.je_pmf_exact_smallM(2, power, 1.0)
 assert abs(pmf.probs.sum() - 1.0) < 1e-6
 assert "scipy.integrate" in sys.modules
 """
 
 
-def test_cli_runs_never_import_scipy_integrate(tmp_path):
-    """A fresh interpreter runs an aje point and a pooled preset without
-    loading scipy.integrate; the exact small-M pmf still loads it on use."""
+def test_cli_runs_import_neither_scipy_integrate_nor_special(tmp_path):
+    """A fresh interpreter imports the CLI with scipy but not scipy.special,
+    and runs an aje point and a pooled preset without loading
+    scipy.integrate or scipy.special; the Rayleigh closed form, the mt pmf
+    and the exact small-M pmf still load what they need on use."""
     src = os.path.dirname(os.path.dirname(fadestream.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}

@@ -1,16 +1,19 @@
 """Experiment runner: determinism, statistics accounting, sweeps."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import fadestream
 from fadestream import engine
 from fadestream.bounds import InformedBound
 from fadestream.channel import (
     FadingModel,
-    PowerBudget,
     capacity_moments,
     sample_realization,
     trial_stream,
@@ -194,6 +197,43 @@ def test_run_experiment_chunks_stay_cache_sized_at_long_deadlines():
         tracemalloc.stop()
     assert result.trials_run == 4000
     assert peak < 2**20
+
+
+_PAGE_FAULTS = """
+import resource, sys
+from fadestream import cli, engine
+from fadestream.channel import FadingModel
+from fadestream.schemes import GTS
+assert "scipy.special" not in sys.modules
+fig4 = cli.PRESETS["fig4"]["build"](400, 1)  # gts at M=2000: 22 specs of 50 chunks
+wide = engine.ExperimentSpec(FadingModel.rayleigh(), 2.0, 20000, 1.0, GTS(window=50), 60, 1)
+for specs in (fig4, [wide]):
+    chunks = sum(len(engine._chunk_ranges(spec.trials, spec.m_total)) for spec in specs)
+    engine.run_specs(specs, 1)  # the heap grows to its working size
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    engine.run_specs(specs, 1)
+    print(chunks, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="mallopt thresholds are glibc's")
+def test_chunks_reuse_heap_pages_without_scipy_special():
+    """Fewer than one minor page fault per chunk once the heap has grown, in
+    a process that never imported scipy.special (whose import used to raise
+    glibc's thresholds): fig4's gts specs at M=2000, and gts at M=20000,
+    where a chunk is one trial of 160 KB arrays.  With glibc's default
+    thresholds the two took 68000-107000 and about 5200 faults."""
+    src = os.path.dirname(os.path.dirname(fadestream.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _PAGE_FAULTS],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    for line in done.stdout.splitlines():
+        chunks, faults = map(int, line.split())
+        assert chunks >= 50
+        assert faults < chunks, line
 
 
 CHUNK_INVARIANCE_SCHEMES = [

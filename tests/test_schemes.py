@@ -5,7 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
+from fadestream import schemes
 from fadestream.bounds import informed_counts
 from fadestream.channel import (
     ChannelRealization,
@@ -29,6 +31,7 @@ from fadestream.schemes import (
     gts_counts,
     je_counts,
     mt_counts,
+    normal_cdf,
     st_counts,
     st_power_allocation,
     st_subset_capacity,
@@ -159,6 +162,42 @@ def test_choose_m_prime_cases():
     assert choose_m_prime(2.0, 1.0, 100, c_var=c_var) == 100  # clamp at M
     low_mean, low_var = capacity_moments(PowerBudget.from_db(-10.0))
     assert choose_m_prime(low_mean, 1.0, 10, c_var=low_var) == 1  # clamp at 1
+
+
+def test_normal_cdf_matches_scipy_ndtr():
+    """Within one unit in the last place of 1.0 (2**-52) absolutely, and 4
+    units relatively above 1e-300, on a dense grid over [-38, 38]; exactly 0.0
+    and 1.0 where scipy's are."""
+    x = np.concatenate([np.linspace(-38.0, 38.0, 1_000_001), [-40.0, -37.7, 8.5, 40.0]])
+    got, want = normal_cdf(x), ndtr(x)
+    assert np.abs(got - want).max() <= 2.0**-52
+    normal = want > 1e-300
+    assert (np.abs(got - want)[normal] <= 4 * np.spacing(want[normal])).all()
+    assert np.array_equal(got == 0.0, want == 0.0)
+    assert np.array_equal(got == 1.0, want == 1.0)
+    grid = x[:1000].reshape(10, 100)
+    assert np.array_equal(normal_cdf(grid), normal_cdf(grid.ravel()).reshape(10, 100))
+
+
+def test_choose_m_prime_matches_the_scipy_ndtr_search():
+    """The same M' as oracles.choose_m_prime on a grid from -10 to 44 dB, R
+    from 0.25 to 12 and M from 1 to 200 (the preset points are in test_cli)."""
+    for snr_db in range(-10, 45, 6):
+        c_mean, c_var = capacity_moments(PowerBudget.from_db(float(snr_db)))
+        for rate in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0):
+            for m_total in (1, 2, 3, 5, 8, 13, 20, 31, 50, 77, 100, 128, 200):
+                want = oracles.choose_m_prime(c_mean, rate, m_total, c_var)
+                assert choose_m_prime(c_mean, rate, m_total, c_var=c_var) == want, (
+                    snr_db, rate, m_total,
+                )
+
+
+def test_choose_m_prime_blocks_give_the_one_block_answer(monkeypatch):
+    """Rows of the (M', n) rectangle split across blocks give the same M'."""
+    c_mean, c_var = capacity_moments(PowerBudget.from_db(20.0))
+    want = choose_m_prime(c_mean, 8.0, 300, c_var=c_var)
+    monkeypatch.setattr(schemes, "_SEARCH_BLOCK_ELEMENTS", 700)  # 2 rows a block
+    assert choose_m_prime(c_mean, 8.0, 300, c_var=c_var) == want == 207
 
 
 def test_choose_m_prime_constant_channel_is_exact():
