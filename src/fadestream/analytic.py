@@ -20,6 +20,7 @@ import scipy  # scipy.special loads on first use, in mt_pmf_exact
 
 from .channel import LN2, FadingModel, PowerBudget, QuadratureError, capacities
 from .engine import _chunk_ranges, _sample_gain_block
+from .schemes import _check_count, _check_rate
 
 # ---------------------------------------------------------------------------
 # decode-count pmf container
@@ -57,8 +58,7 @@ def mt_success_prob(power: PowerBudget, rate_r: float) -> float:
     """Per-block decode probability Pr{log2(1 + phi P) >= R}: the exponential
     tail exp(-(2^R - 1) / P) of the Rayleigh gain.
     """
-    if rate_r <= 0.0:
-        raise ValueError("rate_r must be positive")
+    _check_rate(rate_r)
     return float(np.exp(-(2.0**rate_r - 1.0) / power.p_linear))
 
 
@@ -97,8 +97,9 @@ def prefix_sum_rate_mc(
     mean over trials of the number of m whose prefix sum clears m R.  Trials
     0..trials-1 use the engine's (master_seed, trial) streams and chunks.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_count("m_total", m_total)
+    _check_rate(rate_r)
+    _check_count("trials", trials)
     thresholds = rate_r * np.arange(1, m_total + 1)
     s1 = s2 = 0.0
     starts = _chunk_ranges(trials, m_total)
@@ -219,8 +220,7 @@ def je_pmf_exact_smallM(m_total: int, power: PowerBudget, rate_r: float) -> Deco
     """
     if m_total not in (1, 2, 3):
         raise ValueError("exact pmf quadrature supports m_total in {1, 2, 3} only")
-    if rate_r <= 0.0:
-        raise ValueError("rate_r must be positive")
+    _check_rate(rate_r)
     p = power.p_linear
     # capacity tail mass beyond c_max is < 1e-13
     c_max = float(np.log2(1.0 + p * np.log(1e13)))

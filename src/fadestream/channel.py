@@ -8,12 +8,19 @@ capacities, never on channel symbols.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 import scipy  # scipy.special loads on first use; bench/child.py reads sys.modules["scipy"]
 
 LN2 = float(np.log(2.0))
+
+# looked up once here instead of once per Monte Carlo trial by
+# FadingModel.sample_gains and trial_stream
+_negative, _log1p = np.negative, np.log1p
+_Generator, _Philox = np.random.Generator, np.random.Philox
+_index = operator.index
 
 # Gain integration cutoff: the exp(-g) tail beyond this point contributes
 # less than 1e-9 to any expectation taken in this package.
@@ -57,9 +64,9 @@ class FadingModel:
         # inverse transform g = -ln(u), u uniform on (0, 1], in place:
         # the same draws and bits as -log1p(-rng.random(n))
         rng.random(out=out)  # no size: random() would check it against out
-        np.negative(out, out=out)
-        np.log1p(out, out=out)
-        np.negative(out, out=out)
+        _negative(out, out)
+        _log1p(out, out)
+        _negative(out, out)
         return out
 
 
@@ -143,27 +150,27 @@ def sample_realization(
     return ChannelRealization.from_gains(model.sample_gains(rng, m_blocks), power)
 
 
-class _FixedKey(np.random.bit_generator.ISeedSequence):
-    """Seed sequence that hands Philox a ready-made (master_seed, trial) key.
+class _FixedKey(tuple, np.random.bit_generator.ISeedSequence):
+    """The pair (master_seed, trial) as a seed sequence that hands Philox
+    the pair itself as its key.
 
     np.random.Philox(key=...) still builds a SeedSequence() from OS entropy
     and discards it, which costs more than the draws of a short trial.
-    Passed as the seed, this class supplies the key unchanged instead, so
-    the bit generator's state is the one Philox(key=key) sets up: that key,
-    counter 0, an empty buffer.
+    Passed as the seed, this tuple is the key, so the bit generator's state
+    is the one Philox(key=key) sets up: that key, counter 0, an empty
+    buffer.  Being a tuple, it is built without an array or an __init__.
     """
 
-    __slots__ = ("key",)
-
-    def __init__(self, key: np.ndarray):
-        self.key = key
+    __slots__ = ()
 
     def generate_state(self, n_words, dtype=np.uint32):
         if n_words != 2 or dtype is not np.uint64:
             raise ValueError("a fixed Philox key is two uint64 words")
-        return self.key
+        return self
 
 
+# Philox(seed, counter=None) converts the Python int 0 to its counter words,
+# about 2 us per stream more than copying this array
 _ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
 
 
@@ -178,14 +185,16 @@ def trial_stream(master_seed: int, trial: int) -> np.random.Generator:
     The stream is exactly Generator(Philox(key=[master_seed, trial])).  It is
     built from a fixed-key seed sequence (_FixedKey) and a zero counter,
     which skips the OS-entropy seed sequence that Philox(key=...) creates and
-    throws away; every draw is bit-identical.
+    throws away; every draw is bit-identical.  Both arguments must be
+    integers (numpy integers included) in [0, 2**64).
     """
-    if not 0 <= master_seed < 2**64:
-        raise ValueError("master_seed must fit in 64 bits")
-    if not 0 <= trial < 2**64:
-        raise ValueError("trial index must fit in 64 bits")
-    key = np.array([master_seed, trial], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(_FixedKey(key), counter=_ZERO_COUNTER))
+    try:
+        key = _FixedKey((_index(master_seed), _index(trial)))
+    except TypeError:
+        raise ValueError("master_seed and trial must be integers") from None
+    if (key[0] | key[1]) >> 64:  # nonzero iff either is negative or 2**64 and up
+        raise ValueError("master_seed and trial must fit in 64 bits")
+    return _Generator(_Philox(key, counter=_ZERO_COUNTER))
 
 
 def _gauss_legendre_pieces(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:

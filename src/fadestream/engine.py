@@ -162,8 +162,10 @@ def _sample_gain_block(
 ) -> np.ndarray:
     """Gains of trials [start, start + count), one row per trial."""
     phis = np.empty((count, m_total))
-    for k in range(count):
-        model.sample_gains(trial_stream(master_seed, start + k), m_total, out=phis[k])
+    # looked up once per block, at call time, so that wrappers on these names see every call
+    stream, sample = trial_stream, model.sample_gains
+    for trial, row in enumerate(phis, start):
+        sample(stream(master_seed, trial), m_total, row)
     return phis
 
 

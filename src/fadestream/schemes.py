@@ -61,10 +61,8 @@ class AJE:
     m_prime: int | None = None
 
     def __post_init__(self):
-        if self.m_prime is not None and not (
-            isinstance(self.m_prime, numbers.Integral) and self.m_prime >= 1
-        ):
-            raise ValueError("m_prime must be an integer >= 1")
+        if self.m_prime is not None:
+            _check_count("m_prime", self.m_prime)
 
 
 @dataclass(frozen=True)
@@ -77,8 +75,7 @@ class GTS:
     window: int
 
     def __post_init__(self):
-        if not (isinstance(self.window, numbers.Integral) and self.window >= 1):
-            raise ValueError("window must be an integer >= 1")
+        _check_count("window", self.window)
 
 
 @dataclass(frozen=True)
@@ -107,6 +104,11 @@ def _outcome(decoded, m_total: int, rate_r: float) -> DecodeOutcome:
 def _check_rate(rate_r: float):
     if not (np.isfinite(rate_r) and rate_r > 0.0):
         raise ValueError("rate_r must be finite and positive")
+
+
+def _check_count(name: str, value: int):
+    if not (isinstance(value, numbers.Integral) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1")
 
 
 def _decode_prefix(kernel, real: ChannelRealization, rate_r: float, *args) -> DecodeOutcome:
@@ -264,8 +266,10 @@ def choose_m_prime(c_bar: float, rate_r: float, m_total: int, *, c_var: float) -
     The search costs O(M^2), in one normal_cdf call per block of rows M':
     the terms n > M' of a block's rectangle are -inf, whose cdf is 0.0.
     """
-    if c_bar <= 0.0 or rate_r <= 0.0:
-        raise ValueError("c_bar and rate_r must be positive")
+    if not (np.isfinite(c_bar) and c_bar > 0.0):
+        raise ValueError("c_bar must be finite and positive")
+    _check_rate(rate_r)
+    _check_count("m_total", m_total)
     if not (np.isfinite(c_var) and c_var >= 0.0):
         raise ValueError("c_var must be finite and non-negative")
     if c_var == 0.0:

@@ -37,6 +37,28 @@ def test_mt_success_prob_limits():
     assert mt_success_prob(PowerBudget(1.0), 1.0) == pytest.approx(np.exp(-1.0))
 
 
+@pytest.mark.parametrize("rate_r", [np.nan, np.inf, 0.0, -1.0])
+def test_rate_rule_of_the_estimators(rate_r):
+    """The decoders' finite positive rate rule: a NaN rate fails every
+    comparison, so a bare `<= 0` check lets it through."""
+    with pytest.raises(ValueError):
+        mt_success_prob(PowerBudget(1.0), rate_r)
+    with pytest.raises(ValueError):
+        prefix_sum_rate_mc(RAYLEIGH, PowerBudget(1.0), 5, rate_r, 100, master_seed=1)
+    with pytest.raises(ValueError):
+        je_pmf_exact_smallM(2, PowerBudget(1.0), rate_r)
+
+
+@pytest.mark.parametrize(
+    "m_total, trials",
+    [(0, 100), (-1, 100), (2.5, 100), (5, 0), (5, 2.5), (5, 100.0)],
+)
+def test_prefix_sum_rate_mc_rejects_bad_counts(m_total, trials):
+    """Counts are integers >= 1; a float is refused even when it is whole."""
+    with pytest.raises(ValueError):
+        prefix_sum_rate_mc(RAYLEIGH, PowerBudget(1.0), m_total, 1.0, trials, master_seed=1)
+
+
 def test_mt_success_prob_matches_tail_quadrature():
     # independent route: integrate the gain density over the success region
     for db, rate in ((0.0, 1.0), (1.44, 1.0), (2.0, 0.5)):

@@ -91,10 +91,39 @@ def test_trial_streams_are_distinct():
 
 
 def test_trial_stream_rejects_out_of_range_seed():
+    for master_seed, trial in ((-1, 0), (2**64, 0), (0, -1), (0, 2**64), (-1, 2**64)):
+        with pytest.raises(ValueError):
+            trial_stream(master_seed, trial)
+
+
+@pytest.mark.parametrize(
+    "master_seed, trial", [(1.5, 0), (1, 2.9), (1.0, 0), (np.float64(3.0), 0), ("1", 0), (1, None)]
+)
+def test_trial_stream_rejects_non_integers(master_seed, trial):
+    """A float is refused, not truncated to the integer key below it."""
     with pytest.raises(ValueError):
-        trial_stream(-1, 0)
+        trial_stream(master_seed, trial)
+
+
+def test_trial_stream_takes_numpy_integers():
+    for master_seed, trial in ((np.uint64(2**64 - 1), np.int64(3)), (np.int32(99), np.uint8(3))):
+        expect = _keyed_philox(int(master_seed), int(trial))
+        ours = trial_stream(master_seed, trial)
+        assert repr(ours.bit_generator.state) == repr(expect.bit_generator.state)
+        assert np.array_equal(ours.random(50), expect.random(50))
+
+
+def test_fixed_key_refuses_any_other_request():
+    """A bit generator that asks for other than two uint64 words gets no key."""
+    key = channel._FixedKey((1, 2))
+    assert key.generate_state(2, np.uint64) is key
+    for n_words, dtype in ((2, np.uint32), (4, np.uint64), (1, np.uint64)):
+        with pytest.raises(ValueError):
+            key.generate_state(n_words, dtype)
     with pytest.raises(ValueError):
-        trial_stream(2**64, 0)
+        np.random.PCG64(key)  # asks for four uint64 words
+    with pytest.raises(ValueError):
+        np.random.MT19937(key)  # asks for uint32 words
 
 
 def _keyed_philox(master_seed, trial):
@@ -135,11 +164,12 @@ def test_sampled_rows_are_the_inverse_transform_of_the_keyed_stream(master_seed,
         assert RAYLEIGH.sample_gains(trial_stream(master_seed, trial), m_total, out=row) is row
         assert block[1].tobytes() == expect.tobytes()
         assert np.isnan(block[[0, 2]]).all()  # the neighbouring rows are untouched
-    if trial >= 2:  # the engine's block: row k is trial start + k
-        phis = engine._sample_gain_block(RAYLEIGH, 7, master_seed, trial - 2, 3)
-        for k in range(3):
-            expect = -np.log1p(-_keyed_philox(master_seed, trial - 2 + k).random(7))
-            assert phis[k].tobytes() == expect.tobytes()
+    if trial >= 2:  # the engine's block: row k is trial start + k, at the benchmark's M too
+        for m_total in (7, 50, 100, 2000):
+            phis = engine._sample_gain_block(RAYLEIGH, m_total, master_seed, trial - 2, 3)
+            for k in range(3):
+                expect = -np.log1p(-_keyed_philox(master_seed, trial - 2 + k).random(m_total))
+                assert phis[k].tobytes() == expect.tobytes()
 
 
 def test_trial_stream_survives_pickle():

@@ -164,6 +164,28 @@ def test_choose_m_prime_cases():
     assert choose_m_prime(low_mean, 1.0, 10, c_var=low_var) == 1  # clamp at 1
 
 
+@pytest.mark.parametrize(
+    "c_bar, rate_r, m_total",
+    [
+        (np.nan, 1.0, 10),
+        (1.0, np.nan, 10),
+        (np.inf, 1.0, 10),
+        (1.0, np.inf, 10),
+        (0.0, 1.0, 10),
+        (1.0, -1.0, 10),
+        (1.0, 1.0, 0),
+        (1.0, 1.0, 10.0),
+        (1.0, 1.0, 2.5),
+    ],
+)
+@pytest.mark.parametrize("c_var", [0.0, 0.5])
+def test_choose_m_prime_rejects_bad_inputs(c_bar, rate_r, m_total, c_var):
+    """A NaN mean or rate fails every comparison, so it passes a bare
+    `<= 0` check; M = 0 leaves the search nothing to search."""
+    with pytest.raises(ValueError):
+        choose_m_prime(c_bar, rate_r, m_total, c_var=c_var)
+
+
 def test_normal_cdf_matches_scipy_ndtr():
     """Within one unit in the last place of 1.0 (2**-52) absolutely, and 4
     units relatively above 1e-300, on a dense grid over [-38, 38]; exactly 0.0
