@@ -64,6 +64,7 @@ def mt_success_prob(power: PowerBudget, rate_r: float) -> float:
 
 def mt_pmf_exact(m_total: int, p: float) -> DecodeCountPmf:
     """Binomial decode-count pmf, accumulated in log space for large M."""
+    _check_count("m_total", m_total)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be a probability")
     m = np.arange(m_total + 1)

@@ -58,9 +58,12 @@ class FadingModel:
 
         `out` must be a contiguous float64 vector of length n; it is filled
         and returned, so a caller can draw straight into a row of its block.
+        Any other length raises ValueError.
         """
         if out is None:
             out = np.empty(n)
+        elif len(out) != n:  # one comparison per trial on the engine's path
+            raise ValueError(f"out must have length n = {n}, not {len(out)}")
         # inverse transform g = -ln(u), u uniform on (0, 1], in place:
         # the same draws and bits as -log1p(-rng.random(n))
         rng.random(out=out)  # no size: random() would check it against out

@@ -11,6 +11,7 @@ import ctypes
 import dataclasses
 import itertools
 import numbers
+import operator
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
@@ -298,7 +299,15 @@ def _result_from_histogram(hist: np.ndarray, spec: ExperimentSpec) -> Experiment
 
 
 def derive_seed(master_seed: int, index: int) -> int:
-    """Independent 64-bit child seed for sweep point `index`."""
+    """Independent 64-bit child seed for sweep point `index`.
+
+    Both arguments must be integers (numpy integers included), master_seed
+    in [0, 2**64) and index non-negative; anything else raises ValueError.
+    """
+    try:
+        master_seed, index = operator.index(master_seed), operator.index(index)
+    except TypeError:
+        raise ValueError("master_seed and index must be integers") from None
     if not 0 <= master_seed < 2**64:
         raise ValueError("master_seed must fit in 64 bits")
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))

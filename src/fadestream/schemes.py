@@ -412,6 +412,66 @@ def gts_counts(caps: np.ndarray, rate_r: float, window: int) -> np.ndarray:
     return (gts_accumulated_info(caps, window) >= rate_r).sum(axis=1)
 
 
+# relative margin of st_counts' pruning test: far above the rounding of a
+# key or a bound (a few ulps of the row-0 key times log2 M), far below any
+# gap between keys that decides a count
+_ST_MARGIN = 1e-9
+
+
+def _st_step(m_total: int) -> int:
+    """Spacing B of the rows that st_counts evaluates for every trial.
+
+    Those rows cost about M^2 / (2B) block terms per trial, and the rows
+    that their bounds leave in between grow with B; sqrt(M) balances the
+    two (measured: within noise from B = 7 to 14 at M = 100 and from 32 to
+    45 at M = 2000).  Below M = 20 the bounds save at most a few percent.
+    """
+    return 1 if m_total < 20 else round(m_total**0.5)
+
+
+def _st_bound_weights(step: int) -> np.ndarray:
+    """(step - 1) x (step + 1) weights of _st_bracket_bound, over ln 2: row
+    v - 1 bounds row lo + v from row lo's log sum, row hi's and the head
+    terms of the blocks lo + 1, ..., hi - 1, in that order."""
+    v = np.arange(1, step, dtype=float)[:, None]
+    u = v.T
+    weights = np.empty((step - 1, step + 1))
+    weights[:, :1] = 1.0 - v / step
+    weights[:, 1:2] = v / step
+    # a head term's own chord, less its part in the far blocks' chord
+    weights[:, 2:] = np.maximum(u - v, 0.0) / u - (1.0 - v / step)
+    weights /= LN2
+    return weights
+
+
+def _st_bracket_bound(
+    gains: np.ndarray,
+    sum_lo: np.ndarray,
+    sum_hi: np.ndarray,
+    lo: int,
+    weights: np.ndarray,
+    rate_r: float,
+) -> np.ndarray:
+    """st_counts' lower bounds on the keys K[lo+1], ..., K[lo+w], w < B.
+
+    gains[:, u-1] is phi_t P / t of block t = lo + u, one row per trial;
+    sum_lo and sum_hi are the log sums (natural log) of rows lo and lo + B,
+    sum_hi 0.0 where that row was not evaluated; weights is
+    _st_bound_weights(B).  Row v - 1 of the result bounds K[lo+v], one
+    column per trial.
+    """
+    trials, width = gains.shape
+    x = np.empty((width + 2, trials))
+    x[0] = sum_lo
+    x[1] = sum_hi
+    head = x[2:]  # ln(1 + a_t (t - lo)), the first terms of row lo
+    np.multiply(gains.T, np.arange(1.0, width + 1)[:, None], out=head)
+    np.log1p(head, out=head)
+    bound = weights[:width, : width + 2] @ x
+    bound += rate_r * np.arange(lo + 1.0, lo + width + 1)[:, None]
+    return bound
+
+
 def st_counts(phis: np.ndarray, p_linear: float, rate_r: float) -> np.ndarray:
     """Greedy superposition decoding: the decoded count of each trial.
 
@@ -426,32 +486,88 @@ def st_counts(phis: np.ndarray, p_linear: float, rate_r: float) -> np.ndarray:
     minima of K, and the count is the last index attaining the minimum.
 
     Row j of K sums only the blocks t > j, the others being zero terms, and
-    is built only for the trials still scanning, so memory is O(trials x M).
-    A trial stops scanning once j R exceeds its running minimum: the log sum
-    is >= 0, and adding a non-negative term to j R cannot round below j R, so
-    K[j] and every later row are >= j R and can never move its minimum again.
+    is built only for the trials that need it, so memory is O(trials x M).
+    Every row is evaluated by the same operations for any set of trials, so
+    its key has the same bits whichever rows are skipped.
+
+    First the rows 0, B, 2B, ... (B = _st_step(M)).  A trial stops there
+    once j R exceeds its running minimum: the log sum is >= 0, and adding a
+    non-negative term to j R cannot round below j R, so K[j] and every later
+    row are >= j R and can never move its minimum again.  Then the rows
+    between two of them, lo and hi = lo + B.  Each block term
+    log2(1 + a_t max(t - j, 0)), a_t = phi_t P / t, is concave in j on
+    [lo, t], so on a row lo < j < hi (_st_bracket_bound)
+      - the blocks t >= hi sum to at least the chord between their sums on
+        rows lo and hi (row lo's sum less its terms t < hi; 0 for row hi
+        where the trial stopped before it);
+      - a block lo < t < hi holds at least its term on row lo times
+        max(t - j, 0) / (t - lo), its chord to the zero at j = t;
+    and K[j] is at least their sum plus j R.  A row is evaluated only for
+    the trials whose bound is within _ST_MARGIN (relative to the row-0 key
+    plus the minimum, which covers the rounding of bound and key) of the
+    minimum over the rows 0, B, 2B, ...  A skipped row's computed key thus
+    lies above that minimum, so it is never the last index attaining the
+    minimum of K, and the count is the last argmin over the rows evaluated.
+    At B = 1 there are no rows in between: the scan of every row.
     """
     trials, m_total = phis.shape
     t = np.arange(1, m_total + 1, dtype=float)
     per_message = phis * (p_linear / t)
-    best = np.log1p(per_message * t).sum(axis=1) / LN2  # key row 0
+    step = _st_step(m_total)
+    coarse = range(0, m_total + 1, step)
+    # log sums (natural log) of the rows 0, B, 2B, ...; 0.0 where not evaluated,
+    # as in the last column, row len(coarse) * B > M
+    sums = np.zeros((trials, len(coarse) + 1)) if step > 1 else None
+    terms = per_message * t
+    row_sum = np.log1p(terms, out=terms).sum(axis=1)
+    best = row_sum / LN2  # key row 0
+    if step > 1:
+        sums[:, 0] = row_sum
     anchor = np.zeros(trials, dtype=np.int64)
     counts = np.zeros(trials, dtype=np.int64)
-    running = np.arange(trials)  # trials still scanning; best, anchor, per_message follow
-    for j in range(1, m_total + 1):
+    minimum = np.empty(trials)  # best, for every trial
+    running = np.arange(trials)  # trials still scanning; best and anchor follow
+    evaluated = [running]  # the trials that evaluated each of the rows 0, B, 2B, ...
+    for row, j in enumerate(coarse[1:], 1):
         going = rate_r * j <= best
         if not going.all():
-            counts[running] = anchor
-            running, best, anchor, per_message = (
-                running[going], best[going], anchor[going], per_message[going]
-            )
+            counts[running], minimum[running] = anchor, best
+            running, best, anchor = running[going], best[going], anchor[going]
             if running.size == 0:
                 break
-        terms = per_message[:, j:] * t[: m_total - j]  # the blocks t > j, times t - j
-        key = np.log1p(terms, out=terms).sum(axis=1) / LN2 + rate_r * j
+        evaluated.append(running)
+        terms = per_message[running, j:]  # the blocks t > j, times t - j
+        terms *= t[: m_total - j]
+        row_sum = np.log1p(terms, out=terms).sum(axis=1)
+        key = row_sum / LN2 + rate_r * j
+        if step > 1:
+            sums[running, row] = row_sum
         # <= moves the anchor to the last index attaining the running minimum
         improved = key <= best
         anchor[improved] = j
         best[improved] = key[improved]
-    counts[running] = anchor
-    return counts
+    counts[running], minimum[running] = anchor, best
+    if step == 1:
+        return counts
+    weights = _st_bound_weights(step)
+    limit = minimum + _ST_MARGIN * (sums[:, 0] / LN2 + minimum)
+    # log sums of the rows in between that are evaluated; +inf elsewhere
+    keys = np.full((m_total + 1, trials), np.inf)
+    for row, alive in enumerate(evaluated):
+        lo = coarse[row]
+        width = min(step - 1, m_total - lo)
+        gains = per_message[alive, lo : lo + width]  # the blocks lo < t <= lo + width
+        bound = _st_bracket_bound(gains, sums[alive, row], sums[alive, row + 1], lo, weights, rate_r)
+        needed = bound <= limit[alive]
+        for v in np.flatnonzero(needed.any(axis=1)):
+            pick = alive[needed[v]]
+            j = lo + v + 1
+            terms = per_message[pick, j:]
+            terms *= t[: m_total - j]
+            keys[j, pick] = np.log1p(terms, out=terms).sum(axis=1)
+    keys /= LN2
+    keys[1:] += rate_r * t[:, None]  # the keys, j R added to row j
+    # the last minimum of those rows, against that of the rows 0, B, 2B, ...
+    low = keys.min(axis=0)
+    last = m_total - np.argmin(keys[::-1], axis=0)
+    return np.where((low < minimum) | ((low == minimum) & (last > counts)), last, counts)

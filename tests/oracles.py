@@ -1,9 +1,11 @@
 """Each decoding rule written out by its definition, one realization at a
 time: the independent second implementation that every batched kernel in
 fadestream is checked against.  Each decoding oracle returns the decoded
-count.  capacity_moments restates the capacity statistics by adaptive
-quadrature, against the package's fixed rule, and choose_m_prime restates
-aje's M' search one M' at a time with scipy's normal cdf."""
+count.  st_counts_row_scan keeps the st kernel's scan of every row, the
+bit-for-bit reference for the kernel that skips rows.  capacity_moments
+restates the capacity statistics by adaptive quadrature, against the
+package's fixed rule, and choose_m_prime restates aje's M' search one M' at
+a time with scipy's normal cdf."""
 
 import numpy as np
 from scipy.integrate import quad
@@ -53,19 +55,26 @@ def ts_count(cap, rate_r):
     return gts_count(cap, rate_r, len(cap))  # a window spanning all M blocks
 
 
-def st_count(phi, p_linear, rate_r, max_run):
-    """Greedy superposition decoding as a scan over the full (M+1) x M
-    capacity profile: the running minima of H[j] + j R (see st_counts),
-    stopping once the next minimum is more than max_run positions away.
-    max_run = M is the exact decoder, 1 single-user SIC.  Each row here sums
-    all M block terms, zeros included, where st_counts sums only the
-    non-zero ones; the two sums can differ in the last bit, which changes a
-    count only where a key equals its running minimum to within that bit."""
+def st_keys(phi, p_linear, rate_r):
+    """The full profile K[j] = H[j] + j R, j = 0..M, of one realization (see
+    st_counts): each row sums all M block terms, zeros included."""
     phi = np.asarray(phi, dtype=float)
     t = np.arange(1, len(phi) + 1)
     remaining = np.clip(t[None, :] - np.arange(len(phi) + 1)[:, None], 0, None)
     key = np.log1p((phi * (p_linear / t))[None, :] * remaining).sum(axis=1) / LN2
-    key += rate_r * np.arange(len(phi) + 1)
+    return key + rate_r * np.arange(len(phi) + 1)
+
+
+def st_count(phi, p_linear, rate_r, max_run):
+    """Greedy superposition decoding as a scan over the full (M+1) x M
+    capacity profile (st_keys): the running minima of H[j] + j R (see
+    st_counts), stopping once the next minimum is more than max_run
+    positions away.  max_run = M is the exact decoder, 1 single-user SIC.
+    Each row here sums all M block terms, zeros included, where st_counts
+    sums only the non-zero ones; the two sums can differ in the last bit,
+    which changes a count only where a key equals its running minimum to
+    within that bit."""
+    key = st_keys(phi, p_linear, rate_r)
     anchor = 0
     for j in range(1, len(phi) + 1):
         if j - anchor > max_run:
@@ -73,6 +82,38 @@ def st_count(phi, p_linear, rate_r, max_run):
         if key[j] <= key[anchor]:
             anchor = j
     return anchor
+
+
+def st_counts_row_scan(phis: np.ndarray, p_linear: float, rate_r: float) -> np.ndarray:
+    """The st kernel as it was before it skipped rows: every row j of the key
+    K[j] = H[j] + j R evaluated in order for every trial still scanning, the
+    count being the last index attaining the running minimum.  Each row is
+    evaluated by the same operations as in st_counts, so the two agree bit
+    for bit."""
+    trials, m_total = phis.shape
+    t = np.arange(1, m_total + 1, dtype=float)
+    per_message = phis * (p_linear / t)
+    best = np.log1p(per_message * t).sum(axis=1) / LN2  # key row 0
+    anchor = np.zeros(trials, dtype=np.int64)
+    counts = np.zeros(trials, dtype=np.int64)
+    running = np.arange(trials)  # trials still scanning; best, anchor, per_message follow
+    for j in range(1, m_total + 1):
+        going = rate_r * j <= best
+        if not going.all():
+            counts[running] = anchor
+            running, best, anchor, per_message = (
+                running[going], best[going], anchor[going], per_message[going]
+            )
+            if running.size == 0:
+                break
+        terms = per_message[:, j:] * t[: m_total - j]  # the blocks t > j, times t - j
+        key = np.log1p(terms, out=terms).sum(axis=1) / LN2 + rate_r * j
+        # <= moves the anchor to the last index attaining the running minimum
+        improved = key <= best
+        anchor[improved] = j
+        best[improved] = key[improved]
+    counts[running] = anchor
+    return counts
 
 
 def informed_feasible(cap, rate_r, m):

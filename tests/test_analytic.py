@@ -89,6 +89,13 @@ def test_mt_pmf_small_cases():
     assert np.array_equal(probs, [0.0, 0.0, 0.0, 1.0])
 
 
+
+@pytest.mark.parametrize("m_total", [2.5, -1, 0, 3.0])
+def test_mt_pmf_rejects_bad_counts(m_total):
+    """The count check's own message, not one about the probabilities."""
+    with pytest.raises(ValueError, match="m_total must be an integer >= 1"):
+        mt_pmf_exact(m_total, 0.5)
+
 def test_mt_pmf_mean_and_normalization():
     for m_total, p in ((10, 0.3), (1000, 0.4879), (10000, 0.5)):
         pmf = mt_pmf_exact(m_total, p)

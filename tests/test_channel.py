@@ -113,6 +113,20 @@ def test_trial_stream_takes_numpy_integers():
         assert np.array_equal(ours.random(50), expect.random(50))
 
 
+
+@pytest.mark.parametrize("shape", [(7,), (4,), (0,), (1, 5)])
+def test_sample_gains_refuses_an_out_of_another_length(shape):
+    """`out` is drawn into whole, so a length other than n is an error, not
+    a silent draw of len(out) gains."""
+    with pytest.raises(ValueError, match="length n = 5"):
+        RAYLEIGH.sample_gains(trial_stream(1, 0), 5, out=np.empty(shape))
+
+
+def test_sample_gains_into_out_is_the_plain_draw():
+    out = np.empty(5)
+    assert RAYLEIGH.sample_gains(trial_stream(1, 0), 5, out=out) is out
+    assert np.array_equal(out, RAYLEIGH.sample_gains(trial_stream(1, 0), 5))
+
 def test_fixed_key_refuses_any_other_request():
     """A bit generator that asks for other than two uint64 words gets no key."""
     key = channel._FixedKey((1, 2))

@@ -432,6 +432,21 @@ def test_sweep_rejects_unknown_or_inapplicable_axis():
     assert type(sweep_specs(make_spec(), "m_total", [np.int64(4)])[0].m_total) is int
 
 
+
+@pytest.mark.parametrize(
+    "master_seed, index",
+    [(1.5, 0), (1, 2.5), (1.0, 0), (1, 2.0), ("1", 0), (1, None), (-1, 0), (2**64, 0), (1, -1)],
+)
+def test_derive_seed_rejects_bad_arguments(master_seed, index):
+    """ValueError, as trial_stream gives: a float is refused, not truncated."""
+    with pytest.raises(ValueError):
+        derive_seed(master_seed, index)
+
+
+def test_derive_seed_takes_numpy_integers():
+    assert derive_seed(np.uint64(2**64 - 1), np.int64(3)) == derive_seed(2**64 - 1, 3)
+    assert derive_seed(np.int32(7), np.uint8(0)) == derive_seed(7, 0)
+
 def test_sweep_uses_independent_derived_seeds():
     assert derive_seed(7, 0) != derive_seed(7, 1)
     base = make_spec(scheme=MT(), trials=4000)

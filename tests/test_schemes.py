@@ -10,6 +10,7 @@ from scipy.special import ndtr
 from fadestream import schemes
 from fadestream.bounds import informed_counts
 from fadestream.channel import (
+    LN2,
     ChannelRealization,
     PowerBudget,
     capacities,
@@ -600,3 +601,160 @@ def test_st_counts_memory_is_linear_in_blocks():
         tracemalloc.stop()
     assert counts.max() > 100  # the scan ran well past the first rows
     assert peak < 8 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# st: the kernel that skips rows against the scan of every row
+# ---------------------------------------------------------------------------
+
+FIRST_PRUNED = min(m for m in range(1, 200) if schemes._st_step(m) > 1)
+
+
+def _chunk_gains(m_total, seed):
+    """One engine-sized chunk of Rayleigh gains: 2**14 gains, at most 4096 trials."""
+    trials = max(1, min(4096, 2**14 // m_total))
+    return np.random.default_rng(seed).exponential(1.0, (trials, m_total))
+
+
+def _assert_same_counts(phis, power_db, rate):
+    p_linear = PowerBudget.from_db(power_db).p_linear
+    counts = st_counts(phis, p_linear, rate)
+    assert np.array_equal(counts, oracles.st_counts_row_scan(phis, p_linear, rate))
+    return counts
+
+
+@pytest.mark.parametrize("rate", [x / 2.0 for x in range(1, 21)])
+def test_st_counts_equal_the_row_scan_at_fig7(rate):
+    for seed in range(3):
+        _assert_same_counts(_chunk_gains(100, seed), 20.0, rate)
+
+
+@pytest.mark.parametrize(
+    "power_db, m_total, rate",
+    [(1.44, 50, 1.0), (0.0, 50, 1.0), (-30.0, 100, 1.0), (-30.0, 100, 1e-3), (60.0, 100, 1.0),
+     (60.0, 100, 15.0), (-3.0, 100, 1.0), (2.0, 100, 1.0)],
+)
+def test_st_counts_equal_the_row_scan_at_preset_and_extreme_powers(power_db, m_total, rate):
+    for seed in range(3):
+        _assert_same_counts(_chunk_gains(m_total, seed), power_db, rate)
+
+
+@pytest.mark.parametrize(
+    "m_total",
+    sorted({1, 2, 3, FIRST_PRUNED - 1, FIRST_PRUNED, FIRST_PRUNED + 1, 49, 50, 56, 100, 2000}),
+)
+@pytest.mark.parametrize("power_db, rate", [(2.0, 1.0), (20.0, 6.0)])
+def test_st_counts_equal_the_row_scan_at_any_deadline(m_total, power_db, rate):
+    """Across the switch to skipped rows, and with a last bracket that ends
+    at M (49 = 7^2, 56 = 8 x 7, 100 = 10^2) or short of it (50, 2000)."""
+    counts = _assert_same_counts(_chunk_gains(m_total, m_total), power_db, rate)
+    if m_total >= 50:
+        assert 0 < counts.mean() < m_total
+
+
+@pytest.mark.parametrize("m_total", [FIRST_PRUNED, 100])
+def test_st_counts_equal_the_row_scan_when_scans_stop_at_once_or_never(m_total):
+    phis = _chunk_gains(m_total, 5)
+    # R exceeds every row-0 key: each scan stops at the first row after 0
+    assert np.all(_assert_same_counts(phis, 2.0, 1e4) == 0)
+    # no trial stops early (M R is below every row-0 key), and nearly all decode
+    assert np.mean(_assert_same_counts(phis, 2.0, 1e-3) == m_total) > 0.9
+
+
+@pytest.mark.parametrize("m_total", [49, 50, 100])
+def test_st_counts_ties_go_to_the_last_row(m_total):
+    """With R = 0 and the last blocks dead, every row from the last live
+    block on has key 0.0 exactly, the minimum, on rows 0, B, 2B, ... and in
+    between alike; the count is M whether row M is one of the former (49 =
+    7^2, 100 = 10^2) or not (50)."""
+    phis = _chunk_gains(m_total, 9)
+    phis[:, m_total // 2 :] = 0.0
+    counts = _assert_same_counts(phis, 20.0, 0.0)
+    assert np.all(counts == m_total)
+
+
+def _bracket_bounds(phis, p_linear, rate_r, keys, evaluated=None):
+    """_st_bracket_bound on every bracket of st_counts' rows 0, B, 2B, ...,
+    from the full profiles `keys`; `evaluated[i]` is the number of those
+    rows trial i evaluated (all by default), the others count 0.0 as hi's
+    log sum.  Returns the (trials, M + 1) bounds, -inf on rows 0, B, 2B, ..."""
+    trials, m_total = phis.shape
+    step = schemes._st_step(m_total)
+    coarse = np.arange(0, m_total + 1, step)
+    per_message = phis * (p_linear / np.arange(1, m_total + 1))
+    sums = np.zeros((trials, len(coarse) + 1))
+    sums[:, : len(coarse)] = (keys[:, coarse] - rate_r * coarse) * LN2
+    if evaluated is not None:
+        sums[np.arange(len(coarse) + 1) >= evaluated[:, None]] = 0.0
+    weights = schemes._st_bound_weights(step)
+    bounds = np.full(keys.shape, -np.inf)
+    for row, lo in enumerate(coarse):
+        width = min(step - 1, m_total - lo)
+        if width:
+            gains = per_message[:, lo : lo + width]
+            bounds[:, lo + 1 : lo + width + 1] = schemes._st_bracket_bound(
+                gains, sums[:, row], sums[:, row + 1], lo, weights, rate_r
+            ).T
+    return bounds
+
+
+def _profiles(phis, p_linear, rate_r):
+    return np.array([oracles.st_keys(phi, p_linear, rate_r) for phi in phis])
+
+
+def _assert_bounds_hold(phis, power_db, rate_r, evaluated=None):
+    p_linear = PowerBudget.from_db(power_db).p_linear
+    keys = _profiles(phis, p_linear, rate_r)
+    bounds = _bracket_bounds(phis, p_linear, rate_r, keys, evaluated)
+    slack = schemes._ST_MARGIN * (keys[:, :1] + keys)
+    assert np.all(bounds <= keys + slack)
+    return keys, bounds
+
+
+@pytest.mark.parametrize("m_total", [FIRST_PRUNED, 50, 100, 333])
+@pytest.mark.parametrize("power_db", [-30.0, 2.0, 20.0, 60.0])
+def test_st_bracket_bound_never_exceeds_the_key(m_total, power_db):
+    """On Rayleigh gains, on gains from 1e-12 to 1e6 with exact zeros, and
+    with row hi taken as unevaluated (log sum 0.0)."""
+    rng = np.random.default_rng(m_total)
+    phis = rng.exponential(1.0, (40, m_total))
+    _assert_bounds_hold(phis, power_db, 1.0)
+    extreme = 10.0 ** rng.uniform(-12.0, 6.0, (40, m_total))
+    extreme[rng.random(extreme.shape) < 0.2] = 0.0
+    extreme[0] = 0.0
+    for rate in (1e-3, 1.0, 30.0):
+        evaluated = rng.integers(1, m_total // schemes._st_step(m_total) + 2, len(extreme))
+        _assert_bounds_hold(extreme, power_db, rate, evaluated)
+
+
+def test_st_bracket_bound_prunes_most_rows_at_fig7():
+    """At 20 dB, M = 100 and R = 0.5 the bounds leave under 5% of the rows
+    between 0, B, 2B, ... for evaluation (2.2% measured), so a margin that
+    loosened until it pruned nothing would fail here."""
+    keys, bounds = _assert_bounds_hold(_chunk_gains(100, 0), 20.0, 0.5)
+    coarse = np.arange(0, 101, schemes._st_step(100))
+    minimum = keys[:, coarse].min(axis=1, keepdims=True)
+    limit = minimum + schemes._ST_MARGIN * (keys[:, :1] + minimum)
+    between = bounds > -np.inf
+    assert between.sum() == 90 * len(keys)
+    assert (bounds[between] <= np.broadcast_to(limit, bounds.shape)[between]).mean() < 0.05
+
+
+@pytest.mark.parametrize(
+    "trials, m_total, power_db, rate",
+    [(163, 100, 20.0, 6.0), (163, 100, 20.0, 0.5), (327, 50, 1.44, 1.0), (8, 2000, 2.0, 1.0)],
+)
+def test_st_counts_peak_memory_is_no_higher_than_the_row_scan(trials, m_total, power_db, rate):
+    """The benchmark's chunk shapes (fig7, fig5a and 2000 blocks): skipping
+    rows keeps no more than the scan of every row did (515 KiB at 163 x 100)."""
+    phis = np.random.default_rng(trials).exponential(1.0, (trials, m_total))
+    p_linear = PowerBudget.from_db(power_db).p_linear
+    peaks = []
+    for kernel in (oracles.st_counts_row_scan, st_counts):
+        tracemalloc.start()
+        try:
+            kernel(phis, p_linear, rate)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0]
