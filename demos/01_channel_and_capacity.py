@@ -10,7 +10,6 @@ moves the operating point.
 import numpy as np
 
 from fadestream import (
-    FadingModel,
     PowerBudget,
     capacity_moments,
     effective_power,
@@ -20,12 +19,10 @@ from fadestream import (
     trial_stream,
 )
 
-model = FadingModel.rayleigh()
-
 print("== one realization per trial stream ==")
 power = PowerBudget.from_db(2.0)
 for trial in range(3):
-    real = sample_realization(model, power, 6, trial_stream(master_seed=42, trial=trial))
+    real = sample_realization(power, 6, trial_stream(master_seed=42, trial=trial))
     with np.printoptions(precision=3, suppress=True):
         print(f"trial {trial}: gains {real.phi}  capacities {real.cap} bpcu")
 

@@ -12,19 +12,16 @@ from fadestream import (
     MT,
     TS,
     ExperimentSpec,
-    FadingModel,
     GTS,
     optimal_window,
     sweep,
 )
 
-MODEL = FadingModel.rayleigh()
 TRIALS = 4000
 
 
 def base_spec(scheme, power_db, m_total=10):
     return ExperimentSpec(
-        model=MODEL,
         power_db=power_db,
         m_total=m_total,
         rate_r=1.0,

@@ -16,7 +16,6 @@ from fadestream import (
     TS,
     ST,
     ExperimentSpec,
-    FadingModel,
     InformedBound,
     PowerBudget,
     effective_power,
@@ -25,7 +24,6 @@ from fadestream import (
     sweep,
 )
 
-MODEL = FadingModel.rayleigh()
 TRIALS = 3000
 SCHEMES = (("mt", MT()), ("je", JE()), ("aje", AJE()), ("ts", TS()), ("st", ST()),
            ("bound", InformedBound()))
@@ -33,7 +31,6 @@ SCHEMES = (("mt", MT()), ("je", JE()), ("aje", AJE()), ("ts", TS()), ("st", ST()
 
 def base_spec(scheme, *, rate=1.0, distance=None, seed=11):
     return ExperimentSpec(
-        model=MODEL,
         power_db=20.0,
         m_total=100,
         rate_r=rate,

@@ -20,7 +20,6 @@ from .analytic import (
 from .bounds import InformedBound, ergodic_upper_bound, informed_upper_bound
 from .channel import (
     ChannelRealization,
-    FadingModel,
     PowerBudget,
     QuadratureError,
     capacity_moments,
@@ -64,7 +63,6 @@ __all__ = [
     "DecodeOutcome",
     "ExperimentResult",
     "ExperimentSpec",
-    "FadingModel",
     "GTS",
     "InformedBound",
     "JE",

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy  # scipy.special loads on first use, in mt_pmf_exact
 
-from .channel import LN2, FadingModel, PowerBudget, QuadratureError, capacities
+from .channel import LN2, PowerBudget, QuadratureError, _check_count, _check_rate, capacities
 from .engine import _chunk_ranges, _sample_gain_block
-from .schemes import _check_count, _check_rate
 
 # ---------------------------------------------------------------------------
 # decode-count pmf container
@@ -84,12 +83,7 @@ def mt_pmf_exact(m_total: int, p: float) -> DecodeCountPmf:
 
 
 def prefix_sum_rate_mc(
-    model: FadingModel,
-    power: PowerBudget,
-    m_total: int,
-    rate_r: float,
-    trials: int,
-    master_seed: int,
+    power: PowerBudget, m_total: int, rate_r: float, trials: int, master_seed: int
 ) -> tuple[float, float]:
     """Joint-encoding average rate from the prefix-sum identity, with its SE.
 
@@ -106,7 +100,7 @@ def prefix_sum_rate_mc(
     starts = _chunk_ranges(trials, m_total)
     for start in starts:
         count = min(starts.step, trials - start)
-        caps = capacities(_sample_gain_block(model, m_total, master_seed, start, count), power)
+        caps = capacities(_sample_gain_block(m_total, master_seed, start, count), power)
         counts = (np.cumsum(caps, axis=1) >= thresholds).sum(axis=1)
         s1 += counts.sum()
         s2 += (counts.astype(float) ** 2).sum()

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization
+from .channel import ChannelRealization, _check_rate
 from .schemes import DecodeOutcome, _decode_prefix
 
 
@@ -44,6 +44,7 @@ def informed_counts(caps: np.ndarray, rate_r: float) -> np.ndarray:
 
 def ergodic_upper_bound(rate_r: float, c_bar: float) -> float:
     """No-deadline ceiling on the average decoded rate: min(R, c_bar)."""
-    if rate_r <= 0.0 or c_bar <= 0.0:
-        raise ValueError("rate_r and c_bar must be positive")
+    _check_rate(rate_r)
+    if not (np.isfinite(c_bar) and c_bar > 0.0):
+        raise ValueError("c_bar must be finite and positive")
     return min(rate_r, c_bar)

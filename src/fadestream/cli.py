@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from . import __version__
 from .bounds import InformedBound, ergodic_upper_bound
-from .channel import FadingModel, PowerBudget, QuadratureError, ergodic_capacity
+from .channel import PowerBudget, QuadratureError, ergodic_capacity
 from .engine import (
     INT_AXES,
     SWEEP_AXES,
@@ -145,7 +145,6 @@ def _preset(schemes, powers_db, m_total, axis=None, values=(), distance=None):
         points = [(power_db, scheme) for power_db in powers_db for scheme in schemes]
         for idx, (power_db, scheme) in enumerate(points):
             base = ExperimentSpec(
-                model=FadingModel.rayleigh(),
                 power_db=power_db,
                 m_total=m_total,
                 rate_r=1.0,
@@ -283,7 +282,6 @@ def _run_single_or_sweep(args):
     seed = args.seed if args.seed is not None else 1
     distance = None if args.distance is None else (args.distance, args.path_loss)
     base = ExperimentSpec(
-        model=FadingModel.rayleigh(),
         power_db=args.snr_db,
         m_total=args.blocks,
         rate_r=args.rate,

@@ -95,7 +95,6 @@ _TASKS_PER_WORKER = 4
 class ExperimentSpec:
     """Full description of one Monte Carlo experiment."""
 
-    model: FadingModel
     power_db: float
     m_total: int
     rate_r: float
@@ -158,13 +157,11 @@ def resolve_scheme(spec: ExperimentSpec) -> SchemeConfig | InformedBound:
     return scheme
 
 
-def _sample_gain_block(
-    model: FadingModel, m_total: int, master_seed: int, start: int, count: int
-) -> np.ndarray:
+def _sample_gain_block(m_total: int, master_seed: int, start: int, count: int) -> np.ndarray:
     """Gains of trials [start, start + count), one row per trial."""
     phis = np.empty((count, m_total))
     # looked up once per block, at call time, so that wrappers on these names see every call
-    stream, sample = trial_stream, model.sample_gains
+    stream, sample = trial_stream, FadingModel.sample_gains
     for trial, row in enumerate(phis, start):
         sample(stream(master_seed, trial), m_total, row)
     return phis
@@ -173,7 +170,7 @@ def _sample_gain_block(
 def _decode_chunk(spec: ExperimentSpec, start: int, count: int) -> np.ndarray:
     """Decoded counts for trials [start, start + count) of a resolved spec."""
     power = received_power(spec)
-    phis = _sample_gain_block(spec.model, spec.m_total, spec.master_seed, start, count)
+    phis = _sample_gain_block(spec.m_total, spec.master_seed, start, count)
     scheme = spec.scheme
     if isinstance(scheme, ST):
         return schemes.st_counts(phis, power.p_linear, spec.rate_r)
@@ -357,7 +354,7 @@ def optimal_window(
 
     Ties break toward the smaller window.
     """
-    candidates = sorted({int(w) for w in candidates})
+    candidates = sorted(set(candidates))
     if not candidates:
         raise ValueError("candidates must be non-empty")
     if candidates[0] < 1 or candidates[-1] > base.m_total:

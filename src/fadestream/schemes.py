@@ -27,12 +27,11 @@ one-row batch of a ChannelRealization.  The test suite checks the kernels
 against independent rule-by-definition implementations in tests/oracles.py.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LN2, ChannelRealization, PowerBudget
+from .channel import LN2, ChannelRealization, PowerBudget, _check_count, _check_rate
 
 # ---------------------------------------------------------------------------
 # configuration and outcome types
@@ -99,16 +98,6 @@ def _outcome(decoded, m_total: int, rate_r: float) -> DecodeOutcome:
     decoded = frozenset(int(i) for i in decoded)
     n_d = len(decoded)
     return DecodeOutcome(decoded=decoded, n_d=n_d, rate=n_d * rate_r / m_total)
-
-
-def _check_rate(rate_r: float):
-    if not (np.isfinite(rate_r) and rate_r > 0.0):
-        raise ValueError("rate_r must be finite and positive")
-
-
-def _check_count(name: str, value: int):
-    if not (isinstance(value, numbers.Integral) and value >= 1):
-        raise ValueError(f"{name} must be an integer >= 1")
 
 
 def _decode_prefix(kernel, real: ChannelRealization, rate_r: float, *args) -> DecodeOutcome:
@@ -297,8 +286,7 @@ def st_power_allocation(m_total: int, power: PowerBudget) -> np.ndarray:
 
     Returns the (messages x blocks) matrix; each column sums to P.
     """
-    if m_total < 1:
-        raise ValueError("m_total must be >= 1")
+    _check_count("m_total", m_total)
     t = np.arange(1, m_total + 1)
     alloc = np.where(np.arange(1, m_total + 1)[:, None] <= t[None, :], power.p_linear / t, 0.0)
     return alloc

@@ -41,13 +41,11 @@ from fadestream.schemes import (
 import oracles
 from gates import binomial_se, combined_se
 
-RAYLEIGH = FadingModel.rayleigh()
 SEED = 20260809
 
 
 def spec(scheme, power_db, m_total, trials, seed, rate_r=1.0, distance=None):
     return ExperimentSpec(
-        model=RAYLEIGH,
         power_db=power_db,
         m_total=m_total,
         rate_r=rate_r,
@@ -92,7 +90,7 @@ def test_c02_mt_success_probability():
     power = PowerBudget.from_db(1.44)
     p = mt_success_prob(power, 1.0)
     draws = 10**6
-    real = sample_realization(RAYLEIGH, power, draws, trial_stream(SEED, 2))
+    real = sample_realization(power, draws, trial_stream(SEED, 2))
     p_hat = float(np.mean(real.cap >= 1.0))
     gate = 3.0 * binomial_se(p_hat, draws)
     checks = [
@@ -111,7 +109,7 @@ def test_c03_prefix_sum_identity_vs_je_runs():
         for m_total in range(1, 7):
             cell += 1
             est, est_se = prefix_sum_rate_mc(
-                RAYLEIGH, PowerBudget.from_db(power_db), m_total, 1.0, trials, SEED + 100 + cell
+                PowerBudget.from_db(power_db), m_total, 1.0, trials, SEED + 100 + cell
             )
             run = run_experiment(spec(JE(), power_db, m_total, trials, SEED + 200 + cell))
             gate = 3.0 * combined_se(est_se, run.rate_se)
@@ -260,7 +258,7 @@ def test_c09_reduction_equalities():
         caps = np.empty((per_m, m_total))
         for k in range(per_m):
             caps[k] = capacities(
-                RAYLEIGH.sample_gains(trial_stream(rng_master + m_total, k), m_total),
+                FadingModel.sample_gains(trial_stream(rng_master + m_total, k), m_total),
                 PowerBudget.from_db(1.44),
             )
         counts_ok &= bool(
@@ -356,7 +354,7 @@ def test_c12_st_search_sanity():
     for m_total, trials in ((3, 3000), (6, 3000), (10, 4000)):
         phis = np.empty((trials, m_total))
         for k in range(trials):
-            phis[k] = RAYLEIGH.sample_gains(trial_stream(SEED + 120 + m_total, k), m_total)
+            phis[k] = FadingModel.sample_gains(trial_stream(SEED + 120 + m_total, k), m_total)
         exact = st_counts(phis, p_linear, rate)
         # the decoder with decoded runs capped at 1 (size-1 subsets only) and at 4
         single_user = np.array([oracles.st_count(phi, p_linear, rate, max_run=1) for phi in phis])

@@ -12,13 +12,11 @@ from fadestream.analytic import (
     mt_success_prob,
     prefix_sum_rate_mc,
 )
-from fadestream.channel import FadingModel, PowerBudget, trial_stream
+from fadestream.channel import PowerBudget, trial_stream
 from fadestream.engine import ExperimentSpec, decode_counts, run_experiment
 from fadestream.schemes import JE, TS, je_counts, mt_counts
 
 from gates import binomial_se, combined_se
-
-RAYLEIGH = FadingModel.rayleigh()
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +42,7 @@ def test_rate_rule_of_the_estimators(rate_r):
     with pytest.raises(ValueError):
         mt_success_prob(PowerBudget(1.0), rate_r)
     with pytest.raises(ValueError):
-        prefix_sum_rate_mc(RAYLEIGH, PowerBudget(1.0), 5, rate_r, 100, master_seed=1)
+        prefix_sum_rate_mc(PowerBudget(1.0), 5, rate_r, 100, master_seed=1)
     with pytest.raises(ValueError):
         je_pmf_exact_smallM(2, PowerBudget(1.0), rate_r)
 
@@ -56,7 +54,7 @@ def test_rate_rule_of_the_estimators(rate_r):
 def test_prefix_sum_rate_mc_rejects_bad_counts(m_total, trials):
     """Counts are integers >= 1; a float is refused even when it is whole."""
     with pytest.raises(ValueError):
-        prefix_sum_rate_mc(RAYLEIGH, PowerBudget(1.0), m_total, 1.0, trials, master_seed=1)
+        prefix_sum_rate_mc(PowerBudget(1.0), m_total, 1.0, trials, master_seed=1)
 
 
 def test_mt_success_prob_matches_tail_quadrature():
@@ -87,7 +85,6 @@ def test_mt_pmf_small_cases():
     assert np.allclose(mt_pmf_exact(2, 0.5).probs, [0.25, 0.5, 0.25])
     probs = mt_pmf_exact(3, 1.0).probs
     assert np.array_equal(probs, [0.0, 0.0, 0.0, 1.0])
-
 
 
 @pytest.mark.parametrize("m_total", [2.5, -1, 0, 3.0])
@@ -124,8 +121,8 @@ def test_mt_pmf_matches_decode_histogram():
 
 
 def test_prefix_prob_estimates_are_deterministic():
-    a = prefix_sum_rate_mc(RAYLEIGH, PowerBudget(1.0), 5, 1.0, 2000, master_seed=77)
-    b = prefix_sum_rate_mc(RAYLEIGH, PowerBudget(1.0), 5, 1.0, 2000, master_seed=77)
+    a = prefix_sum_rate_mc(PowerBudget(1.0), 5, 1.0, 2000, master_seed=77)
+    b = prefix_sum_rate_mc(PowerBudget(1.0), 5, 1.0, 2000, master_seed=77)
     assert a == b  # bit-equal rate and standard error
     assert 0.0 <= a[0] <= 1.0  # within [0, R]
 
@@ -134,10 +131,9 @@ def test_prefix_identity_matches_independent_je_run():
     m_total, trials = 4, 100000
     power_db = 0.0
     est, est_se = prefix_sum_rate_mc(
-        RAYLEIGH, PowerBudget.from_db(power_db), m_total, 1.0, trials, master_seed=41
+        PowerBudget.from_db(power_db), m_total, 1.0, trials, master_seed=41
     )
     spec = ExperimentSpec(
-        model=RAYLEIGH,
         power_db=power_db,
         m_total=m_total,
         rate_r=1.0,
@@ -153,10 +149,9 @@ def test_prefix_identity_holds_per_trial_in_expectation():
     # the identity's count and the je decoder's count on the same trials
     seed, m_total, trials = 43, 6, 50000
     est, _ = prefix_sum_rate_mc(
-        RAYLEIGH, PowerBudget.from_db(2.0), m_total, 1.0, trials, master_seed=seed
+        PowerBudget.from_db(2.0), m_total, 1.0, trials, master_seed=seed
     )
     spec = ExperimentSpec(
-        model=RAYLEIGH,
         power_db=2.0,
         m_total=m_total,
         rate_r=1.0,
@@ -216,7 +211,6 @@ def test_ts_estimate_single_block():
     power = PowerBudget.from_db(0.0)
     p = mt_success_prob(power, 1.0)
     spec = ExperimentSpec(
-        model=RAYLEIGH,
         power_db=0.0,
         m_total=1,
         rate_r=1.0,
@@ -233,7 +227,7 @@ def test_estimates_stay_bounded_in_memory_at_long_deadlines(estimate):
     """8192 trials x 2000 blocks in one chunk peaked at 375 MB."""
     tracemalloc.start()
     try:
-        estimate(RAYLEIGH, PowerBudget.from_db(2.0), 2000, 1.0, 8192, master_seed=55)
+        estimate(PowerBudget.from_db(2.0), 2000, 1.0, 8192, master_seed=55)
         assert tracemalloc.get_traced_memory()[1] < 100 * 2**20
     finally:
         tracemalloc.stop()

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import fadestream
 from fadestream import cli, engine
-from fadestream.channel import FadingModel
 from fadestream.schemes import JE, MT, ST
 
 CHILD = Path(__file__).resolve().parents[1] / "bench" / "child.py"
@@ -47,7 +46,7 @@ def test_serial_run_specs_calls_run_experiment_once_per_spec(monkeypatch):
 
     monkeypatch.setattr(engine, "run_experiment", counted)
     specs = [
-        engine.ExperimentSpec(FadingModel.rayleigh(), 1.0, m, 1.0, scheme, 20, seed)
+        engine.ExperimentSpec(1.0, m, 1.0, scheme, 20, seed)
         for m, scheme, seed in ((5, MT(), 1), (8, JE(), 2), (5, JE(), 3))
     ]
     assert len(engine.run_specs(specs, 1)) == 3

@@ -79,8 +79,9 @@ def test_ergodic_upper_bound_cases():
     assert ergodic_upper_bound(1.0, 5.88) == 1.0
     assert ergodic_upper_bound(8.0, 5.88) == 5.88
     assert ergodic_upper_bound(2.5, 2.5) == 2.5
-    with pytest.raises(ValueError):
-        ergodic_upper_bound(0.0, 1.0)
+    for rate_r, c_bar in ((0.0, 1.0), (np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)):
+        with pytest.raises(ValueError):
+            ergodic_upper_bound(rate_r, c_bar)
 
 
 def test_batched_bound_matches_scalar():

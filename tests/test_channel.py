@@ -20,8 +20,6 @@ from fadestream.channel import (
     trial_stream,
 )
 
-RAYLEIGH = FadingModel.rayleigh()
-
 
 # ---------------------------------------------------------------------------
 # types
@@ -51,6 +49,11 @@ def test_realization_validation():
         ChannelRealization(phi=np.array([-1.0]), cap=np.array([0.5]))
     with pytest.raises(ValueError):
         ChannelRealization(phi=np.array([]), cap=np.array([]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            ChannelRealization(phi=[bad], cap=[1.0])
+        with pytest.raises(ValueError):
+            ChannelRealization(phi=[1.0], cap=[bad])
 
 
 def test_zero_gains_give_zero_capacity():
@@ -65,7 +68,7 @@ def test_unit_gain_capacities():
 
 def test_rayleigh_sample_mean_is_one():
     rng = trial_stream(2024, 0)
-    gains = RAYLEIGH.sample_gains(rng, 10**6)
+    gains = FadingModel.sample_gains(rng, 10**6)
     assert gains.min() > 0.0
     assert gains.mean() == pytest.approx(1.0, abs=4.0 / np.sqrt(10**6))
 
@@ -76,10 +79,16 @@ def test_rayleigh_sample_mean_is_one():
 
 
 def test_sampling_is_deterministic_per_stream():
-    a = sample_realization(RAYLEIGH, PowerBudget.from_db(2.0), 16, trial_stream(99, 3))
-    b = sample_realization(RAYLEIGH, PowerBudget.from_db(2.0), 16, trial_stream(99, 3))
+    a = sample_realization(PowerBudget.from_db(2.0), 16, trial_stream(99, 3))
+    b = sample_realization(PowerBudget.from_db(2.0), 16, trial_stream(99, 3))
     assert np.array_equal(a.phi, b.phi)
     assert np.array_equal(a.cap, b.cap)
+
+
+@pytest.mark.parametrize("m_blocks", [0, 2.5, None])
+def test_sample_realization_rejects_bad_block_counts(m_blocks):
+    with pytest.raises(ValueError):
+        sample_realization(PowerBudget(1.0), m_blocks, trial_stream(1, 0))
 
 
 def test_trial_streams_are_distinct():
@@ -113,19 +122,18 @@ def test_trial_stream_takes_numpy_integers():
         assert np.array_equal(ours.random(50), expect.random(50))
 
 
-
 @pytest.mark.parametrize("shape", [(7,), (4,), (0,), (1, 5)])
 def test_sample_gains_refuses_an_out_of_another_length(shape):
     """`out` is drawn into whole, so a length other than n is an error, not
     a silent draw of len(out) gains."""
     with pytest.raises(ValueError, match="length n = 5"):
-        RAYLEIGH.sample_gains(trial_stream(1, 0), 5, out=np.empty(shape))
+        FadingModel.sample_gains(trial_stream(1, 0), 5, out=np.empty(shape))
 
 
 def test_sample_gains_into_out_is_the_plain_draw():
     out = np.empty(5)
-    assert RAYLEIGH.sample_gains(trial_stream(1, 0), 5, out=out) is out
-    assert np.array_equal(out, RAYLEIGH.sample_gains(trial_stream(1, 0), 5))
+    assert FadingModel.sample_gains(trial_stream(1, 0), 5, out=out) is out
+    assert np.array_equal(out, FadingModel.sample_gains(trial_stream(1, 0), 5))
 
 def test_fixed_key_refuses_any_other_request():
     """A bit generator that asks for other than two uint64 words gets no key."""
@@ -171,16 +179,16 @@ def test_sampled_rows_are_the_inverse_transform_of_the_keyed_stream(master_seed,
     """In-place sampling gives bit for bit -log1p(-u) of the documented stream."""
     for m_total in (1, 5, 2000):
         expect = -np.log1p(-_keyed_philox(master_seed, trial).random(m_total))
-        drawn = RAYLEIGH.sample_gains(trial_stream(master_seed, trial), m_total)
+        drawn = FadingModel.sample_gains(trial_stream(master_seed, trial), m_total)
         assert drawn.tobytes() == expect.tobytes()
         block = np.full((3, m_total), np.nan)
         row = block[1]
-        assert RAYLEIGH.sample_gains(trial_stream(master_seed, trial), m_total, out=row) is row
+        assert FadingModel.sample_gains(trial_stream(master_seed, trial), m_total, out=row) is row
         assert block[1].tobytes() == expect.tobytes()
         assert np.isnan(block[[0, 2]]).all()  # the neighbouring rows are untouched
     if trial >= 2:  # the engine's block: row k is trial start + k, at the benchmark's M too
         for m_total in (7, 50, 100, 2000):
-            phis = engine._sample_gain_block(RAYLEIGH, m_total, master_seed, trial - 2, 3)
+            phis = engine._sample_gain_block(m_total, master_seed, trial - 2, 3)
             for k in range(3):
                 expect = -np.log1p(-_keyed_philox(master_seed, trial - 2 + k).random(m_total))
                 assert phis[k].tobytes() == expect.tobytes()
@@ -261,7 +269,7 @@ def test_ergodic_capacity_strictly_increasing_in_power():
 
 def test_sample_mean_capacity_matches_quadrature():
     power = PowerBudget.from_db(2.0)
-    real = sample_realization(RAYLEIGH, power, 10**6, trial_stream(7, 0))
+    real = sample_realization(power, 10**6, trial_stream(7, 0))
     se = real.cap.std(ddof=1) / np.sqrt(len(real.cap))
     assert real.cap.mean() == pytest.approx(ergodic_capacity(power), abs=4 * se)
 

@@ -18,7 +18,7 @@ from fadestream import channel, cli, engine
 from fadestream.bounds import InformedBound
 from fadestream.cli import CSV_COLUMNS, main
 from fadestream.engine import ExperimentSpec, run_experiment
-from fadestream.channel import FadingModel, QuadratureError
+from fadestream.channel import QuadratureError
 from fadestream.schemes import AJE, GTS, JE, MT, ST, TS, choose_m_prime
 
 
@@ -83,7 +83,7 @@ def test_json_roundtrip_reconstructs_numeric_fields(tmp_path):
     assert doc["schema"] == 2
     row = doc["rows"][0]
     spec = ExperimentSpec(
-        model=FadingModel.rayleigh(), power_db=2.0, m_total=8, rate_r=1.0,
+        power_db=2.0, m_total=8, rate_r=1.0,
         scheme=row_scheme(row), trials=4000, master_seed=11,
     )
     res = run_experiment(spec)
@@ -213,7 +213,6 @@ def spec_from_row(row):
     else:
         scheme = fixed[row["scheme"]]
     return ExperimentSpec(
-        model=FadingModel.rayleigh(),
         power_db=row["power_db"],
         m_total=row["blocks"],
         rate_r=row["rate"],

@@ -13,7 +13,6 @@ import fadestream
 from fadestream import engine
 from fadestream.bounds import InformedBound
 from fadestream.channel import (
-    FadingModel,
     capacity_moments,
     sample_realization,
     trial_stream,
@@ -32,12 +31,9 @@ from fadestream.engine import (
 )
 from fadestream.schemes import AJE, GTS, JE, MT, ST, TS, decode_mt
 
-RAYLEIGH = FadingModel.rayleigh()
-
 
 def make_spec(**overrides):
     base = dict(
-        model=RAYLEIGH,
         power_db=1.44,
         m_total=10,
         rate_r=1.0,
@@ -76,7 +72,7 @@ def test_worker_count_does_not_change_results():
 def test_single_trial_reproduces_one_decode():
     spec = make_spec(trials=1, master_seed=123)
     result = run_experiment(spec)
-    real = sample_realization(RAYLEIGH, received_power(spec), spec.m_total, trial_stream(123, 0))
+    real = sample_realization(received_power(spec), spec.m_total, trial_stream(123, 0))
     out = decode_mt(real, spec.rate_r)
     assert result.mean_decoded == out.n_d
     assert result.mean_rate == out.rate
@@ -202,11 +198,10 @@ def test_run_experiment_chunks_stay_cache_sized_at_long_deadlines():
 _PAGE_FAULTS = """
 import resource, sys
 from fadestream import cli, engine
-from fadestream.channel import FadingModel
 from fadestream.schemes import GTS
 assert "scipy.special" not in sys.modules
 fig4 = cli.PRESETS["fig4"]["build"](400, 1)  # gts at M=2000: 22 specs of 50 chunks
-wide = engine.ExperimentSpec(FadingModel.rayleigh(), 2.0, 20000, 1.0, GTS(window=50), 60, 1)
+wide = engine.ExperimentSpec(2.0, 20000, 1.0, GTS(window=50), 60, 1)
 for specs in (fig4, [wide]):
     chunks = sum(len(engine._chunk_ranges(spec.trials, spec.m_total)) for spec in specs)
     engine.run_specs(specs, 1)  # the heap grows to its working size
@@ -432,7 +427,6 @@ def test_sweep_rejects_unknown_or_inapplicable_axis():
     assert type(sweep_specs(make_spec(), "m_total", [np.int64(4)])[0].m_total) is int
 
 
-
 @pytest.mark.parametrize(
     "master_seed, index",
     [(1.5, 0), (1, 2.5), (1.0, 0), (1, 2.0), ("1", 0), (1, None), (-1, 0), (2**64, 0), (1, -1)],
@@ -497,10 +491,18 @@ def test_sweep_window_covers_gts_family():
 # ---------------------------------------------------------------------------
 
 
-def test_optimal_window_single_candidate():
+def test_optimal_window_single_candidate(monkeypatch):
+    runs = []
+
+    def counted(specs, workers):
+        runs.append(specs)
+        return run_specs(specs, workers)
+
+    monkeypatch.setattr(engine, "run_specs", counted)
     base = make_spec(scheme=GTS(window=1), m_total=12, trials=500)
-    window, result = optimal_window(base, [5])
-    assert window == 5
+    window, result = optimal_window(base, [np.int64(5), 5])  # equal values: one candidate
+    assert [len(specs) for specs in runs] == [1]
+    assert window == 5 and type(window) is int
     assert result.trials_run == 500
 
 
@@ -520,6 +522,8 @@ def test_optimal_window_rejects_bad_candidates():
         optimal_window(base, [0, 5])
     with pytest.raises(ValueError):
         optimal_window(base, [5, 13])
+    with pytest.raises(ValueError):
+        optimal_window(base, [2.7])  # as sweep(base, "window", [2.7]) refuses it
 
 
 def test_optimal_window_prefers_full_window_below_capacity():

@@ -359,6 +359,9 @@ def test_st_power_allocation_columns():
         alloc = st_power_allocation(m, PowerBudget(p))
         assert np.allclose(alloc.sum(axis=0), p, rtol=1e-12)
         assert np.all(np.triu(np.ones((m, m))) * alloc == alloc)  # no power before arrival
+    for m_total in (0, 2.5):
+        with pytest.raises(ValueError):
+            st_power_allocation(m_total, PowerBudget(1.0))
 
 
 def test_st_subset_capacity_hand_worked():
