@@ -39,13 +39,25 @@ class QuadratureError(RuntimeError):
     """Numerical integration did not reach the requested tolerance."""
 
 
+def _finite_real(value) -> bool:
+    """Whether value is a finite real number, numpy's included.  A bool, a
+    string, None or an int beyond the float range is not: each gives False
+    rather than the TypeError or OverflowError of a finiteness test."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _check_rate(rate_r: float):
-    if not (np.isfinite(rate_r) and rate_r > 0.0):
+    if not (_finite_real(rate_r) and rate_r > 0.0):
         raise ValueError("rate_r must be finite and positive")
 
 
 def _check_count(name: str, value: int):
-    if not (isinstance(value, numbers.Integral) and value >= 1):
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
         raise ValueError(f"{name} must be an integer >= 1")
 
 
@@ -95,11 +107,13 @@ class PowerBudget:
     p_linear: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.p_linear) and self.p_linear > 0.0):
+        if not (_finite_real(self.p_linear) and self.p_linear > 0.0):
             raise ValueError("p_linear must be finite and positive")
 
     @classmethod
     def from_db(cls, snr_db: float) -> "PowerBudget":
+        if not _finite_real(snr_db):
+            raise ValueError("snr_db must be finite")
         return cls(p_linear=_power_or_inf(10.0, snr_db / 10.0))
 
     @property
@@ -273,9 +287,9 @@ def effective_power(
     power: PowerBudget, distance: float, path_loss_exponent: float
 ) -> PowerBudget:
     """Received power budget at the given distance: P * d^(-alpha)."""
-    if not (np.isfinite(distance) and distance > 0.0):
+    if not (_finite_real(distance) and distance > 0.0):
         raise ValueError("distance must be positive")
-    if not (np.isfinite(path_loss_exponent) and path_loss_exponent > 0.0):
+    if not (_finite_real(path_loss_exponent) and path_loss_exponent > 0.0):
         raise ValueError("path_loss_exponent must be positive")
     return PowerBudget(p_linear=power.p_linear * _power_or_inf(distance, -path_loss_exponent))
 

@@ -22,7 +22,6 @@ from .engine import (
     INT_AXES,
     SWEEP_AXES,
     ExperimentSpec,
-    derive_seed,
     received_power,
     run_experiment,  # unused here; bench/child.py HOOKS wrap cli.run_experiment
     run_specs,
@@ -64,7 +63,7 @@ CSV_COLUMNS = (
     "trials",
 )
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # failures of a valid run; they exit 3 like an unwritable output
 _RUNTIME_ERRORS = (QuadratureError, MemoryError, BrokenProcessPool)
@@ -138,19 +137,20 @@ def _compared(gts_window=None):
 
 def _preset(schemes, powers_db, m_total, axis=None, values=(), distance=None):
     """build(trials, seed) for one point per (power, scheme), each swept over
-    `axis` if given; point i is seeded derive_seed(seed, i)."""
+    `axis` if given; every point is seeded `seed`, so a pooled run samples
+    the preset's gains once (see engine.run_specs)."""
 
     def build(trials, seed):
         specs = []
         points = [(power_db, scheme) for power_db in powers_db for scheme in schemes]
-        for idx, (power_db, scheme) in enumerate(points):
+        for power_db, scheme in points:
             base = ExperimentSpec(
                 power_db=power_db,
                 m_total=m_total,
                 rate_r=1.0,
                 scheme=scheme,
                 trials=trials,
-                master_seed=derive_seed(seed, idx),
+                master_seed=seed,
                 distance=distance,
             )
             specs += [base] if axis is None else sweep_specs(base, axis, values)

@@ -4,17 +4,19 @@ Every trial gets its own counter-based random stream derived from
 (master_seed, trial index), so results are independent of execution order,
 chunking, and the number of workers.  Per-trial decoded counts are reduced
 into an integer histogram, from which the mean rate, its standard error, and
-the decode-count cmf all follow exactly.
+the decode-count cmf all follow exactly.  Experiments that share
+(master_seed, trials) share their gains, and a pooled run samples them once
+for all of them (common random numbers).
 """
 
 import ctypes
 import dataclasses
 import itertools
 import numbers
-import operator
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +25,9 @@ from .bounds import InformedBound, informed_counts
 from .channel import (
     FadingModel,
     PowerBudget,
+    _check_count,
+    _check_rate,
+    _finite_real,
     capacities,
     capacity_moments,
     effective_power,
@@ -81,13 +86,13 @@ def _keep_chunk_memory_in_heap():
 
 _keep_chunk_memory_in_heap()
 
-# tasks per worker and spec in a pooled run, each a run of consecutive chunks
-# whose histograms the worker sums.  One task per chunk left the workers idle
-# in hand-offs (fig4, 4000 trials, two workers: 7.9 s against 3.7 s).  A
-# single-spec run needs several tasks per worker to keep every worker busy
-# to its end.  With one pool for all of fig4's specs (8000 trials, two
-# workers) 1, 2, 4 and 8 tasks took 5.3-6.8 s each, no difference within
-# the host's noise
+# tasks per worker and (seed, trials) group in a pooled run, each a run of
+# consecutive chunks whose histograms the worker sums.  One task per chunk
+# left the workers idle in hand-offs (fig4, 4000 trials, two workers: 7.9 s
+# against 3.7 s).  A single-group run needs several tasks per worker to keep
+# every worker busy to its end.  With one pool for all of fig4's specs, each
+# then sampled on its own (8000 trials, two workers), 1, 2, 4 and 8 tasks
+# took 5.3-6.8 s each, no difference within the host's noise
 _TASKS_PER_WORKER = 4
 
 
@@ -106,17 +111,13 @@ class ExperimentSpec:
     def __post_init__(self):
         if not isinstance(self.scheme, (ST, *_CAPACITY_KERNELS)):
             raise ValueError(f"unknown scheme configuration: {self.scheme!r}")
-        for name in ("m_total", "trials", "master_seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
-        if self.m_total < 1:
-            raise ValueError("m_total must be >= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not (np.isfinite(self.rate_r) and self.rate_r > 0.0):
-            raise ValueError("rate_r must be finite and positive")
-        if not np.isfinite(self.power_db):
+        _check_count("m_total", self.m_total)
+        _check_count("trials", self.trials)
+        _check_rate(self.rate_r)
+        if not _finite_real(self.power_db):
             raise ValueError("power_db must be finite")
+        if isinstance(self.master_seed, bool) or not isinstance(self.master_seed, numbers.Integral):
+            raise ValueError("master_seed must be an integer")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must fit in 64 bits")
         received_power(self)  # a non-finite distance or a power lost to underflow raises
@@ -167,15 +168,67 @@ def _sample_gain_block(m_total: int, master_seed: int, start: int, count: int) -
     return phis
 
 
-def _decode_chunk(spec: ExperimentSpec, start: int, count: int) -> np.ndarray:
-    """Decoded counts for trials [start, start + count) of a resolved spec."""
-    power = received_power(spec)
-    phis = _sample_gain_block(spec.m_total, spec.master_seed, start, count)
-    scheme = spec.scheme
-    if isinstance(scheme, ST):
-        return schemes.st_counts(phis, power.p_linear, spec.rate_r)
+class _Group(NamedTuple):
+    """Resolved specs that share (master_seed, trials), decoded together.
+
+    Trial k's first m gains are the same for every M >= m, and capacities
+    are elementwise, so one block of gains at the largest M serves every
+    spec: each decodes its [:, :M] prefix, and the capacities of one
+    received power are computed once for all the specs that decode from
+    them.  Each spec's counts are those of its own run, bit for bit.
+    """
+
+    specs: tuple[ExperimentSpec, ...]
+    m_total: int  # the largest M, which sets the chunking
+    st: tuple[tuple[int, float], ...]  # (index, linear received power) of each st spec
+    by_power: tuple[tuple[PowerBudget, tuple[int, ...]], ...]  # the other specs' indices per power
+
+
+def _group(specs) -> _Group:
+    """The _Group of resolved specs that share (master_seed, trials)."""
+    st, by_power = [], {}
+    for index, spec in enumerate(specs):
+        power = received_power(spec)
+        if isinstance(spec.scheme, ST):
+            st.append((index, power.p_linear))
+        else:
+            by_power.setdefault(power, []).append(index)
+    return _Group(
+        tuple(specs),
+        max(spec.m_total for spec in specs),
+        tuple(st),
+        tuple((power, tuple(indices)) for power, indices in by_power.items()),
+    )
+
+
+def _group_chunks(group: _Group) -> range:
+    return _chunk_ranges(group.specs[0].trials, group.m_total)
+
+
+def _decode_chunk(group: _Group, start: int, count: int) -> list[np.ndarray]:
+    """Decoded counts for trials [start, start + count) of every spec of a
+    group, from one block of gains."""
+    specs = group.specs
+    phis = _sample_gain_block(group.m_total, specs[0].master_seed, start, count)
+    counts = [None] * len(specs)
+    for index, p_linear in group.st:
+        spec = specs[index]
+        counts[index] = schemes.st_counts(phis[:, : spec.m_total], p_linear, spec.rate_r)
+    for power, indices in group.by_power:
+        decoded = _capacity_counts([specs[index] for index in indices], phis, power)
+        for index, spec_counts in zip(indices, decoded):
+            counts[index] = spec_counts
+    return counts
+
+
+def _capacity_counts(specs, phis: np.ndarray, power: PowerBudget) -> list[np.ndarray]:
+    """Decoded counts of specs of one received power that decode from the
+    capacities, each from its [:, :M] prefix of the gains `phis`."""
     caps = capacities(phis, power)
-    return _CAPACITY_KERNELS[type(scheme)](caps, spec.rate_r, scheme)
+    return [
+        _CAPACITY_KERNELS[type(spec.scheme)](caps[:, : spec.m_total], spec.rate_r, spec.scheme)
+        for spec in specs
+    ]
 
 
 def _chunk_ranges(trials: int, m_total: int) -> range:
@@ -184,19 +237,38 @@ def _chunk_ranges(trials: int, m_total: int) -> range:
     return range(0, trials, max(1, min(4096, _CHUNK_ELEMENTS // m_total)))
 
 
-def _chunk_histogram(spec: ExperimentSpec, start: int, count: int) -> np.ndarray:
-    return np.bincount(_decode_chunk(spec, start, count), minlength=spec.m_total + 1)
+def _chunk_histogram(group: _Group, start: int, count: int, hists: list[np.ndarray]):
+    """Add the decoded counts of trials [start, start + count) of every spec
+    of a group into that spec's histogram in `hists`."""
+    for hist, spec_counts in zip(hists, _decode_chunk(group, start, count)):
+        hist += np.bincount(spec_counts, minlength=len(hist))
 
 
-def _task_histogram(task) -> np.ndarray:
-    """Summed histogram of chunks [first, end) of a resolved spec; a task is
-    the compact tuple (spec, first, end)."""
-    spec, first, end = task
-    starts = _chunk_ranges(spec.trials, spec.m_total)[first:end]
-    hist = np.zeros(spec.m_total + 1, dtype=np.int64)
+def _task_histogram(task) -> list[tuple[int, np.ndarray]]:
+    """Summed histograms, one per spec, of chunks [first, end) of a group;
+    a task is the compact tuple (group, first, end).
+
+    Each histogram comes as its span (m, bins): the bins of decoded counts
+    m, m + 1, ..., from its first nonzero bin to its last, so that a pool
+    task sends back little more than the counts it saw.  (All M + 1 bins of
+    fig4's 22 specs at M = 2000 raised the parent's peak RSS by 1.3 MB.)
+    """
+    group, first, end = task
+    starts = _group_chunks(group)[first:end]
+    trials = group.specs[0].trials
+    hists = [np.zeros(spec.m_total + 1, dtype=np.int64) for spec in group.specs]
     for start in starts:
-        hist += _chunk_histogram(spec, start, min(starts.step, spec.trials - start))
-    return hist
+        _chunk_histogram(group, start, min(starts.step, trials - start), hists)
+    spans = []
+    for hist in hists:
+        nonzero = np.flatnonzero(hist)
+        spans.append((int(nonzero[0]), hist[nonzero[0] : nonzero[-1] + 1]))
+    return spans
+
+
+def _add_span(hist: np.ndarray, span: tuple[int, np.ndarray]):
+    low, bins = span
+    hist[low : low + len(bins)] += bins
 
 
 def _resolved(spec: ExperimentSpec) -> ExperimentSpec:
@@ -209,11 +281,11 @@ def decode_counts(spec: ExperimentSpec) -> np.ndarray:
     Mainly for paired per-trial comparisons (e.g. checking that no scheme
     ever beats the informed bound on the same realization).
     """
-    spec = _resolved(spec)
-    starts = _chunk_ranges(spec.trials, spec.m_total)
-    return np.concatenate(
-        [_decode_chunk(spec, start, min(starts.step, spec.trials - start)) for start in starts]
-    )
+    group = _group([_resolved(spec)])
+    starts = _group_chunks(group)
+    return np.concatenate([
+        _decode_chunk(group, start, min(starts.step, spec.trials - start))[0] for start in starts
+    ])
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
@@ -223,40 +295,54 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     for any chunking; run_specs([spec], workers)[0] is the same result from a
     process pool.
     """
-    spec = _resolved(spec)
-    chunks = len(_chunk_ranges(spec.trials, spec.m_total))
-    return _result_from_histogram(_task_histogram((spec, 0, chunks)), spec)
+    group = _group([_resolved(spec)])
+    spec = group.specs[0]
+    hist = np.zeros(spec.m_total + 1, dtype=np.int64)
+    _add_span(hist, _task_histogram((group, 0, len(_group_chunks(group))))[0])
+    return _result_from_histogram(hist, spec)
 
 
 def run_specs(specs, workers: int = 1) -> list[ExperimentResult]:
     """run_experiment of every spec, in order, with one process pool for all.
 
     Every spec is resolved first, so a failing resolution starts no pool.  At
-    workers > 1 one pool of min(workers, CPUs) processes runs the chunk tasks
-    of every spec, made lazily with at most two per process in flight; each
-    task's histogram is added into its spec's, and the results are built once
-    the pool has closed.  Seeds and chunking are each spec's own, so each
-    result equals run_experiment's.  At workers == 1, or with a single chunk
-    in all, every spec runs through run_experiment in this process.
+    workers == 1 every spec runs through run_experiment in this process.  At
+    workers > 1 the specs are grouped by (master_seed, trials), and one pool
+    of min(workers, CPUs) processes runs the chunk tasks of every group, made
+    lazily with at most two per process in flight.  A task samples each
+    chunk's gains once for its whole group (see _Group) and returns the
+    span of one histogram per spec, which is added into that spec's; the
+    results are built once the pool has closed.  Histograms are integer sums, so each
+    result equals run_experiment's.  No specs, or one spec of a single
+    chunk, run through run_experiment too.
     """
     specs = [_resolved(spec) for spec in specs]
-    chunks = [len(_chunk_ranges(spec.trials, spec.m_total)) for spec in specs]
-    if workers <= 1 or sum(chunks) <= 1:
+    members = {}
+    for index, spec in enumerate(specs):
+        members.setdefault((spec.master_seed, spec.trials), []).append(index)
+    groups = [_group([specs[index] for index in indices]) for indices in members.values()]
+    chunks = [len(_group_chunks(group)) for group in groups]
+    if workers <= 1 or (len(specs) <= 1 and sum(chunks) <= 1):
         return [run_experiment(spec) for spec in specs]
     # the fork start method forks every process of the pool at its first task
     workers = min(workers, os.cpu_count() or 1)
 
     def tasks():
-        for index, (spec, count) in enumerate(zip(specs, chunks)):
+        for index, (group, count) in enumerate(zip(groups, chunks)):
             size = -(-count // (_TASKS_PER_WORKER * workers))
             for first in range(0, count, size):
-                yield index, (spec, first, min(first + size, count))
+                yield index, (group, first, min(first + size, count))
 
-    hists = [np.zeros(spec.m_total + 1, dtype=np.int64) for spec in specs]
+    hists = [[np.zeros(spec.m_total + 1, dtype=np.int64) for spec in group.specs] for group in groups]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for index, hist in _completed(pool, tasks(), 2 * workers):
-            hists[index] += hist
-    return [_result_from_histogram(hist, spec) for hist, spec in zip(hists, specs)]
+        for index, spans in _completed(pool, tasks(), 2 * workers):
+            for hist, span in zip(hists[index], spans):
+                _add_span(hist, span)
+    results = [None] * len(specs)
+    for indices, group_hists in zip(members.values(), hists):
+        for index, hist in zip(indices, group_hists):
+            results[index] = _result_from_histogram(hist, specs[index])
+    return results
 
 
 def _completed(pool, tasks, limit: int):
@@ -295,25 +381,18 @@ def _result_from_histogram(hist: np.ndarray, spec: ExperimentSpec) -> Experiment
 # ---------------------------------------------------------------------------
 
 
-def derive_seed(master_seed: int, index: int) -> int:
-    """Independent 64-bit child seed for sweep point `index`.
-
-    Both arguments must be integers (numpy integers included), master_seed
-    in [0, 2**64) and index non-negative; anything else raises ValueError.
-    """
-    try:
-        master_seed, index = operator.index(master_seed), operator.index(index)
-    except TypeError:
-        raise ValueError("master_seed and index must be integers") from None
-    if not 0 <= master_seed < 2**64:
-        raise ValueError("master_seed must fit in 64 bits")
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
-    return int(ss.generate_state(1, np.uint64)[0])
+def _int_value(axis: str, value) -> int:
+    """A value of an integer sweep axis as an int; a float is refused, not
+    truncated, and a bool, as the spec's own checks refuse it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{axis} sweep values must be integers, not {value!r}")
+    return int(value)
 
 
 def sweep_specs(base: ExperimentSpec, axis: str, values) -> list[ExperimentSpec]:
-    """The experiments of a sweep: point i sets `axis` to values[i] and is
-    seeded derive_seed(base.master_seed, i)."""
+    """The experiments of a sweep: point i sets `axis` to values[i].  Every
+    point keeps base.master_seed, so the points share their gains trial by
+    trial (common random numbers) and a pooled run samples them once."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     if axis == "window" and not isinstance(base.scheme, GTS):
@@ -321,20 +400,16 @@ def sweep_specs(base: ExperimentSpec, axis: str, values) -> list[ExperimentSpec]
     if axis == "distance" and base.distance is None:
         raise ValueError("distance sweep needs a base (distance, path_loss) pair")
     specs = []
-    for index, value in enumerate(values):
+    for value in values:
         if axis in INT_AXES:
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{axis} sweep values must be integers, not {value!r}")
-            value = int(value)
+            value = _int_value(axis, value)
         if axis == "window":
             change = {"scheme": GTS(window=value)}
         elif axis == "distance":
             change = {"distance": (float(value), base.distance[1])}
         else:
             change = {axis: value if axis in INT_AXES else float(value)}
-        specs.append(
-            dataclasses.replace(base, **change, master_seed=derive_seed(base.master_seed, index))
-        )
+        specs.append(dataclasses.replace(base, **change))
     return specs
 
 
@@ -354,7 +429,9 @@ def optimal_window(
 
     Ties break toward the smaller window.
     """
-    candidates = sorted(set(candidates))
+    # every candidate is checked before deduplication, which would keep
+    # whichever of 5 and 5.0 came first
+    candidates = sorted({_int_value("window", window) for window in candidates})
     if not candidates:
         raise ValueError("candidates must be non-empty")
     if candidates[0] < 1 or candidates[-1] > base.m_total:
@@ -362,5 +439,5 @@ def optimal_window(
     best = None
     for window, result in sweep(base, "window", candidates, workers=workers):
         if best is None or result.mean_rate > best[1].mean_rate:
-            best = (int(window), result)
+            best = (window, result)
     return best

@@ -83,3 +83,19 @@ def test_probe_reports_the_scipy_version_from_a_fresh_interpreter():
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout.splitlines()[-1])
     assert report["versions"]["scipy"]
+
+
+def test_pool_traced_cli_run_starts_one_pool_for_its_grouped_tasks(tmp_path, monkeypatch):
+    """child.py's pool mode wraps engine.ProcessPoolExecutor; a pooled fig4
+    run, one (seed, trials) group of 22 specs, must start its one pool
+    through that name."""
+    child = load_child()
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", engine.ProcessPoolExecutor)
+    tracer = child.Tracer()
+    child.install(tracer, "pool")
+    out = str(tmp_path / "out")
+    assert cli.main(["--preset", "fig4", "--trials", "4", "--workers", "2", "--out", out]) == 0
+    summary = tracer.summary()
+    assert summary["calls"] == {"engine.pool_starts": 1}
+    assert summary["total"]["engine.pool"] > 0.0
+    assert summary["problems"] == []

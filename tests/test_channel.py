@@ -19,6 +19,8 @@ from fadestream.channel import (
     sample_realization,
     trial_stream,
 )
+from fadestream.analytic import mt_success_prob
+from fadestream.schemes import GTS
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +42,37 @@ def test_power_budget_rejects_nonpositive():
         PowerBudget(-1.0)
     with pytest.raises(ValueError):
         PowerBudget.from_db(4000.0)  # 10**400 overflows a float
+
+
+@pytest.mark.parametrize("value", ["1", None, True, 1j, np.array([1.0]), 10**400])
+def test_power_and_rate_checks_refuse_non_numbers_with_value_error(value):
+    """Not a finite real number: ValueError from every shared check, never
+    numpy's TypeError from a finiteness test."""
+    with pytest.raises(ValueError):
+        PowerBudget(value)
+    with pytest.raises(ValueError):
+        PowerBudget.from_db(value)
+    with pytest.raises(ValueError):
+        effective_power(PowerBudget(1.0), value, 3.0)
+    with pytest.raises(ValueError):
+        channel._check_rate(value)
+    with pytest.raises(ValueError):
+        mt_success_prob(PowerBudget(1.0), value)
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, 2.0, "2", None])
+def test_count_check_refuses_bools_and_non_integers(value):
+    with pytest.raises(ValueError, match="blocks must be an integer >= 1"):
+        channel._check_count("blocks", value)
+    with pytest.raises(ValueError):
+        GTS(window=value)
+
+
+def test_shared_checks_take_numpy_numbers():
+    channel._check_count("blocks", np.int64(3))
+    channel._check_rate(np.float32(0.5))
+    assert PowerBudget(np.float64(2.0)).p_linear == 2.0
+    assert PowerBudget.from_db(np.int64(0)).p_linear == 1.0
 
 
 def test_realization_validation():

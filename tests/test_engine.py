@@ -20,7 +20,6 @@ from fadestream.channel import (
 from fadestream.engine import (
     ExperimentSpec,
     decode_counts,
-    derive_seed,
     optimal_window,
     received_power,
     resolve_scheme,
@@ -291,6 +290,15 @@ def test_spec_validation_rejects_bad_inputs():
     for field, value in (("m_total", 4.5), ("m_total", 4.0), ("trials", 2.5), ("master_seed", 1.5)):
         with pytest.raises(ValueError):
             make_spec(**{field: value})
+    # a bool is not a count, and a string or None is not a number: ValueError,
+    # not a one-block spec or numpy's TypeError
+    for field, value in (
+        ("m_total", True), ("trials", True), ("master_seed", True), ("power_db", "2"),
+        ("power_db", None), ("rate_r", None), ("rate_r", "1"), ("rate_r", 10**400),
+        ("distance", ("4", 3.0)),
+    ):
+        with pytest.raises(ValueError):
+            make_spec(**{field: value})
     assert make_spec(m_total=np.int64(4), trials=np.int32(5), master_seed=np.uint64(3)).m_total == 4
 
 
@@ -342,6 +350,79 @@ def test_run_specs_matches_per_spec_runs(counting_pool):
             assert a.rate_se == b.rate_se
             assert a.scheme == b.scheme
     assert expected[2].scheme.m_prime == 67  # aje resolved
+
+
+def one_group_of_specs():
+    """Specs that share (master_seed, trials): M = 1..100, two powers and a
+    distance point (a third received power), st, aje, gts and informed."""
+    specs = [make_spec(scheme=JE(), m_total=m, power_db=2.0, trials=300) for m in range(1, 101)]
+    for power_db in (2.0, 20.0):
+        specs += [
+            make_spec(scheme=scheme, m_total=m, power_db=power_db, trials=300)
+            for m in (1, 7, 50, 100)
+            for scheme in (MT(), AJE(), TS(), GTS(window=1), ST(), InformedBound())
+        ]
+    specs += [
+        make_spec(scheme=scheme, m_total=60, power_db=20.0, trials=300, distance=(4.0, 3.0))
+        for scheme in (JE(), AJE(), GTS(window=10), ST())
+    ]
+    specs.append(make_spec(scheme=AJE(m_prime=30), m_total=100, power_db=20.0, rate_r=8.0, trials=300))
+    return specs
+
+
+def test_pooled_group_matches_the_serial_runs_exactly(counting_pool, monkeypatch):
+    """One group decoded from shared gains gives each spec its own run's
+    result, bit for bit, whatever each spec's M and power."""
+    monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", 1000)  # 10 trials per chunk at M = 100
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    specs = one_group_of_specs()
+    serial = run_specs(specs, 1)
+    assert counting_pool.starts == 0
+    pooled = run_specs(specs, 2)
+    assert counting_pool.starts == 1
+    # 30 chunks at the group's largest M, in 4 tasks per pool process
+    assert counting_pool.submits == 8
+    for a, b in zip(pooled, serial, strict=True):
+        assert a.cmf.tolist() == b.cmf.tolist()
+        assert (a.mean_rate, a.rate_se, a.scheme) == (b.mean_rate, b.rate_se, b.scheme)
+
+
+def test_a_group_task_samples_once_and_computes_capacities_once_per_power(monkeypatch):
+    specs = [engine._resolved(spec) for spec in one_group_of_specs()]
+    group = engine._group(specs)
+    chunks = engine._chunk_ranges(300, 100)
+    assert group.m_total == 100 and len(chunks) == 2
+    calls = {"sample": [], "capacities": []}
+    sample, caps = engine._sample_gain_block, engine.capacities
+
+    def counted_sample(m_total, *args):
+        calls["sample"].append(m_total)
+        return sample(m_total, *args)
+
+    def counted_capacities(phis, power):
+        calls["capacities"].append(power.p_linear)
+        return caps(phis, power)
+
+    monkeypatch.setattr(engine, "_sample_gain_block", counted_sample)
+    monkeypatch.setattr(engine, "capacities", counted_capacities)
+    spans = engine._task_histogram((group, 0, len(chunks)))
+    assert calls["sample"] == [100] * len(chunks)
+    powers = {received_power(spec).p_linear for spec in specs}
+    assert len(powers) == 3
+    assert len(calls["capacities"]) == 3 * len(chunks)
+    assert set(calls["capacities"]) == powers
+    for (low, bins), spec in zip(spans, specs, strict=True):
+        assert int(bins.sum()) == 300 and bins[0] > 0 and bins[-1] > 0
+        assert 0 <= low and low + len(bins) <= spec.m_total + 1
+
+
+def test_a_group_of_st_specs_computes_no_capacities(monkeypatch):
+    def refused(*args):
+        raise AssertionError("capacities called")
+
+    monkeypatch.setattr(engine, "capacities", refused)
+    group = engine._group([make_spec(scheme=ST(), m_total=m, trials=50) for m in (3, 12)])
+    assert [int(bins.sum()) for _, bins in engine._task_histogram((group, 0, 1))] == [50, 50]
 
 
 def test_pooled_runs_keep_at_most_two_tasks_per_worker_in_flight(counting_pool, monkeypatch):
@@ -422,31 +503,22 @@ def test_sweep_rejects_unknown_or_inapplicable_axis():
         sweep_specs(make_spec(), "m_total", [4.0])
     with pytest.raises(ValueError):
         sweep_specs(make_spec(scheme=GTS(window=1)), "window", [2.9])
+    with pytest.raises(ValueError):
+        sweep_specs(make_spec(scheme=GTS(window=1)), "window", [True])
+    with pytest.raises(ValueError):
+        sweep_specs(make_spec(), "m_total", [True])
     specs = sweep_specs(make_spec(scheme=GTS(window=1)), "window", [np.int64(2)])
     assert type(specs[0].scheme.window) is int
     assert type(sweep_specs(make_spec(), "m_total", [np.int64(4)])[0].m_total) is int
 
 
-@pytest.mark.parametrize(
-    "master_seed, index",
-    [(1.5, 0), (1, 2.5), (1.0, 0), (1, 2.0), ("1", 0), (1, None), (-1, 0), (2**64, 0), (1, -1)],
-)
-def test_derive_seed_rejects_bad_arguments(master_seed, index):
-    """ValueError, as trial_stream gives: a float is refused, not truncated."""
-    with pytest.raises(ValueError):
-        derive_seed(master_seed, index)
-
-
-def test_derive_seed_takes_numpy_integers():
-    assert derive_seed(np.uint64(2**64 - 1), np.int64(3)) == derive_seed(2**64 - 1, 3)
-    assert derive_seed(np.int32(7), np.uint8(0)) == derive_seed(7, 0)
-
-def test_sweep_uses_independent_derived_seeds():
-    assert derive_seed(7, 0) != derive_seed(7, 1)
+def test_sweep_points_share_the_base_seed():
+    """Common random numbers: every point of a sweep draws the same gains,
+    so the same operating point twice gives the same estimate."""
     base = make_spec(scheme=MT(), trials=4000)
+    assert {s.master_seed for s in sweep_specs(base, "power_db", [1.44, 2.0])} == {7}
     results = sweep(base, "power_db", [1.44, 1.44])
-    # same operating point, different derived seed: estimates differ slightly
-    assert results[0][1].mean_rate != results[1][1].mean_rate
+    assert results[0][1].cmf.tolist() == results[1][1].cmf.tolist()
 
 
 @pytest.mark.parametrize(
@@ -462,11 +534,11 @@ def test_sweep_uses_independent_derived_seeds():
 def test_sweep_runs_the_specs_it_lists(axis, base, values, field):
     specs = sweep_specs(base, axis, values)
     assert [field(s) for s in specs] == values
-    assert [s.master_seed for s in specs] == [derive_seed(base.master_seed, i) for i in range(2)]
+    assert [s.master_seed for s in specs] == [base.master_seed] * 2
     swept = {"window": "scheme"}.get(axis, axis)
     for spec in specs:
         for f in dataclasses.fields(base):
-            if f.name not in (swept, "master_seed"):
+            if f.name != swept:
                 assert getattr(spec, f.name) == getattr(base, f.name)
     for (value, result), spec in zip(sweep(base, axis, values), specs):
         assert result.cmf.tolist() == run_experiment(spec).cmf.tolist()
@@ -524,6 +596,13 @@ def test_optimal_window_rejects_bad_candidates():
         optimal_window(base, [5, 13])
     with pytest.raises(ValueError):
         optimal_window(base, [2.7])  # as sweep(base, "window", [2.7]) refuses it
+
+
+@pytest.mark.parametrize("candidates", [[5, 5.0], [5.0, 5]], ids=["int-first", "float-first"])
+def test_optimal_window_refuses_a_float_in_either_order(candidates):
+    base = make_spec(scheme=GTS(window=1), m_total=12, trials=50)
+    with pytest.raises(ValueError, match="not 5.0"):
+        optimal_window(base, candidates)
 
 
 def test_optimal_window_prefers_full_window_below_capacity():
