@@ -9,14 +9,14 @@ other means than running a decoder:
 * prefix_sum_rate_mc - the joint-encoding average rate from the prefix-sum
   identity E[n_d] = sum_m Pr{cap[1] + ... + cap[m] >= m R}, estimated on
   the engine's trial streams, with its standard error;
-* je_pmf_exact_smallM - the exact joint-encoding pmf by nested quadrature
-  for up to three blocks.
+* je_pmf_exact_smallM - the exact joint-encoding pmf for up to three blocks,
+  from Spitzer's identity and nested quadrature of the capacity-sum tails.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy  # scipy.special loads on first use, in mt_pmf_exact
 
 from .channel import LN2, PowerBudget, QuadratureError, _check_count, _check_rate, capacities
 from .engine import _chunk_ranges, _sample_gain_block
@@ -58,7 +58,7 @@ def mt_success_prob(power: PowerBudget, rate_r: float) -> float:
     tail exp(-(2^R - 1) / P) of the Rayleigh gain.
     """
     _check_rate(rate_r)
-    return float(np.exp(-(2.0**rate_r - 1.0) / power.p_linear))
+    return _capacity_tail(rate_r, power.p_linear)
 
 
 def mt_pmf_exact(m_total: int, p: float) -> DecodeCountPmf:
@@ -71,8 +71,8 @@ def mt_pmf_exact(m_total: int, p: float) -> DecodeCountPmf:
         probs = np.zeros(m_total + 1)
         probs[m_total if p == 1.0 else 0] = 1.0
         return DecodeCountPmf(probs=probs)
-    gammaln = scipy.special.gammaln
-    log_comb = gammaln(m_total + 1) - gammaln(m + 1) - gammaln(m_total - m + 1)
+    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(m_total + 1)])
+    log_comb = log_factorial[m_total] - log_factorial - log_factorial[::-1]
     log_probs = log_comb + m * np.log(p) + (m_total - m) * np.log1p(-p)
     return DecodeCountPmf(probs=np.exp(log_probs))
 
@@ -121,83 +121,37 @@ def _capacity_pdf(c, p_linear):
     return LN2 * 2.0**c / p_linear * np.exp(-g)
 
 
-def _capacity_cdf(c, p_linear):
-    if c <= 0.0:
-        return 0.0
-    return 1.0 - float(np.exp(-(2.0**c - 1.0) / p_linear))
-
-
 def _capacity_tail(c, p_linear):
+    """Pr{log2(1 + phi P) > c}: the exponential tail of the Rayleigh gain."""
     if c <= 0.0:
         return 1.0
     return float(np.exp(-(2.0**c - 1.0) / p_linear))
 
 
-def _quad(f, lo, hi, tol, points=()):
+def _quad(f, lo, hi, tol):
     # imported here: scipy.integrate is only needed by je_pmf_exact_smallM,
     # and importing it at start-up would cost every run about 25 MB
     from scipy.integrate import quad
 
-    inner = [x for x in points if lo < x < hi]
-    value, abserr = quad(f, lo, hi, epsabs=tol, limit=200, points=inner or None)
-    if abserr > 10.0 * tol + 1e-12:
+    value, abserr = quad(f, lo, hi, epsabs=tol, limit=200)
+    if abserr > 10.0 * tol:
         raise QuadratureError(f"nested quadrature error {abserr:.2e} at tolerance {tol:.2e}")
     return value
 
 
-def _decode_block_prob(m, p_linear, r, tol, c_max):
-    """Pr{suffix sums over the last i of m blocks all reach i R, i = 1..m}."""
-    if m == 0:
-        return 1.0
-    if m == 1:
-        return _capacity_tail(r, p_linear)
-    if m == 2:
-        return _quad(
-            lambda x2: _capacity_pdf(x2, p_linear)
-            * _capacity_tail(max(2.0 * r - x2, 0.0), p_linear),
-            r,
-            c_max,
-            tol,
-            points=(2.0 * r,),
-        )
+def _sum_tail(j, y, p_linear, tol):
+    """Pr{C_1 + ... + C_j > y} for i.i.d. block capacities.
 
-    def inner(x3):
-        lo = max(2.0 * r - x3, 0.0)
-        return _quad(
-            lambda x2: _capacity_pdf(x2, p_linear)
-            * _capacity_tail(max(3.0 * r - x3 - x2, 0.0), p_linear),
-            lo,
-            c_max,
-            tol / 10.0,
-            points=(3.0 * r - x3,),
-        )
+    Either C_1 alone exceeds y, or C_1 = c <= y and the other j - 1 blocks
+    exceed y - c; so each block adds one level of quadrature.
+    """
+    if j == 1 or y <= 0.0:
+        return _capacity_tail(y, p_linear)
 
-    return _quad(lambda x3: _capacity_pdf(x3, p_linear) * inner(x3), r, c_max, tol)
+    def first_block(c):
+        return _capacity_pdf(c, p_linear) * _sum_tail(j - 1, y - c, p_linear, tol / 10.0)
 
-
-def _fail_block_prob(j, p_linear, r, tol):
-    """Pr{prefix sums over the first i of j blocks all fall short of i R}."""
-    if j == 0:
-        return 1.0
-    if j == 1:
-        return _capacity_cdf(r, p_linear)
-    if j == 2:
-        return _quad(
-            lambda y1: _capacity_pdf(y1, p_linear) * _capacity_cdf(2.0 * r - y1, p_linear),
-            0.0,
-            r,
-            tol,
-        )
-
-    def inner(y1):
-        return _quad(
-            lambda y2: _capacity_pdf(y2, p_linear) * _capacity_cdf(3.0 * r - y1 - y2, p_linear),
-            0.0,
-            2.0 * r - y1,
-            tol / 10.0,
-        )
-
-    return _quad(lambda y1: _capacity_pdf(y1, p_linear) * inner(y1), 0.0, r, tol)
+    return _quad(first_block, 0.0, y, tol) + _capacity_tail(y, p_linear)
 
 
 # absolute tolerance of je_pmf_exact_smallM's nested quadrature
@@ -205,26 +159,25 @@ _JE_PMF_TOL = 1e-5
 
 
 def je_pmf_exact_smallM(m_total: int, power: PowerBudget, rate_r: float) -> DecodeCountPmf:
-    """Exact joint-encoding decode-count pmf by nested quadrature, M <= 3.
+    """Exact joint-encoding decode-count pmf from Spitzer's identity, M <= 3.
 
-    The probability of decoding exactly m messages factorizes (the blocks
-    are independent) into a decodable part over blocks 1..m and a
-    non-decodable part over blocks m+1..M; each factor is integrated against
-    the capacity density.  The nesting depth grows with M, so larger
-    deadlines are out of scope.
+    The decoded count is the last argmax of the walk S_m = C_1 + ... + C_m
+    - m R (je_counts), whose steps are i.i.d. and continuous.  So (Spitzer,
+    Trans. AMS 82, 1956; Feller Vol. II, XII.7) Pr{count = m} = a_m b_{M-m},
+    where a_n is the probability that every suffix sum of n steps is
+    positive (the first n messages decode) and b_n that every prefix sum is
+    not (none of the next n do).  With p_j = Pr{S_j > 0} and a_0 = b_0 = 1,
+        n a_n = sum_{j<=n} p_j a_{n-j},  n b_n = sum_{j<=n} (1 - p_j) b_{n-j}.
+    Each p_j nests j - 1 quadratures (_sum_tail), so larger deadlines are
+    out of scope.
     """
     if m_total not in (1, 2, 3):
         raise ValueError("exact pmf quadrature supports m_total in {1, 2, 3} only")
     _check_rate(rate_r)
-    p = power.p_linear
-    # capacity tail mass beyond c_max is < 1e-13
-    c_max = float(np.log2(1.0 + p * np.log(1e13)))
-    inner_tol = _JE_PMF_TOL / 20.0
-    probs = np.array(
-        [
-            _decode_block_prob(m, p, rate_r, inner_tol, c_max)
-            * _fail_block_prob(m_total - m, p, rate_r, inner_tol)
-            for m in range(m_total + 1)
-        ]
-    )
-    return DecodeCountPmf(probs=probs)
+    tol = _JE_PMF_TOL / 20.0
+    p = [None] + [_sum_tail(j, j * rate_r, power.p_linear, tol) for j in range(1, m_total + 1)]
+    a, b = [1.0], [1.0]
+    for n in range(1, m_total + 1):
+        a.append(sum(p[j] * a[n - j] for j in range(1, n + 1)) / n)
+        b.append(sum((1.0 - p[j]) * b[n - j] for j in range(1, n + 1)) / n)
+    return DecodeCountPmf(probs=np.array([a[m] * b[m_total - m] for m in range(m_total + 1)]))

@@ -275,17 +275,22 @@ def _resolved(spec: ExperimentSpec) -> ExperimentSpec:
     return dataclasses.replace(spec, scheme=resolve_scheme(spec))
 
 
-def decode_counts(spec: ExperimentSpec) -> np.ndarray:
-    """Per-trial decoded counts in trial order.
+def decode_counts(specs) -> list[np.ndarray]:
+    """Per-trial decoded counts in trial order, one array per spec.
 
-    Mainly for paired per-trial comparisons (e.g. checking that no scheme
-    ever beats the informed bound on the same realization).
+    The specs must share (master_seed, trials), and each chunk's gains are
+    sampled once for all of them (see _Group).  Mainly for paired per-trial
+    comparisons (e.g. checking that no scheme ever beats the informed bound
+    on the same realization).
     """
-    group = _group([_resolved(spec)])
+    specs = [_resolved(spec) for spec in specs]
+    if len({(spec.master_seed, spec.trials) for spec in specs}) != 1:
+        raise ValueError("decode_counts needs specs that share one (master_seed, trials)")
+    group = _group(specs)
     starts = _group_chunks(group)
-    return np.concatenate([
-        _decode_chunk(group, start, min(starts.step, spec.trials - start))[0] for start in starts
-    ])
+    trials = group.specs[0].trials
+    chunks = [_decode_chunk(group, start, min(starts.step, trials - start)) for start in starts]
+    return [np.concatenate(spec_counts) for spec_counts in zip(*chunks)]
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
@@ -313,8 +318,8 @@ def run_specs(specs, workers: int = 1) -> list[ExperimentResult]:
     chunk's gains once for its whole group (see _Group) and returns the
     span of one histogram per spec, which is added into that spec's; the
     results are built once the pool has closed.  Histograms are integer sums, so each
-    result equals run_experiment's.  No specs, or one spec of a single
-    chunk, run through run_experiment too.
+    result equals run_experiment's.  No specs, or specs of a single chunk
+    in all, run through run_experiment too.
     """
     specs = [_resolved(spec) for spec in specs]
     members = {}
@@ -322,7 +327,7 @@ def run_specs(specs, workers: int = 1) -> list[ExperimentResult]:
         members.setdefault((spec.master_seed, spec.trials), []).append(index)
     groups = [_group([specs[index] for index in indices]) for indices in members.values()]
     chunks = [len(_group_chunks(group)) for group in groups]
-    if workers <= 1 or (len(specs) <= 1 and sum(chunks) <= 1):
+    if workers <= 1 or sum(chunks) <= 1:
         return [run_experiment(spec) for spec in specs]
     # the fork start method forks every process of the pool at its first task
     workers = min(workers, os.cpu_count() or 1)

@@ -412,9 +412,9 @@ def _st_step(m_total: int) -> int:
     Those rows cost about M^2 / (2B) block terms per trial, and the rows
     that their bounds leave in between grow with B; sqrt(M) balances the
     two (measured: within noise from B = 7 to 14 at M = 100 and from 32 to
-    45 at M = 2000).  Below M = 20 the bounds save at most a few percent.
+    45 at M = 2000).  At M <= 2, B = 1 and there are no rows in between.
     """
-    return 1 if m_total < 20 else round(m_total**0.5)
+    return round(m_total**0.5)
 
 
 def _st_bound_weights(step: int) -> np.ndarray:
@@ -505,12 +505,10 @@ def st_counts(phis: np.ndarray, p_linear: float, rate_r: float) -> np.ndarray:
     coarse = range(0, m_total + 1, step)
     # log sums (natural log) of the rows 0, B, 2B, ...; 0.0 where not evaluated,
     # as in the last column, row len(coarse) * B > M
-    sums = np.zeros((trials, len(coarse) + 1)) if step > 1 else None
+    sums = np.zeros((trials, len(coarse) + 1))
     terms = per_message * t
-    row_sum = np.log1p(terms, out=terms).sum(axis=1)
-    best = row_sum / LN2  # key row 0
-    if step > 1:
-        sums[:, 0] = row_sum
+    sums[:, 0] = np.log1p(terms, out=terms).sum(axis=1)
+    best = sums[:, 0] / LN2  # key row 0
     anchor = np.zeros(trials, dtype=np.int64)
     counts = np.zeros(trials, dtype=np.int64)
     minimum = np.empty(trials)  # best, for every trial
@@ -528,15 +526,12 @@ def st_counts(phis: np.ndarray, p_linear: float, rate_r: float) -> np.ndarray:
         terms *= t[: m_total - j]
         row_sum = np.log1p(terms, out=terms).sum(axis=1)
         key = row_sum / LN2 + rate_r * j
-        if step > 1:
-            sums[running, row] = row_sum
+        sums[running, row] = row_sum
         # <= moves the anchor to the last index attaining the running minimum
         improved = key <= best
         anchor[improved] = j
         best[improved] = key[improved]
     counts[running], minimum[running] = anchor, best
-    if step == 1:
-        return counts
     weights = _st_bound_weights(step)
     limit = minimum + _ST_MARGIN * (sums[:, 0] / LN2 + minimum)
     # log sums of the rows in between that are evaluated; +inf elsewhere

@@ -1,18 +1,20 @@
 """Analytic quantities vs their Monte Carlo and quadrature counterparts."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import dblquad, quad
 
+from fadestream import analytic
 from fadestream.analytic import (
     je_pmf_exact_smallM,
     mt_pmf_exact,
     mt_success_prob,
     prefix_sum_rate_mc,
 )
-from fadestream.channel import PowerBudget, trial_stream
+from fadestream.channel import PowerBudget, QuadratureError, trial_stream
 from fadestream.engine import ExperimentSpec, decode_counts, run_experiment
 from fadestream.schemes import JE, TS, je_counts, mt_counts
 
@@ -159,12 +161,12 @@ def test_prefix_identity_holds_per_trial_in_expectation():
         trials=trials,
         master_seed=seed,
     )
-    counts = decode_counts(spec)
+    (counts,) = decode_counts([spec])
     assert counts.mean() == pytest.approx(est * m_total, abs=4.0 * np.sqrt(m_total / trials))
 
 
 # ---------------------------------------------------------------------------
-# exact small-deadline pmf by nested quadrature
+# exact small-deadline pmf from Spitzer's identity
 # ---------------------------------------------------------------------------
 
 
@@ -199,6 +201,55 @@ def test_je_pmf_matches_monte_carlo_histogram(m_total):
 def test_je_pmf_rejects_unsupported_inputs():
     with pytest.raises(ValueError):
         je_pmf_exact_smallM(4, PowerBudget(1.0), 1.0)
+
+
+def _capacity_density(c, p_linear):
+    return math.log(2.0) * 2.0**c / p_linear * math.exp(-(2.0**c - 1.0) / p_linear)
+
+
+@pytest.mark.parametrize("db", [-3.0, 1.44, 20.0])
+def test_je_pmf_two_blocks_matches_a_direct_double_integral(db):
+    """Both messages decode iff c2 >= R and c1 + c2 >= 2R; none does iff
+    c1 < R and c1 + c2 < 2R.  Integrated directly over the two blocks'
+    densities, not through the tails of their sums."""
+    rate, p_linear = 1.0, PowerBudget.from_db(db).p_linear
+    top = math.log2(1.0 + p_linear * 60.0)  # density below e^-59 beyond it
+
+    def density(c2, c1):
+        return _capacity_density(c1, p_linear) * _capacity_density(c2, p_linear)
+
+    tol = dict(epsabs=1e-13, epsrel=1e-12)
+    # split at c1 = R, where the lower edge max(R, 2R - c1) of c2 has its kink
+    both = (
+        dblquad(density, 0.0, rate, lambda c1: 2.0 * rate - c1, top, **tol)[0]
+        + dblquad(density, rate, top, rate, top, **tol)[0]
+    )
+    none = dblquad(density, 0.0, rate, 0.0, lambda c1: 2.0 * rate - c1, **tol)[0]
+    probs = je_pmf_exact_smallM(2, PowerBudget.from_db(db), rate).probs
+    assert probs[2] == pytest.approx(both, abs=1e-9)
+    assert probs[0] == pytest.approx(none, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "db, rate, frozen",
+    [
+        (1.44, 1.0, [0.2967696438, 0.1800253934, 0.1951957170, 0.3280092486]),
+        (0.0, 1.0, [0.4720535665, 0.1932601552, 0.1530492029, 0.1816370641]),
+        (-3.0, 0.5, [0.3443492087, 0.1833874384, 0.1883009316, 0.2839624174]),
+        (20.0, 4.0, [0.0184768410, 0.0399997820, 0.1161190025, 0.8254043738]),
+    ],
+)
+def test_je_pmf_three_blocks_keeps_the_nested_block_integrals(db, rate, frozen):
+    """Values of the former hand-nested integrals of the decodable and
+    undecodable block probabilities, at tolerance 1e-5."""
+    probs = je_pmf_exact_smallM(3, PowerBudget.from_db(db), rate).probs
+    assert np.allclose(probs, frozen, rtol=0.0, atol=1e-7)
+
+
+def test_je_pmf_raises_when_the_quadrature_misses_its_tolerance(monkeypatch):
+    monkeypatch.setattr(analytic, "_JE_PMF_TOL", 1e-24)
+    with pytest.raises(QuadratureError):
+        je_pmf_exact_smallM(3, PowerBudget.from_db(2.0), 1.0)
 
 
 # ---------------------------------------------------------------------------

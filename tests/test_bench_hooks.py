@@ -94,7 +94,7 @@ def test_pool_traced_cli_run_starts_one_pool_for_its_grouped_tasks(tmp_path, mon
     tracer = child.Tracer()
     child.install(tracer, "pool")
     out = str(tmp_path / "out")
-    assert cli.main(["--preset", "fig4", "--trials", "4", "--workers", "2", "--out", out]) == 0
+    assert cli.main(["--preset", "fig4", "--trials", "16", "--workers", "2", "--out", out]) == 0
     summary = tracer.summary()
     assert summary["calls"] == {"engine.pool_starts": 1}
     assert summary["total"]["engine.pool"] > 0.0

@@ -504,7 +504,7 @@ assert "scipy" in sys.modules and "scipy.special" not in sys.modules
 out = sys.argv[1]
 aje = ["--scheme", "aje", "--blocks", "20", "--rate", "1", "--snr-db", "2", "--trials", "20"]
 assert cli.main(aje + ["--out", os.path.join(out, "aje.csv")]) == 0
-fig4 = ["--preset", "fig4", "--trials", "4", "--workers", "2"]
+fig4 = ["--preset", "fig4", "--trials", "16", "--workers", "2"]
 assert cli.main(fig4 + ["--out", os.path.join(out, "fig4.csv")]) == 0
 assert "scipy.integrate" not in sys.modules
 assert "scipy.special" not in sys.modules

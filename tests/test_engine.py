@@ -160,7 +160,7 @@ def test_aje_message_count_is_resolved_once_per_experiment(monkeypatch):
     spec = make_spec(scheme=AJE(), trials=9000, m_total=10)
     assert len(engine._chunk_ranges(spec.trials, spec.m_total)) == 6
     run_experiment(spec)
-    decode_counts(spec)
+    decode_counts([spec])
     run_specs([spec], 2)  # resolved in the parent, not per task
     assert len(calls) == 3
 
@@ -248,7 +248,7 @@ def test_results_do_not_depend_on_the_chunk_budget(monkeypatch, scheme):
     for budget, chunks in ((3 * 9, 234), (10**9, 1)):  # 3 trials per chunk; one chunk
         monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", budget)
         assert len(engine._chunk_ranges(spec.trials, spec.m_total)) == chunks
-        runs.append((run_experiment(spec), decode_counts(spec)))
+        runs.append((run_experiment(spec), decode_counts([spec])[0]))
     (small, small_counts), (large, large_counts) = runs
     assert np.array_equal(small.cmf, large.cmf)
     assert small.mean_rate == large.mean_rate
@@ -259,10 +259,33 @@ def test_results_do_not_depend_on_the_chunk_budget(monkeypatch, scheme):
 
 def test_decode_counts_matches_run_experiment():
     spec = make_spec(scheme=JE(), trials=5000, m_total=8)
-    counts = decode_counts(spec)
+    (counts,) = decode_counts([spec])
     res = run_experiment(spec)
     assert counts.mean() == pytest.approx(res.mean_decoded, rel=1e-12)
     assert np.array_equal(np.cumsum(np.bincount(counts, minlength=9)) / 5000, res.cmf)
+
+
+def test_decode_counts_of_a_group_equal_those_of_each_spec_alone():
+    """One sampled batch per chunk for specs of different M, power and
+    scheme gives each spec its own counts."""
+    specs = [
+        make_spec(scheme=JE(), trials=900, m_total=8),
+        make_spec(scheme=ST(), trials=900, m_total=5, power_db=0.0),
+        make_spec(scheme=GTS(window=3), trials=900, m_total=40),
+    ]
+    together = decode_counts(specs)
+    assert len(together) == len(specs)
+    for spec, counts in zip(specs, together):
+        assert np.array_equal(counts, decode_counts([spec])[0])
+
+
+@pytest.mark.parametrize("change", [{"master_seed": 8}, {"trials": 901}])
+def test_decode_counts_refuses_specs_of_different_groups(change):
+    spec = make_spec(scheme=JE(), trials=900, m_total=8)
+    with pytest.raises(ValueError):
+        decode_counts([spec, dataclasses.replace(spec, **change)])
+    with pytest.raises(ValueError):
+        decode_counts([])
 
 
 # ---------------------------------------------------------------------------

@@ -644,18 +644,19 @@ def test_st_counts_equal_the_row_scan_at_preset_and_extreme_powers(power_db, m_t
 
 @pytest.mark.parametrize(
     "m_total",
-    sorted({1, 2, 3, FIRST_PRUNED - 1, FIRST_PRUNED, FIRST_PRUNED + 1, 49, 50, 56, 100, 2000}),
+    sorted({1, FIRST_PRUNED - 1, FIRST_PRUNED, FIRST_PRUNED + 1, 19, 20, 21, 49, 50, 56, 100, 2000}),
 )
 @pytest.mark.parametrize("power_db, rate", [(2.0, 1.0), (20.0, 6.0)])
 def test_st_counts_equal_the_row_scan_at_any_deadline(m_total, power_db, rate):
-    """Across the switch to skipped rows, and with a last bracket that ends
-    at M (49 = 7^2, 56 = 8 x 7, 100 = 10^2) or short of it (50, 2000)."""
+    """Across the switch to skipped rows (B = 1 at M <= 2), at B = 4 and 5
+    (M = 19 to 21), and with a last bracket that ends at M (49 = 7^2,
+    56 = 8 x 7, 100 = 10^2) or short of it (50, 2000)."""
     counts = _assert_same_counts(_chunk_gains(m_total, m_total), power_db, rate)
     if m_total >= 50:
         assert 0 < counts.mean() < m_total
 
 
-@pytest.mark.parametrize("m_total", [FIRST_PRUNED, 100])
+@pytest.mark.parametrize("m_total", [FIRST_PRUNED, 20, 100])
 def test_st_counts_equal_the_row_scan_when_scans_stop_at_once_or_never(m_total):
     phis = _chunk_gains(m_total, 5)
     # R exceeds every row-0 key: each scan stops at the first row after 0
@@ -714,7 +715,7 @@ def _assert_bounds_hold(phis, power_db, rate_r, evaluated=None):
     return keys, bounds
 
 
-@pytest.mark.parametrize("m_total", [FIRST_PRUNED, 50, 100, 333])
+@pytest.mark.parametrize("m_total", [FIRST_PRUNED, 20, 50, 100, 333])
 @pytest.mark.parametrize("power_db", [-30.0, 2.0, 20.0, 60.0])
 def test_st_bracket_bound_never_exceeds_the_key(m_total, power_db):
     """On Rayleigh gains, on gains from 1e-12 to 1e6 with exact zeros, and
