@@ -116,16 +116,27 @@ def prefix_sum_rate_mc(
 
 
 def _capacity_pdf(c, p_linear):
-    # change of variables from the exponential gain density
-    g = (2.0**c - 1.0) / p_linear
-    return LN2 * 2.0**c / p_linear * np.exp(-g)
+    # change of variables from the exponential gain density; 0.0 where
+    # 2**c overflows, as _capacity_tail
+    try:
+        grow = 2.0**c
+    except OverflowError:
+        return 0.0
+    return LN2 * grow / p_linear * np.exp(-(grow - 1.0) / p_linear)
 
 
 def _capacity_tail(c, p_linear):
-    """Pr{log2(1 + phi P) > c}: the exponential tail of the Rayleigh gain."""
+    """Pr{log2(1 + phi P) > c}: the exponential tail of the Rayleigh gain.
+
+    0.0 where 2**c overflows: for P below 2**1014 (3052 dB), (2**c - 1) / P
+    is then above 745, where the tail and the density underflow.
+    """
     if c <= 0.0:
         return 1.0
-    return float(np.exp(-(2.0**c - 1.0) / p_linear))
+    try:
+        return float(np.exp(-(2.0**c - 1.0) / p_linear))
+    except OverflowError:
+        return 0.0
 
 
 def _quad(f, lo, hi, tol):

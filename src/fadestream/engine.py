@@ -41,13 +41,12 @@ INT_AXES = ("m_total", "window")  # sweep axes whose values are integers
 
 # kernel(caps, rate_r, scheme) per scheme configuration, looked up by name at
 # call time so that wrappers on the module attributes see every call; st
-# decodes from the gains and has its own branch
+# decodes from the gains and gts from shared windows, each in its own branch
 _CAPACITY_KERNELS = {
     MT: lambda caps, rate_r, scheme: schemes.mt_counts(caps, rate_r),
     JE: lambda caps, rate_r, scheme: schemes.je_counts(caps, rate_r),
     AJE: lambda caps, rate_r, scheme: schemes.aje_counts(caps, rate_r, scheme.m_prime),
     TS: lambda caps, rate_r, scheme: schemes.ts_counts(caps, rate_r),
-    GTS: lambda caps, rate_r, scheme: schemes.gts_counts(caps, rate_r, scheme.window),
     InformedBound: lambda caps, rate_r, scheme: informed_counts(caps, rate_r),
 }
 
@@ -109,7 +108,7 @@ class ExperimentSpec:
     distance: tuple[float, float] | None = None  # (distance, path_loss_exponent)
 
     def __post_init__(self):
-        if not isinstance(self.scheme, (ST, *_CAPACITY_KERNELS)):
+        if not isinstance(self.scheme, (ST, GTS, *_CAPACITY_KERNELS)):
             raise ValueError(f"unknown scheme configuration: {self.scheme!r}")
         _check_count("m_total", self.m_total)
         _check_count("trials", self.trials)
@@ -173,9 +172,10 @@ class _Group(NamedTuple):
 
     Trial k's first m gains are the same for every M >= m, and capacities
     are elementwise, so one block of gains at the largest M serves every
-    spec: each decodes its [:, :M] prefix, and the capacities of one
-    received power are computed once for all the specs that decode from
-    them.  Each spec's counts are those of its own run, bit for bit.
+    spec: each decodes its [:, :M] prefix, the capacities of one received
+    power are computed once for all the specs that decode from them, and
+    the gts specs of one (power, M, R) share one kernel call per chunk.
+    Each spec's counts are those of its own run, bit for bit.
     """
 
     specs: tuple[ExperimentSpec, ...]
@@ -223,12 +223,25 @@ def _decode_chunk(group: _Group, start: int, count: int) -> list[np.ndarray]:
 
 def _capacity_counts(specs, phis: np.ndarray, power: PowerBudget) -> list[np.ndarray]:
     """Decoded counts of specs of one received power that decode from the
-    capacities, each from its [:, :M] prefix of the gains `phis`."""
+    capacities, each from its [:, :M] prefix of the gains `phis`.  The gts
+    specs of one (M, R) share one schemes.gts_counts call, which decides
+    all their windows from the same prefix sums."""
     caps = capacities(phis, power)
-    return [
-        _CAPACITY_KERNELS[type(spec.scheme)](caps[:, : spec.m_total], spec.rate_r, spec.scheme)
-        for spec in specs
-    ]
+    counts = [None] * len(specs)
+    windows = {}
+    for index, spec in enumerate(specs):
+        if isinstance(spec.scheme, GTS):
+            windows.setdefault((spec.m_total, spec.rate_r), []).append(index)
+        else:
+            kernel = _CAPACITY_KERNELS[type(spec.scheme)]
+            counts[index] = kernel(caps[:, : spec.m_total], spec.rate_r, spec.scheme)
+    for (m_total, rate_r), indices in windows.items():
+        shared = [specs[index].scheme.window for index in indices]
+        # a lone window goes as an int, straight to the exact rule
+        decoded = schemes.gts_counts(caps[:, :m_total], rate_r, shared if len(shared) > 1 else shared[0])
+        for index, spec_counts in zip(indices, decoded.reshape(len(indices), -1)):
+            counts[index] = spec_counts
+    return counts
 
 
 def _chunk_ranges(trials: int, m_total: int) -> range:

@@ -396,8 +396,76 @@ def gts_accumulated_info(caps: np.ndarray, window: int) -> np.ndarray:
     return info
 
 
-def gts_counts(caps: np.ndarray, rate_r: float, window: int) -> np.ndarray:
-    return (gts_accumulated_info(caps, window) >= rate_r).sum(axis=1)
+# below this many windows gts_counts applies the exact rule to each
+_GTS_SHARED_MIN = 2
+
+
+def gts_counts(caps: np.ndarray, rate_r: float, window) -> np.ndarray:
+    """Decoded counts under windowed time sharing: message i decodes iff
+    gts_accumulated_info(caps, W)[:, i] >= R.  `window` is an int, giving
+    one count per trial, or a 1-D sequence of windows, giving one row of
+    counts per window.
+
+    Two or more windows are decided from two prefix sums shared by all of
+    them, C[k] = cap[1] + ... + cap[k] and H[k] = cap[1]/1 + ... + cap[k]/k
+    (k < max W).  With e = min(i+W-1, M), message i holds W I = C[e] - C[i-1]
+    from i = W on, and W I = (C[e] - W H[i-1]) + (W H[W-1] - C[W-1]) before,
+    and the kernel compares W I with W (R +- d).  Let u = 2**-53 and T be
+    the largest |cap[1]| + ... + |cap[M]| of the trials.  A computed prefix
+    sum is within gamma_M T of its exact value, gamma_M = M u / (1 - M u)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 4.2, its
+    divisions included), and each further operation adds u times its
+    result, at most (W + 1) T.  So the exact rule's information is within
+    (2 gamma_M + 2u) T of I, and the estimate within (4 gamma_M + 7u) T.
+    d = 16 (M + 1) u T is at least twice their sum; the rest covers the
+    rounding of T, d and W (R +- d) where a message comes near them (only
+    an I of at most about T can).  So a message estimated at or above
+    W (R + d) decodes under the exact rule, one below W (R - d) does not,
+    and the trials with a message in between, or all of them if T is not
+    finite, are decided by the exact rule itself: each count is the exact
+    rule's, bit for bit.  Against the exact rule, this route costs 0.9-1.9
+    times as much for one window, 0.6-1.1 times for two and 0.39 times for
+    fig4's eleven (M = 2000 in 8-trial chunks and M = 50 in 327, 2.1 GHz
+    Xeon).
+    """
+    if np.ndim(window) == 0:
+        return (gts_accumulated_info(caps, window) >= rate_r).sum(axis=1)
+    trials, m_total = caps.shape
+    if len(np.shape(window)) > 1 or not all(1 <= w <= m_total for w in window):
+        raise ValueError("window must be an int or a 1-D sequence of ints in [1, M]")
+    counts = np.empty((len(window), trials), dtype=np.int64)
+    margin = np.inf
+    if len(window) >= _GTS_SHARED_MIN:
+        margin = 16.0 * (m_total + 1) * 2.0**-53 * np.abs(caps).sum(axis=1).max(initial=0.0)
+    if not margin < np.inf:  # one window, or T not finite
+        for row, w in zip(counts, window):
+            row[:] = gts_counts(caps, rate_r, w)
+        return counts
+    top = max(window)
+    # blocks down, trials across; C[k] = C[M] for k > M, so that C[e] is C[i+W-1]
+    csum = np.empty((m_total + top, trials))
+    csum[0] = 0.0
+    np.cumsum(caps.T, axis=0, out=csum[1 : m_total + 1])
+    csum[m_total + 1 :] = csum[m_total]
+    hsum = np.empty((top, trials))
+    hsum[0] = 0.0
+    np.divide(caps[:, : top - 1], np.arange(1.0, top), out=hsum[1:].T)
+    np.cumsum(hsum, axis=0, out=hsum)
+    info = np.empty((m_total, trials))
+    ones = np.ones(m_total)
+    for row, w in zip(counts, window):
+        np.subtract(csum[2 * w - 1 : w + m_total], csum[w - 1 : m_total], out=info[w - 1 :])
+        head = info[: w - 1]
+        np.multiply(hsum[: w - 1], w, out=head)
+        np.subtract(csum[w : 2 * w - 1], head, out=head)
+        head += w * hsum[w - 1] - csum[w - 1]
+        above = info >= w * (rate_r + margin)
+        row[:] = ones @ above  # counts of at most M, exact in float64
+        low = info >= w * (rate_r - margin)
+        if np.count_nonzero(low) != np.count_nonzero(above):
+            near = np.flatnonzero((low != above).any(axis=0))
+            row[near] = gts_counts(caps[near], rate_r, w)
+    return counts
 
 
 # relative margin of st_counts' pruning test: far above the rounding of a

@@ -37,6 +37,15 @@ def test_mt_success_prob_limits():
     assert mt_success_prob(PowerBudget(1.0), 1.0) == pytest.approx(np.exp(-1.0))
 
 
+def test_tails_past_the_float_range_of_two_to_the_rate_are_zero():
+    """2**R overflows a float above R = 1024; the tail there is far below
+    the smallest double, so it is 0.0, not an OverflowError."""
+    assert mt_success_prob(PowerBudget(1.0), 1100.0) == 0.0
+    pmf = je_pmf_exact_smallM(2, PowerBudget(1.0), 600.0)
+    assert pmf.probs.tolist() == [1.0, 0.0, 0.0]
+    assert analytic._capacity_pdf(1100.0, 1.0) == 0.0
+
+
 @pytest.mark.parametrize("rate_r", [np.nan, np.inf, 0.0, -1.0])
 def test_rate_rule_of_the_estimators(rate_r):
     """The decoders' finite positive rate rule: a NaN rate fails every

@@ -331,6 +331,79 @@ def test_capacity_and_gts_kernels_leave_their_inputs_alone():
     assert caps.tobytes() == caps_before
 
 
+FIG4_WINDOWS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000)
+
+
+def per_window_counts(caps, rate_r, windows):
+    return np.array([gts_counts(caps, rate_r, window) for window in windows]).reshape(
+        len(windows), len(caps)
+    )
+
+
+@pytest.mark.parametrize("m_total", [1, 2, 3, 50, 2000])
+def test_gts_window_set_counts_equal_per_window_counts(m_total):
+    """A window set's counts, decided from shared prefix sums, are each
+    window's own counts bit for bit, at fig4's windows and the edges."""
+    rng = np.random.default_rng(27)
+    edges = {1, -(-m_total // 2), m_total - 1, m_total}
+    windows = sorted(w for w in set(FIG4_WINDOWS) | edges if 1 <= w <= m_total)
+    trials = max(16, min(400, 2**16 // m_total))
+    for db in (0.0, 2.0):
+        caps = capacities(rng.exponential(1.0, (trials, m_total)), PowerBudget.from_db(db))
+        got = gts_counts(caps, 1.0, windows)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, per_window_counts(caps, 1.0, windows))
+
+
+@pytest.mark.parametrize("rate_r", [0.5, 1.0, 2.0])
+def test_gts_window_set_takes_the_exact_rule_on_ties(monkeypatch, rate_r):
+    """Integer capacities and power-of-two windows make the information equal
+    R exactly; those trials are decided by the exact rule, as each window's
+    own count is."""
+    rng = np.random.default_rng(28)
+    caps = rng.integers(0, 3, (300, 16)).astype(float)
+    windows = (1, 2, 4, 8, 16, 3)
+    want = per_window_counts(caps, rate_r, windows)
+    calls = []
+    exact = schemes.gts_accumulated_info
+
+    def counted(caps, window):
+        calls.append(len(caps))
+        return exact(caps, window)
+
+    monkeypatch.setattr(schemes, "gts_accumulated_info", counted)
+    assert np.array_equal(gts_counts(caps, rate_r, windows), want)
+    assert calls and sum(calls) < len(caps) * len(windows)
+
+
+def test_gts_window_set_in_any_order_and_on_any_values():
+    """Unsorted and repeated windows, capacities of either sign, and a
+    non-finite capacity, which leaves every trial to the exact rule."""
+    rng = np.random.default_rng(29)
+    windows = [50, 1, 50, 7, 3, 7, 49]
+    caps = capacities(rng.exponential(1.0, (200, 50)), PowerBudget.from_db(1.0))
+    assert np.array_equal(gts_counts(caps, 1.0, windows), per_window_counts(caps, 1.0, windows))
+    signed = rng.normal(0.5, 2.0, (200, 50))
+    assert np.array_equal(gts_counts(signed, 1.0, windows), per_window_counts(signed, 1.0, windows))
+    caps[3, 10] = np.inf
+    with np.errstate(invalid="ignore"):  # inf - inf in the exact rule's prefix differences
+        assert np.array_equal(gts_counts(caps, 1.0, windows), per_window_counts(caps, 1.0, windows))
+
+
+def test_gts_counts_shape_follows_the_window():
+    caps = random_caps(np.random.default_rng(30), 7, 12)
+    assert gts_counts(caps, 1.0, 4).shape == (7,)
+    assert gts_counts(caps, 1.0, np.int64(4)).shape == (7,)
+    for windows in ([], [4], (4, 12), np.array([1, 4, 12])):
+        assert gts_counts(caps, 1.0, windows).shape == (len(windows), 7)
+    with pytest.raises(ValueError):
+        gts_counts(caps, 1.0, [4, 13])
+    with pytest.raises(ValueError):
+        gts_counts(caps, 1.0, [0, 4])
+    with pytest.raises(ValueError):
+        gts_counts(caps, 1.0, [[1, 4]])
+
+
 def test_gts_rejects_bad_window():
     with pytest.raises(ValueError):
         decode_gts(real_from_caps([1.0, 1.0]), 1.0, 0)
