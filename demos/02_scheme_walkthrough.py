@@ -8,15 +8,16 @@ differently, so the same realization decodes differently.
 import numpy as np
 
 from fadestream import (
+    AJE,
+    GTS,
+    JE,
+    MT,
+    ST,
+    TS,
     ChannelRealization,
+    InformedBound,
     PowerBudget,
-    decode_aje,
-    decode_gts,
-    decode_je,
-    decode_mt,
-    decode_st,
-    decode_ts,
-    informed_upper_bound,
+    decode,
     st_power_allocation,
     st_subset_capacity,
 )
@@ -32,13 +33,13 @@ print(f"capacities: {caps} bpcu, message rate R = {RATE}")
 print()
 
 rows = [
-    ("mt (own block only)", decode_mt(real, RATE)),
-    ("je (joint prefix)", decode_je(real, RATE)),
-    ("aje (keep first 4)", decode_aje(real, RATE, m_prime=4)),
-    ("ts (equal shares)", decode_ts(real, RATE)),
-    ("gts (window 2)", decode_gts(real, RATE, window=2)),
-    ("st (superposition)", decode_st(real, RATE, power)),
-    ("informed bound", informed_upper_bound(real, RATE)),
+    ("mt (own block only)", decode(MT(), real, RATE)),
+    ("je (joint prefix)", decode(JE(), real, RATE)),
+    ("aje (keep first 4)", decode(AJE(m_prime=4), real, RATE)),
+    ("ts (equal shares)", decode(TS(), real, RATE)),
+    ("gts (window 2)", decode(GTS(window=2), real, RATE)),
+    ("st (superposition)", decode(ST(), real, RATE, power)),
+    ("informed bound", decode(InformedBound(), real, RATE)),
 ]
 for name, out in rows:
     decoded = sorted(out.decoded) or "-"
@@ -61,7 +62,7 @@ print(alloc)
 for subset in ({1}, {2}, {1, 2}):
     c = st_subset_capacity(toy.phi, alloc, {1, 2}, subset)
     print(f"C({sorted(subset)}) treating the rest as noise = {c:.3f} bpcu")
-out = decode_st(toy, 1.0, power)
+out = decode(ST(), toy, 1.0, power)
 print(f"greedy subset decoding at R=1 recovers {sorted(out.decoded)}:")
 print("message 1 decodes alone, is subtracted, and message 2 then sees a")
 print("clean block whose capacity exactly meets the rate.")

@@ -17,7 +17,7 @@ from .analytic import (
     mt_pmf_exact,
     mt_success_prob,
 )
-from .bounds import InformedBound, ergodic_upper_bound, informed_upper_bound
+from .bounds import InformedBound, ergodic_upper_bound
 from .channel import (
     ChannelRealization,
     PowerBudget,
@@ -30,8 +30,10 @@ from .channel import (
     trial_stream,
 )
 from .engine import (
+    DecodeOutcome,
     ExperimentResult,
     ExperimentSpec,
+    decode,
     optimal_window,
     run_experiment,
     run_specs,
@@ -44,14 +46,7 @@ from .schemes import (
     MT,
     ST,
     TS,
-    DecodeOutcome,
     choose_m_prime,
-    decode_aje,
-    decode_gts,
-    decode_je,
-    decode_mt,
-    decode_st,
-    decode_ts,
     st_power_allocation,
     st_subset_capacity,
 )
@@ -73,16 +68,10 @@ __all__ = [
     "TS",
     "capacity_moments",
     "choose_m_prime",
-    "decode_aje",
-    "decode_gts",
-    "decode_je",
-    "decode_mt",
-    "decode_st",
-    "decode_ts",
+    "decode",
     "effective_power",
     "ergodic_capacity",
     "ergodic_upper_bound",
-    "informed_upper_bound",
     "je_pmf_exact_smallM",
     "mt_pmf_exact",
     "mt_success_prob",

@@ -9,22 +9,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, _check_rate
-from .schemes import DecodeOutcome, _decode_prefix
+from .channel import _check_rate
 
 
 @dataclass(frozen=True)
 class InformedBound:
     """Selector for running the informed-transmitter bound as if a scheme."""
-
-
-def informed_upper_bound(real: ChannelRealization, rate_r: float) -> DecodeOutcome:
-    """Largest decodable message count with full channel knowledge.
-
-    The decoded messages can always be taken to be the first m by
-    reordering, so the outcome is a prefix.
-    """
-    return _decode_prefix(informed_counts, real, rate_r)
 
 
 def informed_counts(caps: np.ndarray, rate_r: float) -> np.ndarray:

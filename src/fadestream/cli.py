@@ -19,6 +19,7 @@ from . import __version__
 from .bounds import InformedBound, ergodic_upper_bound
 from .channel import PowerBudget, QuadratureError, ergodic_capacity
 from .engine import (
+    DECODERS,
     INT_AXES,
     SWEEP_AXES,
     ExperimentSpec,
@@ -28,23 +29,6 @@ from .engine import (
     sweep_specs,
 )
 from .schemes import AJE, GTS, JE, MT, ST, TS
-
-# --scheme tag -> configuration class
-_SCHEME_CLASSES = {
-    "mt": MT,
-    "je": JE,
-    "aje": AJE,
-    "ts": TS,
-    "gts": GTS,
-    "st": ST,
-    "informed-bound": InformedBound,
-}
-SCHEME_TAGS = tuple(_SCHEME_CLASSES)
-
-# scheme flag -> (tag of the only scheme it applies to, configuration field)
-_SCHEME_FLAGS = {
-    "--window": ("gts", "window"),
-}
 
 CSV_COLUMNS = (
     "scheme",
@@ -78,19 +62,17 @@ def _flag_value(args, flag):
 
 
 def _scheme_from_args(args):
-    """The --scheme configuration; an absent flag keeps the field's default."""
-    if args.scheme == "gts" and args.window is None:
-        raise UsageError("gts requires --window")
-    fields = {
-        field: _flag_value(args, flag)
-        for flag, (tag, field) in _SCHEME_FLAGS.items()
-        if tag == args.scheme and _flag_value(args, flag) is not None
-    }
-    return _SCHEME_CLASSES[args.scheme](**fields)
+    """The --scheme configuration, gts's with its --window."""
+    scheme_class = next(cls for cls, entry in DECODERS.items() if entry.tag == args.scheme)
+    if scheme_class is not GTS:
+        return scheme_class()
+    if args.window is None:
+        raise UsageError(f"{args.scheme} requires --window")
+    return GTS(window=args.window)
 
 
 def _scheme_tag(scheme):
-    return next(tag for tag, cls in _SCHEME_CLASSES.items() if type(scheme) is cls)
+    return DECODERS[type(scheme)].tag
 
 
 @lru_cache(maxsize=None)
@@ -108,8 +90,8 @@ def _row(spec: ExperimentSpec, result) -> dict:
         "power_db": spec.power_db,
         "distance": None if spec.distance is None else spec.distance[0],
         "path_loss": None if spec.distance is None else spec.distance[1],
-        "window": scheme.window if isinstance(scheme, GTS) else None,
-        "m_prime": scheme.m_prime if isinstance(scheme, AJE) else None,
+        "window": getattr(scheme, "window", None),
+        "m_prime": getattr(scheme, "m_prime", None),
         "mean_rate": result.mean_rate,
         "rate_se": result.rate_se,
         "mean_decoded": result.mean_decoded,
@@ -219,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monte Carlo comparison of streaming transmission schemes "
         "over block fading channels.",
     )
-    parser.add_argument("--scheme", choices=SCHEME_TAGS)
+    parser.add_argument("--scheme", choices=[entry.tag for entry in DECODERS.values()])
     parser.add_argument("--blocks", type=int, help="number of messages / channel blocks M")
     parser.add_argument("--rate", type=float, help="per-message rate R in bpcu")
     parser.add_argument("--snr-db", type=float, help="average SNR in dB")
@@ -260,7 +242,7 @@ def _validate_run_args(args):
         raise UsageError("--workers must be >= 1")
     if args.preset is not None:
         point_flags = (
-            "--scheme", "--blocks", "--rate", "--snr-db", *_SCHEME_FLAGS,
+            "--scheme", "--blocks", "--rate", "--snr-db", "--window",
             "--distance", "--path-loss", "--sweep",
         )
         extra = [flag for flag in point_flags if _flag_value(args, flag) is not None]
@@ -270,9 +252,8 @@ def _validate_run_args(args):
     for flag in ("--scheme", "--blocks", "--rate", "--snr-db"):
         if _flag_value(args, flag) is None:
             raise UsageError(f"{flag} is required without --preset")
-    for flag, (tag, _) in _SCHEME_FLAGS.items():
-        if _flag_value(args, flag) is not None and args.scheme != tag:
-            raise UsageError(f"{flag} applies to the {tag} scheme only")
+    if args.window is not None and args.scheme != DECODERS[GTS].tag:
+        raise UsageError(f"--window applies to the {DECODERS[GTS].tag} scheme only")
     if (args.distance is None) != (args.path_loss is None):
         raise UsageError("--distance and --path-loss must be given together")
 

@@ -14,6 +14,7 @@ import dataclasses
 import itertools
 import numbers
 import os
+from collections.abc import Callable
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -23,6 +24,7 @@ import numpy as np
 from . import schemes
 from .bounds import InformedBound, informed_counts
 from .channel import (
+    ChannelRealization,
     FadingModel,
     PowerBudget,
     _check_count,
@@ -39,16 +41,108 @@ from .schemes import AJE, GTS, JE, MT, ST, TS, SchemeConfig
 SWEEP_AXES = ("power_db", "rate_r", "m_total", "window", "distance")
 INT_AXES = ("m_total", "window")  # sweep axes whose values are integers
 
-# kernel(caps, rate_r, scheme) per scheme configuration, looked up by name at
-# call time so that wrappers on the module attributes see every call; st
-# decodes from the gains and gts from shared windows, each in its own branch
-_CAPACITY_KERNELS = {
-    MT: lambda caps, rate_r, scheme: schemes.mt_counts(caps, rate_r),
-    JE: lambda caps, rate_r, scheme: schemes.je_counts(caps, rate_r),
-    AJE: lambda caps, rate_r, scheme: schemes.aje_counts(caps, rate_r, scheme.m_prime),
-    TS: lambda caps, rate_r, scheme: schemes.ts_counts(caps, rate_r),
-    InformedBound: lambda caps, rate_r, scheme: informed_counts(caps, rate_r),
+
+class Decoder(NamedTuple):
+    """How one scheme configuration class is decoded: its entry in DECODERS.
+
+    kernel(matrix, rate_r, configs, power) decodes every configuration in
+    `configs` (all of this class, at one M and R) from one trials x M
+    matrix, of the gains if reads_gains, else of their capacities at
+    `power`, and gives one row of per-trial counts per configuration.  It
+    calls the batched kernel by its module attribute at call time, so that
+    wrappers on those names see every call.  messages(cap, rate_r, scheme)
+    marks the messages that decode on one realization's capacities, for the
+    schemes whose decoded set need not be the prefix 1..count.
+    """
+
+    tag: str  # the --scheme value and the output's scheme column
+    kernel: Callable
+    reads_gains: bool = False
+    messages: Callable | None = None
+
+
+def _each(kernel) -> Callable:
+    """A Decoder kernel that calls kernel(matrix, rate_r, scheme, power) once
+    per configuration."""
+    return lambda matrix, rate_r, configs, power: [
+        kernel(matrix, rate_r, scheme, power) for scheme in configs
+    ]
+
+
+def _gts_kernel(caps, rate_r, configs, power):
+    """One gts_counts call decides every window from the same prefix sums; a
+    lone window goes as an int, straight to the exact rule."""
+    windows = [scheme.window for scheme in configs]
+    counts = schemes.gts_counts(caps, rate_r, windows if len(windows) > 1 else windows[0])
+    return counts.reshape(len(windows), -1)
+
+
+# the one place each scheme is defined: engine dispatch, spec validation, the
+# CLI's tags and decode all read it
+DECODERS = {
+    MT: Decoder(
+        "mt",
+        _each(lambda caps, rate_r, scheme, power: schemes.mt_counts(caps, rate_r)),
+        messages=lambda cap, rate_r, scheme: schemes.mt_counts(cap[:, None], rate_r),  # a block a trial
+    ),
+    JE: Decoder("je", _each(lambda caps, rate_r, scheme, power: schemes.je_counts(caps, rate_r))),
+    AJE: Decoder(
+        "aje", _each(lambda caps, rate_r, scheme, power: schemes.aje_counts(caps, rate_r, scheme.m_prime))
+    ),
+    TS: Decoder("ts", _each(lambda caps, rate_r, scheme, power: schemes.ts_counts(caps, rate_r))),
+    GTS: Decoder(
+        "gts",
+        _gts_kernel,
+        messages=lambda cap, rate_r, scheme: (
+            schemes.gts_accumulated_info(cap[None, :], scheme.window)[0] >= rate_r
+        ),
+    ),
+    ST: Decoder(
+        "st",
+        _each(lambda phis, rate_r, scheme, power: schemes.st_counts(phis, power.p_linear, rate_r)),
+        reads_gains=True,
+    ),
+    InformedBound: Decoder(
+        "informed-bound", _each(lambda caps, rate_r, scheme, power: informed_counts(caps, rate_r))
+    ),
 }
+
+
+@dataclass(frozen=True)
+class DecodeOutcome:
+    """Decoded message set with its count and delivered rate n_d * R / M."""
+
+    decoded: frozenset
+    n_d: int
+    rate: float
+
+
+def decode(
+    scheme, real: ChannelRealization, rate_r: float, power: PowerBudget | None = None
+) -> DecodeOutcome:
+    """The messages that `scheme` decodes on one realization, by its entry in
+    DECODERS: the per-message rule where the entry has one (mt, gts), else
+    the first n messages, n being the kernel's count on a one-row batch.
+
+    `power`, the budget of the realization's capacities, is read by st
+    only, which decodes from the gains.  aje's m_prime must be set.  The
+    delivered rate divides by the full M, so messages that aje drops count
+    against it.
+    """
+    entry = DECODERS.get(type(scheme))
+    if entry is None:
+        raise ValueError(f"unknown scheme configuration: {scheme!r}")
+    _check_rate(rate_r)
+    if entry.messages is not None:
+        decoded = np.flatnonzero(entry.messages(real.cap, rate_r, scheme)) + 1
+    elif entry.reads_gains and power is None:
+        raise ValueError(f"{entry.tag} decodes from the gains and needs their power")
+    else:
+        matrix = real.phi if entry.reads_gains else real.cap
+        decoded = range(1, int(entry.kernel(matrix[None, :], rate_r, [scheme], power)[0][0]) + 1)
+    decoded = frozenset(int(i) for i in decoded)
+    return DecodeOutcome(decoded=decoded, n_d=len(decoded), rate=len(decoded) * rate_r / real.m_blocks)
+
 
 # elements of a chunk's trials x M gains.  At 2**14 one trials x M float64
 # array is 128 KiB, so a chunk's gains, capacities and kernel temporaries
@@ -108,7 +202,7 @@ class ExperimentSpec:
     distance: tuple[float, float] | None = None  # (distance, path_loss_exponent)
 
     def __post_init__(self):
-        if not isinstance(self.scheme, (ST, GTS, *_CAPACITY_KERNELS)):
+        if type(self.scheme) not in DECODERS:
             raise ValueError(f"unknown scheme configuration: {self.scheme!r}")
         _check_count("m_total", self.m_total)
         _check_count("trials", self.trials)
@@ -174,30 +268,33 @@ class _Group(NamedTuple):
     are elementwise, so one block of gains at the largest M serves every
     spec: each decodes its [:, :M] prefix, the capacities of one received
     power are computed once for all the specs that decode from them, and
-    the gts specs of one (power, M, R) share one kernel call per chunk.
-    Each spec's counts are those of its own run, bit for bit.
+    the specs of one (power, scheme class, M, R) share one kernel call per
+    chunk.  Each spec's counts are those of its own run, bit for bit.
     """
 
     specs: tuple[ExperimentSpec, ...]
     m_total: int  # the largest M, which sets the chunking
-    st: tuple[tuple[int, float], ...]  # (index, linear received power) of each st spec
-    by_power: tuple[tuple[PowerBudget, tuple[int, ...]], ...]  # the other specs' indices per power
+    # per received power, the batches of spec indices that decode from the
+    # gains and those that decode from the capacities; see _decode_batches
+    by_power: tuple[tuple[PowerBudget, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]], ...]
 
 
 def _group(specs) -> _Group:
     """The _Group of resolved specs that share (master_seed, trials)."""
-    st, by_power = [], {}
+    by_power = {}
     for index, spec in enumerate(specs):
-        power = received_power(spec)
-        if isinstance(spec.scheme, ST):
-            st.append((index, power.p_linear))
-        else:
-            by_power.setdefault(power, []).append(index)
+        kind = type(spec.scheme)
+        on_gains, on_caps = by_power.setdefault(received_power(spec), ({}, {}))
+        batches = on_gains if DECODERS[kind].reads_gains else on_caps
+        batches.setdefault((kind, spec.m_total, spec.rate_r), []).append(index)
+
+    def frozen(batches):
+        return tuple(tuple(indices) for indices in batches.values())
+
     return _Group(
         tuple(specs),
         max(spec.m_total for spec in specs),
-        tuple(st),
-        tuple((power, tuple(indices)) for power, indices in by_power.items()),
+        tuple((power, frozen(on_gains), frozen(on_caps)) for power, (on_gains, on_caps) in by_power.items()),
     )
 
 
@@ -211,37 +308,30 @@ def _decode_chunk(group: _Group, start: int, count: int) -> list[np.ndarray]:
     specs = group.specs
     phis = _sample_gain_block(group.m_total, specs[0].master_seed, start, count)
     counts = [None] * len(specs)
-    for index, p_linear in group.st:
-        spec = specs[index]
-        counts[index] = schemes.st_counts(phis[:, : spec.m_total], p_linear, spec.rate_r)
-    for power, indices in group.by_power:
-        decoded = _capacity_counts([specs[index] for index in indices], phis, power)
+    for power, on_gains, on_caps in group.by_power:
+        _decode_batches(specs, on_gains, phis, power, counts)
+        if on_caps:
+            _capacity_counts(specs, on_caps, phis, power, counts)
+    return counts
+
+
+def _capacity_counts(specs, batches, phis: np.ndarray, power: PowerBudget, counts: list):
+    """_decode_batches on the capacities of the gains `phis` at one received
+    power, computed once for all the batches."""
+    caps = capacities(phis, power)
+    _decode_batches(specs, batches, caps, power, counts)
+
+
+def _decode_batches(specs, batches, matrix: np.ndarray, power: PowerBudget, counts: list):
+    """Set counts[index] for every spec index of `batches`.  The specs of a
+    batch share (scheme class, M, R) and one call of their DECODERS kernel,
+    on the [:, :M] prefix of `matrix`."""
+    for indices in batches:
+        spec = specs[indices[0]]
+        configs = [specs[index].scheme for index in indices]
+        decoded = DECODERS[type(spec.scheme)].kernel(matrix[:, : spec.m_total], spec.rate_r, configs, power)
         for index, spec_counts in zip(indices, decoded):
             counts[index] = spec_counts
-    return counts
-
-
-def _capacity_counts(specs, phis: np.ndarray, power: PowerBudget) -> list[np.ndarray]:
-    """Decoded counts of specs of one received power that decode from the
-    capacities, each from its [:, :M] prefix of the gains `phis`.  The gts
-    specs of one (M, R) share one schemes.gts_counts call, which decides
-    all their windows from the same prefix sums."""
-    caps = capacities(phis, power)
-    counts = [None] * len(specs)
-    windows = {}
-    for index, spec in enumerate(specs):
-        if isinstance(spec.scheme, GTS):
-            windows.setdefault((spec.m_total, spec.rate_r), []).append(index)
-        else:
-            kernel = _CAPACITY_KERNELS[type(spec.scheme)]
-            counts[index] = kernel(caps[:, : spec.m_total], spec.rate_r, spec.scheme)
-    for (m_total, rate_r), indices in windows.items():
-        shared = [specs[index].scheme.window for index in indices]
-        # a lone window goes as an int, straight to the exact rule
-        decoded = schemes.gts_counts(caps[:, :m_total], rate_r, shared if len(shared) > 1 else shared[0])
-        for index, spec_counts in zip(indices, decoded.reshape(len(indices), -1)):
-            counts[index] = spec_counts
-    return counts
 
 
 def _chunk_ranges(trials: int, m_total: int) -> range:
@@ -252,9 +342,13 @@ def _chunk_ranges(trials: int, m_total: int) -> range:
 
 def _chunk_histogram(group: _Group, start: int, count: int, hists: list[np.ndarray]):
     """Add the decoded counts of trials [start, start + count) of every spec
-    of a group into that spec's histogram in `hists`."""
-    for hist, spec_counts in zip(hists, _decode_chunk(group, start, count)):
-        hist += np.bincount(spec_counts, minlength=len(hist))
+    of a group into that spec's histogram in `hists`, which grows only as
+    far as the largest count seen."""
+    for index, spec_counts in enumerate(_decode_chunk(group, start, count)):
+        chunk, hist = np.bincount(spec_counts), hists[index]
+        if len(chunk) > len(hist):
+            hists[index], hist, chunk = chunk, chunk, hist
+        hist[: len(chunk)] += chunk
 
 
 def _task_histogram(task) -> list[tuple[int, np.ndarray]]:
@@ -264,12 +358,14 @@ def _task_histogram(task) -> list[tuple[int, np.ndarray]]:
     Each histogram comes as its span (m, bins): the bins of decoded counts
     m, m + 1, ..., from its first nonzero bin to its last, so that a pool
     task sends back little more than the counts it saw.  (All M + 1 bins of
-    fig4's 22 specs at M = 2000 raised the parent's peak RSS by 1.3 MB.)
+    fig4's 22 specs at M = 2000 raised the parent's peak RSS by 1.3 MB; in
+    a task they took fig4's ten-chunk tracemalloc peak to 1.25 MiB, where
+    histograms that grow with the counts peak at 1.08 MiB.)
     """
     group, first, end = task
     starts = _group_chunks(group)[first:end]
     trials = group.specs[0].trials
-    hists = [np.zeros(spec.m_total + 1, dtype=np.int64) for spec in group.specs]
+    hists = [np.zeros(0, dtype=np.int64) for _ in group.specs]
     for start in starts:
         _chunk_histogram(group, start, min(starts.step, trials - start), hists)
     spans = []

@@ -22,19 +22,20 @@ the required rate) in every scheme.
 
 Each rule is implemented once, by the batched kernels (the *_counts
 functions), which take (trials x blocks) matrices and return per-trial
-decoded counts.  The scalar decode_* functions run those kernels on a
-one-row batch of a ChannelRealization.  The test suite checks the kernels
-against independent rule-by-definition implementations in tests/oracles.py.
+decoded counts.  engine.DECODERS names each configuration class's kernel,
+and engine.decode runs it on a one-row batch of a ChannelRealization.  The
+test suite checks the kernels against independent rule-by-definition
+implementations in tests/oracles.py.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LN2, ChannelRealization, PowerBudget, _check_count, _check_rate
+from .channel import LN2, PowerBudget, _check_count, _check_rate
 
 # ---------------------------------------------------------------------------
-# configuration and outcome types
+# configuration types
 # ---------------------------------------------------------------------------
 
 
@@ -83,73 +84,6 @@ class ST:
 
 
 SchemeConfig = MT | JE | AJE | TS | GTS | ST
-
-
-@dataclass(frozen=True)
-class DecodeOutcome:
-    """Decoded message set with its count and delivered rate n_d * R / M."""
-
-    decoded: frozenset
-    n_d: int
-    rate: float
-
-
-def _outcome(decoded, m_total: int, rate_r: float) -> DecodeOutcome:
-    decoded = frozenset(int(i) for i in decoded)
-    n_d = len(decoded)
-    return DecodeOutcome(decoded=decoded, n_d=n_d, rate=n_d * rate_r / m_total)
-
-
-def _decode_prefix(kernel, real: ChannelRealization, rate_r: float, *args) -> DecodeOutcome:
-    """The first n_d messages, n_d being the kernel's count on the one-row batch."""
-    _check_rate(rate_r)
-    n_d = int(kernel(real.cap[None, :], rate_r, *args)[0])
-    return _outcome(range(1, n_d + 1), real.m_blocks, rate_r)
-
-
-# ---------------------------------------------------------------------------
-# scalar decoders: one ChannelRealization through the batched kernels below
-# ---------------------------------------------------------------------------
-
-
-def decode_mt(real: ChannelRealization, rate_r: float) -> DecodeOutcome:
-    """Message t decodes iff cap[t] >= R: mt_counts with each block a trial."""
-    _check_rate(rate_r)
-    decoded = np.flatnonzero(mt_counts(real.cap[:, None], rate_r)) + 1
-    return _outcome(decoded, real.m_blocks, rate_r)
-
-
-def decode_je(real: ChannelRealization, rate_r: float) -> DecodeOutcome:
-    """Longest feasible prefix under joint encoding."""
-    return _decode_prefix(je_counts, real, rate_r)
-
-
-def decode_aje(real: ChannelRealization, rate_r: float, m_prime: int) -> DecodeOutcome:
-    """Joint encoding restricted to the first m_prime messages.
-
-    The delivered rate still divides by the full M: the M - m_prime dropped
-    messages count against the scheme.
-    """
-    return _decode_prefix(aje_counts, real, rate_r, m_prime)
-
-
-def decode_ts(real: ChannelRealization, rate_r: float) -> DecodeOutcome:
-    """Time sharing; I_1 >= I_2 >= ... >= I_M, so the decoded set is a prefix."""
-    return _decode_prefix(ts_counts, real, rate_r)
-
-
-def decode_gts(real: ChannelRealization, rate_r: float, window: int) -> DecodeOutcome:
-    """Windowed time sharing; the decoded set need not be a prefix."""
-    _check_rate(rate_r)
-    info = gts_accumulated_info(real.cap[None, :], window)[0]
-    return _outcome(np.flatnonzero(info >= rate_r) + 1, real.m_blocks, rate_r)
-
-
-def decode_st(real: ChannelRealization, rate_r: float, power: PowerBudget) -> DecodeOutcome:
-    """Greedy subset decoding of the superimposed messages; see st_counts."""
-    _check_rate(rate_r)
-    n_d = st_counts(real.phi[None, :], power.p_linear, rate_r)[0]
-    return _outcome(range(1, n_d + 1), real.m_blocks, rate_r)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +287,7 @@ def aje_counts(caps: np.ndarray, rate_r: float, m_prime: int) -> np.ndarray:
     surplus is 0.0 and this is je_counts.
     """
     m_total = caps.shape[1]
-    if not 1 <= m_prime <= m_total:
+    if m_prime is None or not 1 <= m_prime <= m_total:
         raise ValueError("m_prime must be in [1, M]")
     surplus = caps[:, m_prime:].sum(axis=1) / m_prime
     return je_counts(caps[:, :m_prime] + surplus[:, None], rate_r)

@@ -21,7 +21,7 @@ from fadestream.channel import (
     sample_realization,
     trial_stream,
 )
-from fadestream.engine import ExperimentSpec, decode_counts, run_experiment, sweep
+from fadestream.engine import ExperimentSpec, decode, decode_counts, run_experiment, sweep
 from fadestream.schemes import (
     AJE,
     GTS,
@@ -29,9 +29,6 @@ from fadestream.schemes import (
     MT,
     ST,
     TS,
-    decode_gts,
-    decode_mt,
-    decode_ts,
     gts_counts,
     mt_counts,
     st_counts,
@@ -263,8 +260,8 @@ def test_c09_reduction_equalities():
         )
         for k in range(0, per_m, 10):
             real = ChannelRealization(phi=np.zeros(m_total), cap=caps[k])
-            sets_ok &= decode_gts(real, 1.0, 1).decoded == decode_mt(real, 1.0).decoded
-            sets_ok &= decode_gts(real, 1.0, m_total).decoded == decode_ts(real, 1.0).decoded
+            sets_ok &= decode(GTS(window=1), real, 1.0).decoded == decode(MT(), real, 1.0).decoded
+            sets_ok &= decode(GTS(window=m_total), real, 1.0).decoded == decode(TS(), real, 1.0).decoded
             checked += 1
     checks = [
         ("window=1 equals memoryless (counts, 10^4 realizations)", counts_ok, "exact equality"),

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import fadestream
 from fadestream import cli, engine
-from fadestream.schemes import GTS, JE, MT, ST
+from fadestream.schemes import JE, MT
 
 CHILD = Path(__file__).resolve().parents[1] / "bench" / "child.py"
 
@@ -29,7 +29,7 @@ def test_every_hook_resolves_and_every_scheme_has_a_kernel():
     child = load_child()
     for owner, attr, name, _ in child.HOOKS:
         assert callable(getattr(owner, attr, None)), f"{name}: {owner.__name__}.{attr}"
-    assert set(engine._CAPACITY_KERNELS) | {GTS, ST} <= set(child.KERNEL_OF)
+    assert set(engine.DECODERS) <= set(child.KERNEL_OF)
     kernel_spans = {name for _, _, name, kind in child.HOOKS if kind == "kernel"}
     assert set(child.KERNEL_OF.values()) <= kernel_spans
 

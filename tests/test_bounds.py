@@ -3,14 +3,10 @@
 import numpy as np
 import pytest
 
-from fadestream.bounds import ergodic_upper_bound, informed_counts, informed_upper_bound
+from fadestream.bounds import InformedBound, ergodic_upper_bound, informed_counts
 from fadestream.channel import ChannelRealization, PowerBudget, ergodic_capacity
-from fadestream.schemes import (
-    decode_je,
-    decode_mt,
-    decode_st,
-    decode_ts,
-)
+from fadestream.engine import decode
+from fadestream.schemes import JE, MT, ST, TS
 
 from oracles import informed_count, informed_feasible as _informed_feasible_bruteforce
 
@@ -22,14 +18,14 @@ def real_from_caps(caps):
 
 def test_informed_bound_hand_worked():
     # early outage is repaired by later blocks: all three messages fit
-    assert informed_upper_bound(real_from_caps([0.0, 2.0, 2.0]), 1.0).n_d == 3
+    assert decode(InformedBound(), real_from_caps([0.0, 2.0, 2.0]), 1.0).n_d == 3
     # trailing dead blocks cannot host a second message
-    assert informed_upper_bound(real_from_caps([2.0, 0.0, 0.0]), 1.0).n_d == 1
-    assert informed_upper_bound(real_from_caps([0.0, 0.0, 0.0]), 1.0).n_d == 0
+    assert decode(InformedBound(), real_from_caps([2.0, 0.0, 0.0]), 1.0).n_d == 1
+    assert decode(InformedBound(), real_from_caps([0.0, 0.0, 0.0]), 1.0).n_d == 0
 
 
 def test_informed_bound_is_prefix_with_exact_rate():
-    out = informed_upper_bound(real_from_caps([0.0, 2.0, 2.0]), 1.0)
+    out = decode(InformedBound(), real_from_caps([0.0, 2.0, 2.0]), 1.0)
     assert out.decoded == frozenset({1, 2, 3})
     assert out.rate == pytest.approx(1.0)
 
@@ -44,7 +40,7 @@ def test_feasibility_is_monotone_and_scan_matches_bruteforce():
         # non-increasing in m: once infeasible, stays infeasible
         assert all(feasible[i] or not feasible[i + 1] for i in range(m_total))
         m_star = max(m for m in range(m_total + 1) if feasible[m])
-        assert informed_upper_bound(real_from_caps(caps), rate).n_d == m_star
+        assert decode(InformedBound(), real_from_caps(caps), rate).n_d == m_star
         assert informed_counts(caps[None, :], rate)[0] == m_star
 
 
@@ -56,11 +52,11 @@ def test_every_scheme_is_dominated_by_the_bound():
         phi = rng.exponential(1.0, m_total)
         real = ChannelRealization.from_gains(phi, power)
         rate = float(rng.uniform(0.3, 2.0))
-        m_star = informed_upper_bound(real, rate).n_d
-        assert decode_mt(real, rate).n_d <= m_star
-        assert decode_je(real, rate).n_d <= m_star
-        assert decode_ts(real, rate).n_d <= m_star
-        assert decode_st(real, rate, power).n_d <= m_star
+        m_star = decode(InformedBound(), real, rate).n_d
+        assert decode(MT(), real, rate).n_d <= m_star
+        assert decode(JE(), real, rate).n_d <= m_star
+        assert decode(TS(), real, rate).n_d <= m_star
+        assert decode(ST(), real, rate, power).n_d <= m_star
 
 
 def test_mean_bound_rate_respects_ergodic_ceiling():

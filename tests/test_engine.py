@@ -19,6 +19,7 @@ from fadestream.channel import (
 )
 from fadestream.engine import (
     ExperimentSpec,
+    decode,
     decode_counts,
     optimal_window,
     received_power,
@@ -28,7 +29,7 @@ from fadestream.engine import (
     sweep,
     sweep_specs,
 )
-from fadestream.schemes import AJE, GTS, JE, MT, ST, TS, decode_mt
+from fadestream.schemes import AJE, GTS, JE, MT, ST, TS
 
 
 def make_spec(**overrides):
@@ -72,7 +73,7 @@ def test_single_trial_reproduces_one_decode():
     spec = make_spec(trials=1, master_seed=123)
     result = run_experiment(spec)
     real = sample_realization(received_power(spec), spec.m_total, trial_stream(123, 0))
-    out = decode_mt(real, spec.rate_r)
+    out = decode(MT(), real, spec.rate_r)
     assert result.mean_decoded == out.n_d
     assert result.mean_rate == out.rate
     assert result.rate_se == 0.0

@@ -17,17 +17,16 @@ from fadestream.channel import (
     capacity_moments,
     trial_stream,
 )
+from fadestream.engine import decode
 from fadestream.schemes import (
     AJE,
     GTS,
+    JE,
+    MT,
+    ST,
+    TS,
     aje_counts,
     choose_m_prime,
-    decode_aje,
-    decode_gts,
-    decode_je,
-    decode_mt,
-    decode_st,
-    decode_ts,
     gts_accumulated_info,
     gts_counts,
     je_counts,
@@ -61,19 +60,19 @@ def random_caps(rng, trials, m_total, scale=1.0):
 
 
 def test_mt_all_blocks_above_rate():
-    out = decode_mt(real_from_caps([2.0, 2.0, 2.0]), 1.0)
+    out = decode(MT(), real_from_caps([2.0, 2.0, 2.0]), 1.0)
     assert out.decoded == frozenset({1, 2, 3})
     assert out.rate == pytest.approx(1.0)
 
 
 def test_mt_nothing_decodes_on_dead_channel():
-    out = decode_mt(real_from_caps([0.0, 0.0, 0.0]), 1.0)
+    out = decode(MT(), real_from_caps([0.0, 0.0, 0.0]), 1.0)
     assert out.decoded == frozenset()
     assert out.n_d == 0 and out.rate == 0.0
 
 
 def test_mt_pointwise_threshold_with_tie():
-    out = decode_mt(real_from_caps([1.5, 0.5, 1.0]), 1.0)
+    out = decode(MT(), real_from_caps([1.5, 0.5, 1.0]), 1.0)
     assert out.decoded == frozenset({1, 3})
     assert out.n_d == 2
 
@@ -91,12 +90,12 @@ def test_je_prefix_feasible_cases():
 
 
 def test_je_decode_cases():
-    assert decode_je(real_from_caps([2.0, 2.0]), 1.0).n_d == 2
+    assert decode(JE(), real_from_caps([2.0, 2.0]), 1.0).n_d == 2
     # joint decoding rescues message 1 from a weak first block
-    assert decode_je(real_from_caps([0.5, 1.6]), 1.0).n_d == 2
+    assert decode(JE(), real_from_caps([0.5, 1.6]), 1.0).n_d == 2
     # but a weak second block caps the feasible prefix at one
-    assert decode_je(real_from_caps([1.6, 0.5]), 1.0).n_d == 1
-    assert decode_je(real_from_caps([0.9, 0.9, 0.9]), 1.0).n_d == 0
+    assert decode(JE(), real_from_caps([1.6, 0.5]), 1.0).n_d == 1
+    assert decode(JE(), real_from_caps([0.9, 0.9, 0.9]), 1.0).n_d == 0
 
 
 @pytest.mark.parametrize(
@@ -117,7 +116,7 @@ def test_je_decoded_set_is_prefix():
     rng = np.random.default_rng(5)
     for _ in range(200):
         caps = rng.exponential(1.0, rng.integers(1, 9))
-        out = decode_je(real_from_caps(caps), 1.0)
+        out = decode(JE(), real_from_caps(caps), 1.0)
         assert out.decoded == frozenset(range(1, out.n_d + 1))
 
 
@@ -238,25 +237,25 @@ def test_aje_with_full_message_set_is_je():
     for _ in range(100):
         caps = rng.exponential(1.0, rng.integers(1, 8))
         real = real_from_caps(caps)
-        assert decode_aje(real, 1.0, len(caps)).n_d == decode_je(real, 1.0).n_d
+        assert decode(AJE(m_prime=len(caps)), real, 1.0).n_d == decode(JE(), real, 1.0).n_d
 
 
 def test_aje_surplus_rescues_kept_messages():
-    out = decode_aje(real_from_caps([0.4, 0.4, 1.4]), 1.0, 2)
+    out = decode(AJE(m_prime=2), real_from_caps([0.4, 0.4, 1.4]), 1.0)
     # boosted capacities (1.1, 1.1): both kept messages decode
     assert out.decoded == frozenset({1, 2})
     assert out.rate == pytest.approx(2.0 / 3.0)
 
 
 def test_aje_dead_channel():
-    assert decode_aje(real_from_caps([0.0, 0.0, 0.0]), 1.0, 2).n_d == 0
+    assert decode(AJE(m_prime=2), real_from_caps([0.0, 0.0, 0.0]), 1.0).n_d == 0
 
 
 def test_aje_rejects_bad_m_prime():
     with pytest.raises(ValueError):
-        decode_aje(real_from_caps([1.0, 1.0]), 1.0, 0)
+        decode(AJE(m_prime=0), real_from_caps([1.0, 1.0]), 1.0)
     with pytest.raises(ValueError):
-        decode_aje(real_from_caps([1.0, 1.0]), 1.0, 3)
+        decode(AJE(m_prime=3), real_from_caps([1.0, 1.0]), 1.0)
     with pytest.raises(ValueError):
         AJE(m_prime=2.5)
 
@@ -268,17 +267,17 @@ def test_aje_rejects_bad_m_prime():
 
 def test_ts_hand_worked_cases():
     # caps (3,3,3): accumulated info (5.5, 2.5, 1.0); the boundary entry decodes
-    out = decode_ts(real_from_caps([3.0, 3.0, 3.0]), 1.0)
+    out = decode(TS(), real_from_caps([3.0, 3.0, 3.0]), 1.0)
     assert out.decoded == frozenset({1, 2, 3})
-    assert decode_ts(real_from_caps([3.0, 0.0, 0.0]), 1.0).n_d == 1
-    assert decode_ts(real_from_caps([0.0, 0.0, 0.0]), 1.0).n_d == 0
+    assert decode(TS(), real_from_caps([3.0, 0.0, 0.0]), 1.0).n_d == 1
+    assert decode(TS(), real_from_caps([0.0, 0.0, 0.0]), 1.0).n_d == 0
 
 
 def test_ts_decoded_set_is_prefix():
     rng = np.random.default_rng(7)
     for _ in range(500):
         caps = rng.exponential(1.0, rng.integers(1, 12))
-        out = decode_ts(real_from_caps(caps), 1.0)
+        out = decode(TS(), real_from_caps(caps), 1.0)
         assert out.decoded == frozenset(range(1, out.n_d + 1))
 
 
@@ -287,7 +286,7 @@ def test_gts_window_one_is_memoryless():
     for _ in range(300):
         caps = rng.exponential(1.0, rng.integers(1, 12))
         real = real_from_caps(caps)
-        assert decode_gts(real, 1.0, 1).decoded == decode_mt(real, 1.0).decoded
+        assert decode(GTS(window=1), real, 1.0).decoded == decode(MT(), real, 1.0).decoded
 
 
 def test_gts_full_window_is_time_sharing():
@@ -295,12 +294,12 @@ def test_gts_full_window_is_time_sharing():
     for _ in range(300):
         caps = rng.exponential(1.0, rng.integers(1, 12))
         real = real_from_caps(caps)
-        assert decode_gts(real, 1.0, len(caps)).decoded == decode_ts(real, 1.0).decoded
+        assert decode(GTS(window=len(caps)), real, 1.0).decoded == decode(TS(), real, 1.0).decoded
 
 
 def test_gts_hand_worked_window():
     # W=2, caps (1,2,2): info (2, 2, 1); everything decodes, tail on equality
-    out = decode_gts(real_from_caps([1.0, 2.0, 2.0]), 1.0, 2)
+    out = decode(GTS(window=2), real_from_caps([1.0, 2.0, 2.0]), 1.0)
     assert out.decoded == frozenset({1, 2, 3})
 
 
@@ -315,7 +314,7 @@ def test_gts_window_edges_match_oracle(m_total):
         for row, cap in enumerate(caps):
             decoded = oracles.gts_decoded(cap, 1.0, window)
             assert counts[row] == len(decoded)
-            assert decode_gts(real_from_caps(cap), 1.0, window).decoded == decoded
+            assert decode(GTS(window=window), real_from_caps(cap), 1.0).decoded == decoded
 
 
 def test_capacity_and_gts_kernels_leave_their_inputs_alone():
@@ -406,9 +405,9 @@ def test_gts_counts_shape_follows_the_window():
 
 def test_gts_rejects_bad_window():
     with pytest.raises(ValueError):
-        decode_gts(real_from_caps([1.0, 1.0]), 1.0, 0)
+        decode(GTS(window=0), real_from_caps([1.0, 1.0]), 1.0)
     with pytest.raises(ValueError):
-        decode_gts(real_from_caps([1.0, 1.0]), 1.0, 3)
+        decode(GTS(window=3), real_from_caps([1.0, 1.0]), 1.0)
     with pytest.raises(ValueError):
         GTS(window=2.5)
 
@@ -460,12 +459,12 @@ def test_st_decode_hand_worked():
     power = PowerBudget(2.0)
     real = ChannelRealization.from_gains([1.0, 1.0], power)
     # first message decodes alone, then the second sees a clean block on equality
-    out = decode_st(real, 1.0, power)
+    out = decode(ST(), real, 1.0, power)
     assert out.decoded == frozenset({1, 2})
-    out = decode_st(real, 1.5, power)
+    out = decode(ST(), real, 1.5, power)
     assert out.decoded == frozenset({1})
     dead = ChannelRealization.from_gains([0.0, 0.0, 0.0], power)
-    assert decode_st(dead, 1.0, power).n_d == 0
+    assert decode(ST(), dead, 1.0, power).n_d == 0
 
 
 def test_st_single_message_equals_mt():
@@ -473,7 +472,7 @@ def test_st_single_message_equals_mt():
     power = PowerBudget.from_db(1.44)
     for _ in range(300):
         real = ChannelRealization.from_gains(rng.exponential(1.0, 1), power)
-        assert decode_st(real, 1.0, power).n_d == decode_mt(real, 1.0).n_d
+        assert decode(ST(), real, 1.0, power).n_d == decode(MT(), real, 1.0).n_d
 
 
 def _st_algorithm1_reference(phi, power, rate_r):
@@ -516,7 +515,7 @@ def test_st_decode_matches_subset_enumeration():
         phi = rng.exponential(1.0, m_total)
         real = ChannelRealization.from_gains(phi, power)
         expected = _st_algorithm1_reference(phi, power, rate)
-        assert decode_st(real, rate, power).decoded == frozenset(expected)
+        assert decode(ST(), real, rate, power).decoded == frozenset(expected)
 
 
 def test_st_heuristic_never_beats_exact():
@@ -530,7 +529,7 @@ def test_st_heuristic_never_beats_exact():
         power = PowerBudget(float(rng.uniform(0.3, 10.0)))
         rate = float(rng.uniform(0.3, 2.0))
         phi = rng.exponential(1.0, m_total)
-        exact = decode_st(ChannelRealization.from_gains(phi, power), rate, power).n_d
+        exact = decode(ST(), ChannelRealization.from_gains(phi, power), rate, power).n_d
         heur = oracles.st_count(phi, power.p_linear, rate, max_run=4)
         assert heur <= exact
         equal += heur == exact
@@ -549,7 +548,7 @@ def test_outcome_rate_accounting_is_exact():
         caps = rng.exponential(1.0, rng.integers(1, 10))
         real = real_from_caps(caps)
         rate = float(rng.uniform(0.2, 2.0))
-        for out in (decode_mt(real, rate), decode_je(real, rate), decode_ts(real, rate)):
+        for out in (decode(MT(), real, rate), decode(JE(), real, rate), decode(TS(), real, rate)):
             assert out.rate == out.n_d * rate / len(caps)
             assert 0 <= out.n_d <= len(caps)
 
@@ -557,29 +556,29 @@ def test_outcome_rate_accounting_is_exact():
 def test_raising_a_capacity_never_hurts():
     rng = np.random.default_rng(15)
     decoders = [
-        lambda r: decode_mt(r, 1.0).n_d,
-        lambda r: decode_je(r, 1.0).n_d,
-        lambda r: decode_ts(r, 1.0).n_d,
-        lambda r: decode_gts(r, 1.0, 3).n_d,
+        lambda r: decode(MT(), r, 1.0).n_d,
+        lambda r: decode(JE(), r, 1.0).n_d,
+        lambda r: decode(TS(), r, 1.0).n_d,
+        lambda r: decode(GTS(window=3), r, 1.0).n_d,
     ]
     for _ in range(300):
         caps = rng.exponential(1.0, 8)
         bumped = caps.copy()
         bumped[rng.integers(0, 8)] += float(rng.uniform(0.0, 2.0))
         before, after = real_from_caps(caps), real_from_caps(bumped)
-        for decode in decoders:
-            assert decode(after) >= decode(before)
+        for count in decoders:
+            assert count(after) >= count(before)
 
 
 def test_equality_decodes_in_every_scheme():
     # accumulated information exactly equal to the required rate decodes
-    assert decode_mt(real_from_caps([1.0]), 1.0).n_d == 1
-    assert decode_je(real_from_caps([1.0, 1.0]), 1.0).n_d == 2
-    assert decode_ts(real_from_caps([0.0, 0.0, 3.0]), 1.0).n_d == 3
-    assert decode_gts(real_from_caps([1.0, 2.0]), 1.0, 2).n_d == 2
+    assert decode(MT(), real_from_caps([1.0]), 1.0).n_d == 1
+    assert decode(JE(), real_from_caps([1.0, 1.0]), 1.0).n_d == 2
+    assert decode(TS(), real_from_caps([0.0, 0.0, 3.0]), 1.0).n_d == 3
+    assert decode(GTS(window=2), real_from_caps([1.0, 2.0]), 1.0).n_d == 2
     power = PowerBudget(2.0)
     st_real = ChannelRealization.from_gains([1.0, 1.0], power)
-    assert decode_st(st_real, 1.0, power).n_d == 2  # second step is exactly tight
+    assert decode(ST(), st_real, 1.0, power).n_d == 2  # second step is exactly tight
     assert st_counts(st_real.phi[None, :], power.p_linear, 1.0)[0] == 2
     m_star = informed_counts(np.array([[0.0, 2.0, 2.0]]), 1.0)
     assert m_star[0] == 3
