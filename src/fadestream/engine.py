@@ -144,13 +144,17 @@ def decode(
     return DecodeOutcome(decoded=decoded, n_d=len(decoded), rate=len(decoded) * rate_r / real.m_blocks)
 
 
-# elements of a chunk's trials x M gains.  At 2**14 one trials x M float64
-# array is 128 KiB, so a chunk's gains, capacities and kernel temporaries
-# (under 1 MiB together) stay in a core's 2 MiB L2 cache.  Per trial at
-# M = 2000 (one worker on a 2-vCPU 2.1 GHz Xeon): gts (W=50) 68 us, je
-# 78 us, informed bound 67 us, against 94, 110 and 108 us at the former
-# 10**6 budget.  The 4096-trial cap decides at M <= 4.
+# elements of a chunk's trials x M gains per spec decoded from them.  At
+# 2**14 one trials x M float64 array is 128 KiB, so a lone spec's gains,
+# capacities and kernel temporaries (under 1 MiB) stay in a core's 2 MiB L2
+# cache.  Per trial at M = 2000 (2-vCPU 2.1 GHz Xeon): gts (W=50) 28.6 us,
+# je 24.5 us, informed bound 33.4 us with sampling, against 32.4, 29.3 and
+# 38.2 us at the former 10**6 budget.  4096 trials decide at M <= 4.
 _CHUNK_ELEMENTS = 2**14
+# most specs that widen a chunk: fig4's group (22 specs) decodes 172k, 194k,
+# 197k and 174k spec-trials/s at 1, 2, 4 and 8 times 2**14 gains; 2**16 for
+# lone specs raised fig5a's peak RSS by 2 MB
+_CHUNK_SPECS = 4
 
 
 # By default glibc's malloc serves an allocation of 128 KiB or more with its
@@ -182,11 +186,10 @@ _keep_chunk_memory_in_heap()
 # tasks per worker and (seed, trials) group in a pooled run, each a run of
 # consecutive chunks whose histograms the worker sums.  One task per chunk
 # left the workers idle in hand-offs (fig4, 4000 trials, two workers: 7.9 s
-# against 3.7 s).  A single-group run needs several tasks per worker to keep
-# every worker busy to its end.  With one pool for all of fig4's specs, each
-# then sampled on its own (8000 trials, two workers), 1, 2, 4 and 8 tasks
-# took 5.3-6.8 s each, no difference within the host's noise
-_TASKS_PER_WORKER = 4
+# against 3.7 s).  fig4 at 8000 trials in 32-trial chunks took 0.464,
+# 0.464, 0.470 and 0.476 s at 1, 2, 4 and 8 tasks per worker; with two, a
+# worker can take a task from a slow one
+_TASKS_PER_WORKER = 2
 
 
 @dataclass(frozen=True)
@@ -299,7 +302,9 @@ def _group(specs) -> _Group:
 
 
 def _group_chunks(group: _Group) -> range:
-    return _chunk_ranges(group.specs[0].trials, group.m_total)
+    """A group's chunks: its block of gains feeds every spec, so a chunk of
+    several specs holds up to _CHUNK_SPECS times a lone spec's trials."""
+    return _chunk_ranges(group.specs[0].trials, group.m_total, len(group.specs))
 
 
 def _decode_chunk(group: _Group, start: int, count: int) -> list[np.ndarray]:
@@ -334,10 +339,12 @@ def _decode_batches(specs, batches, matrix: np.ndarray, power: PowerBudget, coun
             counts[index] = spec_counts
 
 
-def _chunk_ranges(trials: int, m_total: int) -> range:
+def _chunk_ranges(trials: int, m_total: int, specs: int = 1) -> range:
     """First trial of each chunk; the step is the chunk size, _CHUNK_ELEMENTS
-    gains within [1, 4096] trials, and the last chunk ends at `trials`."""
-    return range(0, trials, max(1, min(4096, _CHUNK_ELEMENTS // m_total)))
+    gains for each of the `specs` decoded from them, up to _CHUNK_SPECS,
+    within [1, 4096] trials, and the last chunk ends at `trials`."""
+    elements = _CHUNK_ELEMENTS * min(specs, _CHUNK_SPECS)
+    return range(0, trials, max(1, min(4096, elements // m_total)))
 
 
 def _chunk_histogram(group: _Group, start: int, count: int, hists: list[np.ndarray]):

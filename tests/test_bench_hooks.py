@@ -96,7 +96,9 @@ def test_pool_traced_cli_run_starts_one_pool_for_its_grouped_tasks(tmp_path, mon
     tracer = child.Tracer()
     child.install(tracer, "pool")
     out = str(tmp_path / "out")
-    assert cli.main(["--preset", "fig4", "--trials", "16", "--workers", "2", "--out", out]) == 0
+    specs = cli.PRESETS["fig4"]["build"](40, 1)
+    assert len(engine._group_chunks(engine._group(specs))) == 2  # a single chunk would run in-process
+    assert cli.main(["--preset", "fig4", "--trials", "40", "--workers", "2", "--out", out]) == 0
     summary = tracer.summary()
     assert summary["calls"] == {"engine.pool_starts": 1}
     assert summary["total"]["engine.pool"] > 0.0

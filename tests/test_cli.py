@@ -337,15 +337,19 @@ def test_preset_bytes_do_not_depend_on_chunks_or_workers(tmp_path, monkeypatch, 
 
 
 @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
-def test_every_preset_writes_the_same_bytes_pooled(tmp_path, preset):
+def test_every_preset_writes_the_same_bytes_pooled(tmp_path, monkeypatch, counting_pool, preset):
     """A pooled run decodes each (seed, trials) group from one sampled
-    batch; its output is the serial run's, byte for byte."""
+    batch; its output is the serial run's, byte for byte.  A budget of 100
+    gains cuts every preset's 30 trials into several chunks, so the pooled
+    run does start its pool."""
+    monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", 100)
     outputs = []
     for workers in (1, 2):
         out = tmp_path / f"{preset}-{workers}"
         argv = ("--preset", preset, "--trials", "30", "--seed", "12", "--workers", str(workers))
         assert run_cli(*argv, "--out", str(out)) == 0
         outputs.append(out.read_bytes())
+    assert counting_pool.starts == 1
     assert outputs[0] == outputs[1]
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fadestream
-from fadestream import engine
+from fadestream import cli, engine
 from fadestream.bounds import InformedBound
 from fadestream.channel import (
     capacity_moments,
@@ -193,6 +193,48 @@ def test_run_experiment_chunks_stay_cache_sized_at_long_deadlines():
         tracemalloc.stop()
     assert result.trials_run == 4000
     assert peak < 2**20
+
+
+def test_lone_specs_keep_their_chunks_and_groups_widen_theirs_up_to_four_times():
+    """A lone spec's chunk is 2**14 gains within [1, 4096] trials (the step
+    that bench/child.py recomputes with two arguments); a group's grows
+    with its specs and stops at four times that."""
+    for trials, m_total, step in ((4000, 2000, 8), (10, 10**4, 1), (10**5, 50, 327), (10**5, 2, 4096)):
+        assert engine._chunk_ranges(trials, m_total).step == step
+    specs = [make_spec(scheme=GTS(window=w), m_total=2000) for w in (1, 2, 5, 10, 20, 50)]
+    steps = [engine._group_chunks(engine._group(specs[:n])).step for n in range(1, 7)]
+    assert steps == [8, 16, 24, 32, 32, 32]
+    assert engine._chunk_ranges(10, 10**4, 22).step == 6
+    assert engine._chunk_ranges(10**5, 2, 22).step == 4096
+
+
+def test_a_ten_chunk_fig4_task_stays_within_four_mib():
+    """fig4's group (22 gts specs at M = 2000) runs in 32-trial chunks: the
+    task peaks at 3.74 MiB (a chunk's gains and capacities and the shared
+    window kernel's prefix sums), against 1.08 MiB in a lone spec's 8-trial
+    chunks."""
+    specs = [engine._resolved(spec) for spec in cli.PRESETS["fig4"]["build"](400, 7)]
+    group = engine._group(specs)
+    assert engine._group_chunks(group).step == 32
+    tracemalloc.start()
+    try:
+        spans = engine._task_histogram((group, 0, 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [int(bins.sum()) for _, bins in spans] == [320] * 22
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("size, chunks", [(1, 13), (2, 7), (22, 4)])
+def test_wide_group_chunks_give_each_spec_its_own_counts(size, chunks):
+    """1-, 2- and 22-spec groups, in chunks of 8, 16 and 32 trials at
+    M = 2000 (the last one partial), decode each spec's own counts."""
+    specs = cli.PRESETS["fig4"]["build"](100, 3)[:size]
+    assert len(engine._group_chunks(engine._group(specs))) == chunks
+    together = decode_counts(specs)
+    for spec, counts in zip(specs, together, strict=True):
+        assert np.array_equal(counts, decode_counts([spec])[0])
 
 
 _PAGE_FAULTS = """
@@ -397,24 +439,26 @@ def one_group_of_specs():
 def test_pooled_group_matches_the_serial_runs_exactly(counting_pool, monkeypatch):
     """One group decoded from shared gains gives each spec its own run's
     result, bit for bit, whatever each spec's M and power."""
-    monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", 1000)  # 10 trials per chunk at M = 100
+    monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", 1000)  # 10 trials per lone chunk at M = 100
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
     specs = one_group_of_specs()
     serial = run_specs(specs, 1)
     assert counting_pool.starts == 0
     pooled = run_specs(specs, 2)
     assert counting_pool.starts == 1
-    # 30 chunks at the group's largest M, in 4 tasks per pool process
-    assert counting_pool.submits == 8
+    # 8 group chunks of 40 trials at the group's largest M, in 2 tasks per
+    # pool process
+    assert counting_pool.submits == 4
     for a, b in zip(pooled, serial, strict=True):
         assert a.cmf.tolist() == b.cmf.tolist()
         assert (a.mean_rate, a.rate_se, a.scheme) == (b.mean_rate, b.rate_se, b.scheme)
 
 
 def test_a_group_task_samples_once_and_computes_capacities_once_per_power(monkeypatch):
+    monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", 2**12)  # 163 trials per group chunk at M = 100
     specs = [engine._resolved(spec) for spec in one_group_of_specs()]
     group = engine._group(specs)
-    chunks = engine._chunk_ranges(300, 100)
+    chunks = engine._group_chunks(group)
     assert group.m_total == 100 and len(chunks) == 2
     calls = {"sample": [], "capacities": []}
     sample, caps = engine._sample_gain_block, engine.capacities
@@ -453,7 +497,7 @@ def test_pooled_runs_keep_at_most_two_tasks_per_worker_in_flight(counting_pool, 
     monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", 10)  # one trial per chunk at M = 10
     specs = [make_spec(scheme=JE(), trials=40, master_seed=seed) for seed in range(5)]
     expected = [run_experiment(spec) for spec in specs]
-    got = run_specs(specs, workers=2)  # 8 tasks per spec, 40 in all
+    got = run_specs(specs, workers=2)  # 4 tasks per spec, 20 in all
     assert counting_pool.starts == 1
     assert 1 < counting_pool.peak <= 4
     assert [r.cmf.tolist() for r in got] == [r.cmf.tolist() for r in expected]
@@ -486,8 +530,8 @@ def test_tasks_and_in_flight_limit_follow_the_pool_size(counting_pool, monkeypat
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 1)
     specs = [make_spec(scheme=JE(), trials=40, master_seed=seed) for seed in range(5)]
     expected = [run_experiment(spec) for spec in specs]
-    got = run_specs(specs, workers=3)  # a pool of one process: 4 tasks per spec
-    assert (counting_pool.starts, counting_pool.submits) == (1, 20)
+    got = run_specs(specs, workers=3)  # a pool of one process: 2 tasks per spec
+    assert (counting_pool.starts, counting_pool.submits) == (1, 10)
     assert counting_pool.peak <= 2
     assert [r.cmf.tolist() for r in got] == [r.cmf.tolist() for r in expected]
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from fadestream import schemes
+from fadestream import engine, schemes
 from fadestream.bounds import informed_counts
 from fadestream.channel import (
     LN2,
@@ -686,8 +686,8 @@ FIRST_PRUNED = min(m for m in range(1, 200) if schemes._st_step(m) > 1)
 
 
 def _chunk_gains(m_total, seed):
-    """One engine-sized chunk of Rayleigh gains: 2**14 gains, at most 4096 trials."""
-    trials = max(1, min(4096, 2**14 // m_total))
+    """One chunk of Rayleigh gains the size of a lone spec's in the engine."""
+    trials = engine._chunk_ranges(1, m_total).step
     return np.random.default_rng(seed).exponential(1.0, (trials, m_total))
 
 
