@@ -18,8 +18,6 @@ from fadestream import (
     InformedBound,
     PowerBudget,
     decode,
-    st_power_allocation,
-    st_subset_capacity,
 )
 
 RATE = 1.0
@@ -56,12 +54,18 @@ Notes on what happened:
 print("\n== superposition subset capacities on a 2-block toy case ==")
 power = PowerBudget(2.0)
 toy = ChannelRealization.from_gains([1.0, 1.0], power)
-alloc = st_power_allocation(2, power)
+# equal power split: message i gets P/t in every block t >= i
+t = np.arange(1, 3)
+alloc = np.where(np.arange(1, 3)[:, None] <= t, power.p_linear / t, 0.0)
 print("power allocation (rows: messages, cols: blocks):")
 print(alloc)
-for subset in ({1}, {2}, {1, 2}):
-    c = st_subset_capacity(toy.phi, alloc, {1, 2}, subset)
-    print(f"C({sorted(subset)}) treating the rest as noise = {c:.3f} bpcu")
+for subset in ([1], [2], [1, 2]):
+    # sum_t log2(1 + phi_t S_t / (1 + phi_t N_t)): S_t the subset's power in
+    # block t, N_t that of the other message, treated as noise
+    s_pow = alloc[[i - 1 for i in subset]].sum(axis=0)
+    n_pow = alloc.sum(axis=0) - s_pow
+    c = np.log2(1.0 + toy.phi * s_pow / (1.0 + toy.phi * n_pow)).sum()
+    print(f"C({subset}) treating the rest as noise = {c:.3f} bpcu")
 out = decode(ST(), toy, 1.0, power)
 print(f"greedy subset decoding at R=1 recovers {sorted(out.decoded)}:")
 print("message 1 decodes alone, is subtracted, and message 2 then sees a")

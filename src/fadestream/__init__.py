@@ -25,7 +25,6 @@ from .channel import (
     capacity_moments,
     effective_power,
     ergodic_capacity,
-    rayleigh_ergodic_closed_form,
     sample_realization,
     trial_stream,
 )
@@ -47,8 +46,6 @@ from .schemes import (
     ST,
     TS,
     choose_m_prime,
-    st_power_allocation,
-    st_subset_capacity,
 )
 
 __all__ = [
@@ -76,12 +73,9 @@ __all__ = [
     "mt_pmf_exact",
     "mt_success_prob",
     "optimal_window",
-    "rayleigh_ergodic_closed_form",
     "run_experiment",
     "run_specs",
     "sample_realization",
-    "st_power_allocation",
-    "st_subset_capacity",
     "sweep",
     "trial_stream",
 ]

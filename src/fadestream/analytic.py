@@ -6,9 +6,6 @@ other means than running a decoder:
 * mt_success_prob - the single-block success probability Pr{cap >= R}
   (closed form for the Rayleigh gain);
 * mt_pmf_exact - the memoryless decode-count pmf, binomial in log space;
-* prefix_sum_rate_mc - the joint-encoding average rate from the prefix-sum
-  identity E[n_d] = sum_m Pr{cap[1] + ... + cap[m] >= m R}, estimated on
-  the engine's trial streams, with its standard error;
 * je_pmf_exact_smallM - the exact joint-encoding pmf for up to three blocks,
   from Spitzer's identity and nested quadrature of the capacity-sum tails.
 """
@@ -18,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LN2, PowerBudget, QuadratureError, _check_count, _check_rate, capacities
-from .engine import _chunk_ranges, _sample_gain_block
+from .channel import LN2, PowerBudget, QuadratureError, _check_count, _check_rate
 
 # ---------------------------------------------------------------------------
 # decode-count pmf container
@@ -75,39 +71,6 @@ def mt_pmf_exact(m_total: int, p: float) -> DecodeCountPmf:
     log_comb = log_factorial[m_total] - log_factorial - log_factorial[::-1]
     log_probs = log_comb + m * np.log(p) + (m_total - m) * np.log1p(-p)
     return DecodeCountPmf(probs=np.exp(log_probs))
-
-
-# ---------------------------------------------------------------------------
-# joint encoding: prefix-sum identity for the average rate
-# ---------------------------------------------------------------------------
-
-
-def prefix_sum_rate_mc(
-    power: PowerBudget, m_total: int, rate_r: float, trials: int, master_seed: int
-) -> tuple[float, float]:
-    """Joint-encoding average rate from the prefix-sum identity, with its SE.
-
-    The expected decoded count equals the sum over m of
-    Pr{cap[1] + ... + cap[m] >= m R}, so the average rate is R/M times the
-    mean over trials of the number of m whose prefix sum clears m R.  Trials
-    0..trials-1 use the engine's (master_seed, trial) streams and chunks.
-    """
-    _check_count("m_total", m_total)
-    _check_rate(rate_r)
-    _check_count("trials", trials)
-    thresholds = rate_r * np.arange(1, m_total + 1)
-    s1 = s2 = 0.0
-    starts = _chunk_ranges(trials, m_total)
-    for start in starts:
-        count = min(starts.step, trials - start)
-        caps = capacities(_sample_gain_block(m_total, master_seed, start, count), power)
-        counts = (np.cumsum(caps, axis=1) >= thresholds).sum(axis=1)
-        s1 += counts.sum()
-        s2 += (counts.astype(float) ** 2).sum()
-    mean = s1 / trials
-    var = max(s2 / trials - mean**2, 0.0) * trials / max(trials - 1, 1)
-    scale = rate_r / m_total
-    return scale * mean, scale * np.sqrt(var / trials)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy  # scipy.special loads on first use; bench/child.py reads sys.modules["scipy"]
+import scipy  # unused here; bench/child.py reads sys.modules["scipy"].__version__
 
 LN2 = float(np.log(2.0))
 
@@ -258,16 +258,6 @@ def ergodic_capacity(power: PowerBudget) -> float:
     """Mean instantaneous capacity E[log2(1 + phi * P)] in bpcu."""
     p = power.p_linear
     return _rayleigh_expectation(lambda g: np.log1p(g * p) / LN2, _QUAD_TOL)
-
-
-def rayleigh_ergodic_closed_form(power: PowerBudget) -> float:
-    """Closed form for the Rayleigh ergodic capacity: e^(1/P) E1(1/P) / ln 2.
-
-    Follows from integrating log2(1 + gP) exp(-g) by parts; kept as an
-    independent cross-check for the quadrature route.
-    """
-    x = 1.0 / power.p_linear
-    return float(np.exp(x) * scipy.special.exp1(x) / LN2)
 
 
 def capacity_moments(power: PowerBudget) -> tuple[float, float]:

@@ -227,8 +227,6 @@ def _parse_sweep(text: str):
     axis = axis.strip()
     if axis not in SWEEP_AXES:
         raise UsageError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-    if not rest.strip():
-        return axis, []
     cast = int if axis in INT_AXES else float
     try:
         values = [cast(v) for v in rest.split(",")]

@@ -70,11 +70,8 @@ def _each(kernel) -> Callable:
 
 
 def _gts_kernel(caps, rate_r, configs, power):
-    """One gts_counts call decides every window from the same prefix sums; a
-    lone window goes as an int, straight to the exact rule."""
-    windows = [scheme.window for scheme in configs]
-    counts = schemes.gts_counts(caps, rate_r, windows if len(windows) > 1 else windows[0])
-    return counts.reshape(len(windows), -1)
+    """One gts_counts call decides every window, one row of counts each."""
+    return schemes.gts_counts(caps, rate_r, [scheme.window for scheme in configs])
 
 
 # the one place each scheme is defined: engine dispatch, spec validation, the

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LN2, PowerBudget, _check_count, _check_rate
+from .channel import LN2, _check_count, _check_rate
 
 # ---------------------------------------------------------------------------
 # configuration types
@@ -208,45 +208,6 @@ def choose_m_prime(c_bar: float, rate_r: float, m_total: int, *, c_var: float) -
         z = np.where(n <= m_prime, drift / spread, -np.inf)
         predicted[first - 1 : last] = normal_cdf(z).sum(axis=1)
     return int(np.argmax(predicted)) + 1
-
-
-# ---------------------------------------------------------------------------
-# superposition transmission: the subset capacities that define greedy decoding
-# ---------------------------------------------------------------------------
-
-
-def st_power_allocation(m_total: int, power: PowerBudget) -> np.ndarray:
-    """Equal power split: message i gets P/t in every block t >= i.
-
-    Returns the (messages x blocks) matrix; each column sums to P.
-    """
-    _check_count("m_total", m_total)
-    t = np.arange(1, m_total + 1)
-    alloc = np.where(np.arange(1, m_total + 1)[:, None] <= t[None, :], power.p_linear / t, 0.0)
-    return alloc
-
-
-def st_subset_capacity(phi, p_alloc: np.ndarray, undecoded, subset) -> float:
-    """Joint capacity of a candidate subset, remaining undecoded as noise.
-
-    Sum over blocks of log2(1 + phi_t * S_t / (1 + phi_t * N_t)) where S_t is
-    the subset's allocated power in block t and N_t the power of the still
-    undecoded messages outside the subset.  Messages already decoded must
-    have been removed from `undecoded` by the caller (their signals are
-    subtracted before this test).
-    """
-    subset = frozenset(subset)
-    undecoded = frozenset(undecoded)
-    if not subset:
-        raise ValueError("subset must be non-empty")
-    if not subset <= undecoded:
-        raise ValueError("subset must be contained in the undecoded set")
-    phi = np.asarray(phi, dtype=float)
-    rows_s = [s - 1 for s in subset]
-    rows_n = [s - 1 for s in undecoded - subset]
-    s_pow = p_alloc[rows_s, :].sum(axis=0)
-    n_pow = p_alloc[rows_n, :].sum(axis=0) if rows_n else np.zeros_like(phi)
-    return float(np.sum(np.log1p(phi * s_pow / (1.0 + phi * n_pow)) / LN2))
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +427,10 @@ def st_counts(phis: np.ndarray, p_linear: float, rate_r: float) -> np.ndarray:
     """Greedy superposition decoding: the decoded count of each trial.
 
     The greedy decoder repeatedly decodes the smallest subset size i whose
-    best candidate clears i * R (st_subset_capacity), subtracts it, and
-    restarts.  Under the equal power split the best candidate is the i
+    best candidate clears i * R, subtracts it, and restarts.  A subset's
+    capacity is sum_t log2(1 + phi_t S_t / (1 + phi_t N_t)), with S_t its
+    power in block t and N_t that of the other undecoded messages, treated
+    as noise.  Under the equal power split the best candidate is the i
     earliest undecoded messages (each block term grows as a member index is
     lowered; it is also the lexicographic tie-break), and with s decoded,
     messages s+1..M decode jointly at H[s] = sum_t log2(1 + phi_t (P/t)

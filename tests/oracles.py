@@ -2,16 +2,21 @@
 time: the independent second implementation that every batched kernel in
 fadestream is checked against.  Each decoding oracle returns the decoded
 count.  st_counts_row_scan keeps the st kernel's scan of every row, the
-bit-for-bit reference for the kernel that skips rows.  capacity_moments
-restates the capacity statistics by adaptive quadrature, against the
-package's fixed rule, and choose_m_prime restates aje's M' search one M' at
-a time with scipy's normal cdf."""
+bit-for-bit reference for the kernel that skips rows, and st_power_allocation
+and st_subset_capacity give the subset capacities that define greedy
+superposition decoding.  capacity_moments restates the capacity statistics
+by adaptive quadrature, against the package's fixed rule, and
+rayleigh_ergodic_closed_form gives their mean in closed form.
+choose_m_prime restates aje's M' search one M' at a time with scipy's
+normal cdf.  prefix_sum_rate_mc estimates je's average rate from the
+prefix-sum identity instead of its decoder."""
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import ndtr
+from scipy.special import exp1, ndtr
 
-from fadestream.channel import LN2
+from fadestream.channel import LN2, PowerBudget, _check_count, _check_rate, capacities
+from fadestream.engine import _chunk_ranges, _sample_gain_block
 
 
 def mt_count(cap, rate_r):
@@ -116,6 +121,40 @@ def st_counts_row_scan(phis: np.ndarray, p_linear: float, rate_r: float) -> np.n
     return counts
 
 
+def st_power_allocation(m_total: int, power: PowerBudget) -> np.ndarray:
+    """Equal power split: message i gets P/t in every block t >= i.
+
+    Returns the (messages x blocks) matrix; each column sums to P.
+    """
+    _check_count("m_total", m_total)
+    t = np.arange(1, m_total + 1)
+    alloc = np.where(np.arange(1, m_total + 1)[:, None] <= t[None, :], power.p_linear / t, 0.0)
+    return alloc
+
+
+def st_subset_capacity(phi, p_alloc: np.ndarray, undecoded, subset) -> float:
+    """Joint capacity of a candidate subset, remaining undecoded as noise.
+
+    Sum over blocks of log2(1 + phi_t * S_t / (1 + phi_t * N_t)) where S_t is
+    the subset's allocated power in block t and N_t the power of the still
+    undecoded messages outside the subset.  Messages already decoded must
+    have been removed from `undecoded` by the caller (their signals are
+    subtracted before this test).
+    """
+    subset = frozenset(subset)
+    undecoded = frozenset(undecoded)
+    if not subset:
+        raise ValueError("subset must be non-empty")
+    if not subset <= undecoded:
+        raise ValueError("subset must be contained in the undecoded set")
+    phi = np.asarray(phi, dtype=float)
+    rows_s = [s - 1 for s in subset]
+    rows_n = [s - 1 for s in undecoded - subset]
+    s_pow = p_alloc[rows_s, :].sum(axis=0)
+    n_pow = p_alloc[rows_n, :].sum(axis=0) if rows_n else np.zeros_like(phi)
+    return float(np.sum(np.log1p(phi * s_pow / (1.0 + phi * n_pow)) / LN2))
+
+
 def informed_feasible(cap, rate_r, m):
     """m messages fit with full channel knowledge: (m - i + 1) R <= cap[i] +
     ... + cap[M] for i = 1..m."""
@@ -141,6 +180,16 @@ def capacity_moments(p_linear):
     return mean, expect(lambda g: (np.log1p(g * p_linear) / LN2 - mean) ** 2)
 
 
+def rayleigh_ergodic_closed_form(power: PowerBudget) -> float:
+    """Closed form for the Rayleigh ergodic capacity: e^(1/P) E1(1/P) / ln 2.
+
+    Follows from integrating log2(1 + gP) exp(-g) by parts; kept as an
+    independent cross-check for the quadrature route.
+    """
+    x = 1.0 / power.p_linear
+    return float(np.exp(x) * exp1(x) / LN2)
+
+
 def choose_m_prime(c_bar, rate_r, m_total, c_var):
     """The M' in [1, M] with the largest predicted decoded count
     sum_{n=1..M'} Phi(n (M c_bar/M' - R) / sqrt(c_var (n + n^2 (M - M')/M'^2))),
@@ -152,3 +201,31 @@ def choose_m_prime(c_bar, rate_r, m_total, c_var):
         spread = np.sqrt(c_var * (n + n * n * (m_total - m_prime) / m_prime**2))
         predicted[m_prime - 1] = ndtr(drift / spread).sum()
     return int(np.argmax(predicted)) + 1
+
+
+def prefix_sum_rate_mc(
+    power: PowerBudget, m_total: int, rate_r: float, trials: int, master_seed: int
+) -> tuple[float, float]:
+    """Joint-encoding average rate from the prefix-sum identity, with its SE.
+
+    The expected decoded count equals the sum over m of
+    Pr{cap[1] + ... + cap[m] >= m R}, so the average rate is R/M times the
+    mean over trials of the number of m whose prefix sum clears m R.  Trials
+    0..trials-1 use the engine's (master_seed, trial) streams and chunks.
+    """
+    _check_count("m_total", m_total)
+    _check_rate(rate_r)
+    _check_count("trials", trials)
+    thresholds = rate_r * np.arange(1, m_total + 1)
+    s1 = s2 = 0.0
+    starts = _chunk_ranges(trials, m_total)
+    for start in starts:
+        count = min(starts.step, trials - start)
+        caps = capacities(_sample_gain_block(m_total, master_seed, start, count), power)
+        counts = (np.cumsum(caps, axis=1) >= thresholds).sum(axis=1)
+        s1 += counts.sum()
+        s2 += (counts.astype(float) ** 2).sum()
+    mean = s1 / trials
+    var = max(s2 / trials - mean**2, 0.0) * trials / max(trials - 1, 1)
+    scale = rate_r / m_total
+    return scale * mean, scale * np.sqrt(var / trials)

@@ -9,7 +9,7 @@ standard-error arithmetic where sampling is involved).
 
 import numpy as np
 
-from fadestream.analytic import je_pmf_exact_smallM, mt_success_prob, prefix_sum_rate_mc
+from fadestream.analytic import je_pmf_exact_smallM, mt_success_prob
 from fadestream.bounds import InformedBound, ergodic_upper_bound
 from fadestream.channel import (
     ChannelRealization,
@@ -17,7 +17,6 @@ from fadestream.channel import (
     PowerBudget,
     capacities,
     ergodic_capacity,
-    rayleigh_ergodic_closed_form,
     sample_realization,
     trial_stream,
 )
@@ -77,7 +76,7 @@ def test_c01_ergodic_capacity_anchors():
     worst = 0.0
     for p_linear in (0.1, 0.5, 1.0, 1.585, 10.0, 100.0):
         power = PowerBudget(p_linear)
-        gap = abs(ergodic_capacity(power) - rayleigh_ergodic_closed_form(power))
+        gap = abs(ergodic_capacity(power) - oracles.rayleigh_ergodic_closed_form(power))
         worst = max(worst, gap)
     checks.append(("closed-form agreement", worst <= 1e-6, f"worst gap {worst:.2e} (tol 1e-6)"))
     report(1, "ergodic capacity anchors", checks)
@@ -105,7 +104,7 @@ def test_c03_prefix_sum_identity_vs_je_runs():
     for power_db in (-3.0, 0.0, 2.0):
         for m_total in range(1, 7):
             cell += 1
-            est, est_se = prefix_sum_rate_mc(
+            est, est_se = oracles.prefix_sum_rate_mc(
                 PowerBudget.from_db(power_db), m_total, 1.0, trials, SEED + 100 + cell
             )
             run = run_experiment(spec(JE(), power_db, m_total, trials, SEED + 200 + cell))

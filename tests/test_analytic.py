@@ -8,17 +8,13 @@ import pytest
 from scipy.integrate import dblquad, quad
 
 from fadestream import analytic
-from fadestream.analytic import (
-    je_pmf_exact_smallM,
-    mt_pmf_exact,
-    mt_success_prob,
-    prefix_sum_rate_mc,
-)
+from fadestream.analytic import je_pmf_exact_smallM, mt_pmf_exact, mt_success_prob
 from fadestream.channel import PowerBudget, QuadratureError, trial_stream
 from fadestream.engine import ExperimentSpec, decode_counts, run_experiment
 from fadestream.schemes import JE, TS, je_counts, mt_counts
 
 from gates import binomial_se, combined_se
+from oracles import prefix_sum_rate_mc
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Every name a module imports is read somewhere in that module."""
+"""Every name a module imports is read somewhere in that module, and each
+package module imports only from the layers below its own."""
 
 import ast
 from pathlib import Path
@@ -6,13 +7,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(p for top in ("src", "demos", "tests") for p in (ROOT / top).rglob("*.py"))
 
-# imported for bench/child.py's HOOKS, which wrap these module attributes by
-# name; ROADMAP item 1 moves those hooks to the functions the program calls,
-# and then both imports go
+# imported for bench/child.py: its HOOKS wrap the first two module attributes
+# by name, and it reads the version of the scipy that `import scipy` loads.
+# ROADMAP item 1 moves those hooks to the functions the program calls and
+# lets the version read find no scipy; then these imports go
 KEPT_FOR_BENCH_HOOKS = {
     ("src/fadestream/engine.py", "ergodic_capacity"),
     ("src/fadestream/cli.py", "run_experiment"),
+    ("src/fadestream/channel.py", "scipy"),
 }
+
+PACKAGE = ROOT / "src" / "fadestream"
+
+# the package's modules from the bottom layer up.  `from . import name` of a
+# name that is not a module reads the package's __init__, which imports every
+# module but cli
+LAYERS = ({"channel"}, {"schemes", "bounds", "analytic"}, {"engine"}, {"__init__"}, {"cli"})
 
 
 def unread_imports(tree: ast.Module) -> list[str]:
@@ -43,3 +53,34 @@ def test_no_module_imports_a_name_it_never_reads():
 def test_the_check_sees_an_unread_import():
     source = "import os, numpy as np\nfrom sys import argv, path\n__all__ = ['path']\nnp.sum(argv)\n"
     assert unread_imports(ast.parse(source)) == ["os"]
+
+
+def package_imports(tree: ast.Module) -> set[str]:
+    """The package modules that a module's relative imports read."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is not None:
+                read.add(node.module)
+            else:
+                read |= {alias.name if alias.name in modules else "__init__" for alias in node.names}
+    return read
+
+
+def test_package_modules_import_only_from_lower_layers():
+    layer = {name: level for level, names in enumerate(LAYERS) for name in names}
+    sources = {path.stem: path for path in PACKAGE.glob("*.py")}
+    assert set(sources) == set(layer)
+    upward = sorted(
+        (name, imported)
+        for name, path in sources.items()
+        for imported in package_imports(ast.parse(path.read_text(), filename=str(path)))
+        if layer[imported] >= layer[name]
+    )
+    assert upward == []
+
+
+def test_the_layer_check_sees_both_import_forms():
+    source = "from . import schemes, __version__\nfrom .engine import run_specs\nfrom os import path\n"
+    assert package_imports(ast.parse(source)) == {"schemes", "__init__", "engine"}

@@ -33,13 +33,11 @@ from fadestream.schemes import (
     mt_counts,
     normal_cdf,
     st_counts,
-    st_power_allocation,
-    st_subset_capacity,
     ts_counts,
 )
 
 import oracles
-from oracles import je_prefix_feasible
+from oracles import je_prefix_feasible, st_power_allocation, st_subset_capacity
 
 UNIT_POWER = PowerBudget(1.0)
 
