@@ -121,14 +121,32 @@ class PowerBudget:
         return 10.0 * float(np.log10(self.p_linear))
 
 
+def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised C-contiguous float64 array whose data starts on a
+    64-byte cache line.
+
+    A float64 ufunc writing to an array that does not start on a line took
+    1.8 times as long (np.subtract of two aligned 2000 x 32 arrays into a
+    third: 15 us aligned, 27 us at offsets 8, 16, 32 and 48 mod 64; AVX-512
+    numpy 2.4, 2.1 GHz Xeon), and where the heap places an np.empty array
+    changes with the size of earlier allocations, those of the package's
+    own path included.  So the arrays of the chunk kernels come from here:
+    7 more elements than needed, sliced at the first line.
+    """
+    size = math.prod(shape)
+    buffer = np.empty(size + 7)
+    first = (-buffer.ctypes.data % 64) // 8
+    return buffer[first : first + size].reshape(shape)
+
+
 def capacities(phi, power: PowerBudget) -> np.ndarray:
     """Instantaneous capacities log2(1 + phi * P) in bpcu, elementwise.
 
-    One new array holds the result; log1p and the division by ln 2 run in
-    place on it, so `phi` is left unchanged.
+    One new array, 64-byte aligned, holds the result; log1p and the
+    division by ln 2 run in place on it, so `phi` is left unchanged.
     """
     phi = np.asarray(phi, dtype=float)
-    caps = np.multiply(phi, power.p_linear, out=np.empty_like(phi))
+    caps = np.multiply(phi, power.p_linear, out=_aligned_empty(phi.shape))
     np.log1p(caps, out=caps)
     caps /= LN2
     return caps

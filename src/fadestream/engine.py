@@ -27,6 +27,7 @@ from .channel import (
     ChannelRealization,
     FadingModel,
     PowerBudget,
+    _aligned_empty,
     _check_count,
     _check_rate,
     _finite_real,
@@ -148,9 +149,10 @@ def decode(
 # je 24.5 us, informed bound 33.4 us with sampling, against 32.4, 29.3 and
 # 38.2 us at the former 10**6 budget.  4096 trials decide at M <= 4.
 _CHUNK_ELEMENTS = 2**14
-# most specs that widen a chunk: fig4's group (22 specs) decodes 172k, 194k,
-# 197k and 174k spec-trials/s at 1, 2, 4 and 8 times 2**14 gains; 2**16 for
-# lone specs raised fig5a's peak RSS by 2 MB
+# most specs that widen a chunk: fig4's group (22 specs, 2000 trials, one
+# in-process task) decodes 181k, 233k, 258k and 237k spec-trials/s at 1, 2,
+# 4 and 8 times 2**14 gains; 2**16 for lone specs raised fig5a's peak RSS by
+# 2 MB
 _CHUNK_SPECS = 4
 
 
@@ -252,8 +254,9 @@ def resolve_scheme(spec: ExperimentSpec) -> SchemeConfig | InformedBound:
 
 
 def _sample_gain_block(m_total: int, master_seed: int, start: int, count: int) -> np.ndarray:
-    """Gains of trials [start, start + count), one row per trial."""
-    phis = np.empty((count, m_total))
+    """Gains of trials [start, start + count), one row per trial, in a
+    64-byte-aligned block."""
+    phis = _aligned_empty((count, m_total))
     # looked up once per block, at call time, so that wrappers on these names see every call
     stream, sample = trial_stream, FadingModel.sample_gains
     for trial, row in enumerate(phis, start):
@@ -362,9 +365,9 @@ def _task_histogram(task) -> list[tuple[int, np.ndarray]]:
     Each histogram comes as its span (m, bins): the bins of decoded counts
     m, m + 1, ..., from its first nonzero bin to its last, so that a pool
     task sends back little more than the counts it saw.  (All M + 1 bins of
-    fig4's 22 specs at M = 2000 raised the parent's peak RSS by 1.3 MB; in
-    a task they took fig4's ten-chunk tracemalloc peak to 1.25 MiB, where
-    histograms that grow with the counts peak at 1.08 MiB.)
+    fig4's 22 specs at M = 2000 raised the parent's peak RSS by 1.3 MB and
+    a task's tracemalloc peak by 0.17 MiB, measured on 8-trial chunks; ten
+    of its 32-trial group chunks peak at 3.24 MiB in all.)
     """
     group, first, end = task
     starts = _group_chunks(group)[first:end]

@@ -1,7 +1,6 @@
 """Analytic quantities vs their Monte Carlo and quadrature counterparts."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,19 +48,7 @@ def test_rate_rule_of_the_estimators(rate_r):
     with pytest.raises(ValueError):
         mt_success_prob(PowerBudget(1.0), rate_r)
     with pytest.raises(ValueError):
-        prefix_sum_rate_mc(PowerBudget(1.0), 5, rate_r, 100, master_seed=1)
-    with pytest.raises(ValueError):
         je_pmf_exact_smallM(2, PowerBudget(1.0), rate_r)
-
-
-@pytest.mark.parametrize(
-    "m_total, trials",
-    [(0, 100), (-1, 100), (2.5, 100), (5, 0), (5, 2.5), (5, 100.0)],
-)
-def test_prefix_sum_rate_mc_rejects_bad_counts(m_total, trials):
-    """Counts are integers >= 1; a float is refused even when it is whole."""
-    with pytest.raises(ValueError):
-        prefix_sum_rate_mc(PowerBudget(1.0), m_total, 1.0, trials, master_seed=1)
 
 
 def test_mt_success_prob_matches_tail_quadrature():
@@ -276,17 +263,6 @@ def test_ts_estimate_single_block():
     )
     run = run_experiment(spec)
     assert abs(run.mean_rate - p) <= 3.0 * run.rate_se
-
-
-@pytest.mark.parametrize("estimate", [prefix_sum_rate_mc])
-def test_estimates_stay_bounded_in_memory_at_long_deadlines(estimate):
-    """8192 trials x 2000 blocks in one chunk peaked at 375 MB."""
-    tracemalloc.start()
-    try:
-        estimate(PowerBudget.from_db(2.0), 2000, 1.0, 8192, master_seed=55)
-        assert tracemalloc.get_traced_memory()[1] < 100 * 2**20
-    finally:
-        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------

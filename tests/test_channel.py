@@ -98,6 +98,23 @@ def test_unit_gain_capacities():
     assert ChannelRealization.from_gains([3.0], PowerBudget(1.0)).cap[0] == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (32, 2000), (4000, 32)])
+def test_aligned_arrays_start_on_a_cache_line(shape):
+    arrays = [channel._aligned_empty(shape) for _ in range(8)]  # wherever the heap puts each
+    for array in arrays:
+        assert array.ctypes.data % 64 == 0
+        assert array.shape == shape and array.dtype == np.float64
+        assert array.flags.c_contiguous and array.flags.writeable
+
+
+def test_gain_blocks_and_capacities_are_aligned():
+    for count, m_total in ((1, 2), (3, 7), (32, 2000), (5, 10**4)):
+        phis = engine._sample_gain_block(m_total, 5, 0, count)
+        assert phis.ctypes.data % 64 == 0
+        for gains in (phis, phis[:, 1:], phis[0]):
+            assert channel.capacities(gains, PowerBudget(2.0)).ctypes.data % 64 == 0
+
+
 def test_rayleigh_sample_mean_is_one():
     rng = trial_stream(2024, 0)
     gains = FadingModel.sample_gains(rng, 10**6)
