@@ -11,11 +11,10 @@ for all of them (common random numbers).
 
 import ctypes
 import dataclasses
-import itertools
 import numbers
 import os
 from collections.abc import Callable
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -182,12 +181,13 @@ def _keep_chunk_memory_in_heap():
 
 _keep_chunk_memory_in_heap()
 
-# tasks per worker and (seed, trials) group in a pooled run, each a run of
-# consecutive chunks whose histograms the worker sums.  One task per chunk
-# left the workers idle in hand-offs (fig4, 4000 trials, two workers: 7.9 s
-# against 3.7 s).  fig4 at 8000 trials in 32-trial chunks took 0.464,
-# 0.464, 0.470 and 0.476 s at 1, 2, 4 and 8 tasks per worker; with two, a
-# worker can take a task from a slow one
+# tasks per pool process for each (seed, trials) group of a pooled run, each
+# a run of consecutive chunks whose histograms the worker sums.  A group's
+# tasks are submitted together, so this also bounds the tasks per process in
+# flight.  One task per chunk left the workers idle in hand-offs (fig4, 4000
+# trials, two workers: 7.9 s against 3.7 s).  fig4 at 8000 trials in
+# 32-trial chunks took 0.464, 0.464, 0.470 and 0.476 s at 1, 2, 4 and 8
+# tasks per worker; with two, a worker can take a task from a slow one
 _TASKS_PER_WORKER = 2
 
 
@@ -323,6 +323,8 @@ def _decode_chunk(group: _Group, start: int, count: int) -> list[np.ndarray]:
 def _capacity_counts(specs, batches, phis: np.ndarray, power: PowerBudget, counts: list):
     """_decode_batches on the capacities of the gains `phis` at one received
     power, computed once for all the batches."""
+    # keep the next line once in this file and a top-level statement of this
+    # body: bench/test_bench.py breaks a copy by adding a line at its indent
     caps = capacities(phis, power)
     _decode_batches(specs, batches, caps, power, counts)
 
@@ -382,9 +384,15 @@ def _task_histogram(task) -> list[tuple[int, np.ndarray]]:
     return spans
 
 
-def _add_span(hist: np.ndarray, span: tuple[int, np.ndarray]):
-    low, bins = span
-    hist[low : low + len(bins)] += bins
+def _group_results(group: _Group, task_outputs) -> list[ExperimentResult]:
+    """The results of a group's specs, in order, from the _task_histogram
+    outputs of tasks that cover each of its chunks once: every spec's spans
+    add into one histogram of its M + 1 bins."""
+    hists = [np.zeros(spec.m_total + 1, dtype=np.int64) for spec in group.specs]
+    for spans in task_outputs:
+        for hist, (low, bins) in zip(hists, spans):
+            hist[low : low + len(bins)] += bins
+    return [_result_from_histogram(hist, spec) for hist, spec in zip(hists, group.specs)]
 
 
 def _resolved(spec: ExperimentSpec) -> ExperimentSpec:
@@ -417,68 +425,42 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     process pool.
     """
     group = _group([_resolved(spec)])
-    spec = group.specs[0]
-    hist = np.zeros(spec.m_total + 1, dtype=np.int64)
-    _add_span(hist, _task_histogram((group, 0, len(_group_chunks(group))))[0])
-    return _result_from_histogram(hist, spec)
+    return _group_results(group, [_task_histogram((group, 0, len(_group_chunks(group))))])[0]
 
 
 def run_specs(specs, workers: int = 1) -> list[ExperimentResult]:
     """run_experiment of every spec, in order, with one process pool for all.
 
-    Every spec is resolved first, so a failing resolution starts no pool.  At
-    workers == 1 every spec runs through run_experiment in this process.  At
-    workers > 1 the specs are grouped by (master_seed, trials), and one pool
-    of min(workers, CPUs) processes runs the chunk tasks of every group, made
-    lazily with at most two per process in flight.  A task samples each
-    chunk's gains once for its whole group (see _Group) and returns the
-    span of one histogram per spec, which is added into that spec's; the
-    results are built once the pool has closed.  Histograms are integer sums, so each
-    result equals run_experiment's.  No specs, or specs of a single chunk
-    in all, run through run_experiment too.
+    `workers` must be an integer >= 1, and every spec is resolved before
+    anything runs, so a failing resolution starts no pool.  At workers == 1
+    every spec runs through run_experiment in this process, and so do no
+    specs, or specs of a single chunk in all.  Otherwise the specs are
+    grouped by (master_seed, trials), and one pool of min(workers, CPUs)
+    processes runs the groups one after another, each in _TASKS_PER_WORKER
+    tasks per process.  A task samples each chunk's gains once for its
+    whole group (see _Group) and returns one histogram span per spec;
+    _group_results adds them up as run_experiment does, and histograms are
+    integer sums, so each result equals run_experiment's.
     """
+    _check_count("workers", workers)
     specs = [_resolved(spec) for spec in specs]
     members = {}
     for index, spec in enumerate(specs):
         members.setdefault((spec.master_seed, spec.trials), []).append(index)
     groups = [_group([specs[index] for index in indices]) for indices in members.values()]
     chunks = [len(_group_chunks(group)) for group in groups]
-    if workers <= 1 or sum(chunks) <= 1:
+    if workers == 1 or sum(chunks) <= 1:
         return [run_experiment(spec) for spec in specs]
     # the fork start method forks every process of the pool at its first task
     workers = min(workers, os.cpu_count() or 1)
-
-    def tasks():
-        for index, (group, count) in enumerate(zip(groups, chunks)):
-            size = -(-count // (_TASKS_PER_WORKER * workers))
-            for first in range(0, count, size):
-                yield index, (group, first, min(first + size, count))
-
-    hists = [[np.zeros(spec.m_total + 1, dtype=np.int64) for spec in group.specs] for group in groups]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for index, spans in _completed(pool, tasks(), 2 * workers):
-            for hist, span in zip(hists[index], spans):
-                _add_span(hist, span)
     results = [None] * len(specs)
-    for indices, group_hists in zip(members.values(), hists):
-        for index, hist in zip(indices, group_hists):
-            results[index] = _result_from_histogram(hist, specs[index])
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for indices, group, count in zip(members.values(), groups, chunks):
+            size = -(-count // (_TASKS_PER_WORKER * workers))
+            tasks = [(group, first, min(first + size, count)) for first in range(0, count, size)]
+            for index, result in zip(indices, _group_results(group, pool.map(_task_histogram, tasks))):
+                results[index] = result
     return results
-
-
-def _completed(pool, tasks, limit: int):
-    """(key, _task_histogram(task)) for each (key, task) of `tasks`, in order
-    of completion, with at most `limit` tasks submitted and not yet yielded."""
-    tasks = iter(tasks)
-    in_flight = {}
-    while True:
-        for key, task in itertools.islice(tasks, limit - len(in_flight)):
-            in_flight[pool.submit(_task_histogram, task)] = key
-        if not in_flight:
-            return
-        done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-        for future in done:
-            yield in_flight.pop(future), future.result()
 
 
 def _result_from_histogram(hist: np.ndarray, spec: ExperimentSpec) -> ExperimentResult:

@@ -167,21 +167,9 @@ def test_aje_message_count_is_resolved_once_per_experiment(monkeypatch):
     assert len(calls) == 3
 
 
-def test_run_experiment_memory_is_bounded_at_long_deadlines():
-    """gts at M=2000: a chunk of 4000 trials x 2000 blocks peaked at 448 MB."""
-    spec = make_spec(scheme=GTS(window=50), power_db=2.0, m_total=2000, trials=4000)
-    tracemalloc.start()
-    try:
-        result = run_experiment(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert result.trials_run == 4000
-    assert peak < 100 * 2**20
-
-
 def test_run_experiment_chunks_stay_cache_sized_at_long_deadlines():
-    """The same run in 8-trial chunks peaks at 0.74 MiB (a chunk's gains,
+    """gts at M=2000: a chunk of 4000 trials x 2000 blocks peaked at 448 MB.
+    In 8-trial chunks the run peaks at 0.74 MiB (a chunk's gains,
     capacities and gts temporaries of 125 KiB each); the bound leaves 0.26
     MiB of margin.  A 2**15 budget peaks at 1.2 MiB, 2**16 at 2.2 MiB and
     the former 10**6 budget at 31 MiB."""
@@ -211,7 +199,7 @@ def test_lone_specs_keep_their_chunks_and_groups_widen_theirs_up_to_four_times()
 
 def test_a_ten_chunk_fig4_task_stays_within_four_mib():
     """fig4's group (22 gts specs at M = 2000) runs in 32-trial chunks: the
-    task peaks at 3.74 MiB (a chunk's gains and capacities and the shared
+    task peaks at 3.24 MiB (a chunk's gains and capacities and the shared
     window kernel's prefix sums), against 1.08 MiB in a lone spec's 8-trial
     chunks."""
     specs = [engine._resolved(spec) for spec in cli.PRESETS["fig4"]["build"](400, 7)]
@@ -525,10 +513,40 @@ def test_pooled_runs_keep_at_most_two_tasks_per_worker_in_flight(counting_pool, 
     monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", 10)  # one trial per chunk at M = 10
     specs = [make_spec(scheme=JE(), trials=40, master_seed=seed) for seed in range(5)]
     expected = [run_experiment(spec) for spec in specs]
-    got = run_specs(specs, workers=2)  # 4 tasks per spec, 20 in all
+    got = run_specs(specs, workers=2)  # 4 tasks per group, 20 in all
     assert counting_pool.starts == 1
     assert 1 < counting_pool.peak <= 4
     assert [r.cmf.tolist() for r in got] == [r.cmf.tolist() for r in expected]
+
+
+@pytest.mark.parametrize("workers", [2.5, True, 0, -3])
+def test_run_specs_refuses_a_worker_count_that_is_not_a_positive_integer(workers, monkeypatch):
+    """Before any spec is resolved: with four CPUs 2.5 used to fail in
+    range() once every spec was resolved, and True, 0 and -3 ran serially."""
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
+
+    def refused(spec):
+        raise AssertionError("spec resolved")
+
+    monkeypatch.setattr(engine, "_resolved", refused)
+    base = make_spec(scheme=GTS(window=1), trials=9000)
+    for run in (
+        lambda: run_specs([base], workers),
+        lambda: sweep(base, "window", [1, 2], workers),
+        lambda: optimal_window(base, [1, 2], workers),
+    ):
+        with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+            run()
+
+
+def test_run_specs_takes_numpy_worker_counts(counting_pool, monkeypatch):
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    spec = make_spec(scheme=JE(), trials=9000)  # 6 chunks
+    expected = run_experiment(spec)
+    for workers, starts in ((np.int64(1), 0), (np.int32(2), 1)):
+        (got,) = run_specs([spec], workers)
+        assert counting_pool.starts == starts
+        assert got.cmf.tolist() == expected.cmf.tolist()
 
 
 def test_a_pool_has_at_most_one_process_per_cpu(monkeypatch):
@@ -558,7 +576,7 @@ def test_tasks_and_in_flight_limit_follow_the_pool_size(counting_pool, monkeypat
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 1)
     specs = [make_spec(scheme=JE(), trials=40, master_seed=seed) for seed in range(5)]
     expected = [run_experiment(spec) for spec in specs]
-    got = run_specs(specs, workers=3)  # a pool of one process: 2 tasks per spec
+    got = run_specs(specs, workers=3)  # a pool of one process: 2 tasks per group
     assert (counting_pool.starts, counting_pool.submits) == (1, 10)
     assert counting_pool.peak <= 2
     assert [r.cmf.tolist() for r in got] == [r.cmf.tolist() for r in expected]
