@@ -167,9 +167,21 @@ def test_aje_message_count_is_resolved_once_per_experiment(monkeypatch):
     assert len(calls) == 3
 
 
+def test_run_experiment_memory_is_bounded_at_long_deadlines():
+    """gts at M=2000: a chunk of 4000 trials x 2000 blocks peaked at 448 MB."""
+    spec = make_spec(scheme=GTS(window=50), power_db=2.0, m_total=2000, trials=4000)
+    tracemalloc.start()
+    try:
+        result = run_experiment(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.trials_run == 4000
+    assert peak < 100 * 2**20
+
+
 def test_run_experiment_chunks_stay_cache_sized_at_long_deadlines():
-    """gts at M=2000: a chunk of 4000 trials x 2000 blocks peaked at 448 MB.
-    In 8-trial chunks the run peaks at 0.74 MiB (a chunk's gains,
+    """The same run in 8-trial chunks peaks at 0.74 MiB (a chunk's gains,
     capacities and gts temporaries of 125 KiB each); the bound leaves 0.26
     MiB of margin.  A 2**15 budget peaks at 1.2 MiB, 2**16 at 2.2 MiB and
     the former 10**6 budget at 31 MiB."""
