@@ -369,7 +369,7 @@ def _task_histogram(task) -> list[tuple[int, np.ndarray]]:
     task sends back little more than the counts it saw.  (All M + 1 bins of
     fig4's 22 specs at M = 2000 raised the parent's peak RSS by 1.3 MB and
     a task's tracemalloc peak by 0.17 MiB, measured on 8-trial chunks; ten
-    of its 32-trial group chunks peak at 3.24 MiB in all.)
+    of its 32-trial group chunks peak at 2.75 MiB in all.)
     """
     group, first, end = task
     starts = _group_chunks(group)[first:end]

@@ -301,30 +301,31 @@ def _gts_exact_counts(caps: np.ndarray, rate_r: float, window: int) -> np.ndarra
     return (gts_accumulated_info(caps, window) >= rate_r).sum(axis=1)
 
 
-# halvings of a mask's rows before _column_counts sums them: each at most
-# doubles a value, so 7 keep every value within 2**7 = 128 and a uint8
-_COLUMN_FOLDS = 7
+# most mask rows that _column_counts adds into one uint8: with the one
+# row left over that some get, no sum passes 129
+_COLUMN_ROWS = 128
 
 
 def _column_counts(mask: np.ndarray) -> np.ndarray:
-    """mask.sum(axis=0) of a C-contiguous 2-D bool array, which it
-    overwrites.
+    """mask.sum(axis=0) of a C-contiguous 2-D bool array.
 
-    The mask is read as uint8, and its rows are folded in half
-    _COLUMN_FOLDS times, the back half added onto the front, before the
-    rows left are summed.  At 2000 x 32 the comparison that fills the mask
-    and this count take 12 us, against 26 us for the comparison into a new
-    mask and a float64 product of a row of ones with it.
+    One column is counted whole.  Otherwise the mask is read as uint8, and
+    its first k m rows, k <= _COLUMN_ROWS blocks of m rows, are added into
+    one block in a single uint8 reduction; the rows left over, fewer than
+    m, are added onto the block's first rows before its m rows are summed.
+    At 2000 x 32 the comparison that fills the mask and this count take
+    16 us, against 37 us for the comparison into a new mask and a float64
+    product of a row of ones with it.
     """
     rows = mask.view(np.uint8)
-    n = len(rows)
-    for _ in range(_COLUMN_FOLDS):
-        half = n // 2
-        if not half:
-            break
-        rows[:half] += rows[n - half : n]  # an odd n keeps its middle row
-        n -= half
-    return rows[:n].sum(axis=0, dtype=np.int64)
+    n, width = rows.shape
+    if width == 1:
+        return np.array([np.count_nonzero(rows)], dtype=np.int64)
+    m = -(-n // _COLUMN_ROWS)
+    k = n // m
+    block = np.add.reduce(rows[: k * m].reshape(k, m * width), axis=0, dtype=np.uint8).reshape(m, width)
+    block[: n - k * m] += rows[k * m :]
+    return block.sum(axis=0, dtype=np.int64)
 
 
 def gts_counts(caps: np.ndarray, rate_r: float, window) -> np.ndarray:
@@ -335,26 +336,33 @@ def gts_counts(caps: np.ndarray, rate_r: float, window) -> np.ndarray:
 
     Two or more windows are decided from two prefix sums shared by all of
     them, C[k] = cap[1] + ... + cap[k] and H[k] = cap[1]/1 + ... + cap[k]/k
-    (k < max W).  With e = min(i+W-1, M), message i holds W I = C[e] - C[i-1]
-    from i = W on, and W I = (C[e] - W H[i-1]) + (W H[W-1] - C[W-1]) before,
-    and the kernel compares W I with W (R +- d).  Let u = 2**-53 and T be
-    the largest |cap[1]| + ... + |cap[M]| of the trials.  A computed prefix
-    sum is within gamma_M T of its exact value, gamma_M = M u / (1 - M u)
-    (Higham, Accuracy and Stability of Numerical Algorithms, 4.2, its
-    divisions included), and each further operation adds u times its
-    result, at most (W + 1) T.  So the exact rule's information is within
-    (2 gamma_M + 2u) T of I, and the estimate within (4 gamma_M + 7u) T.
-    d = 16 (M + 1) u T is at least twice their sum; the rest covers the
-    rounding of T, d and W (R +- d) where a message comes near them (only
-    an I of at most about T can).  So a message estimated at or above
-    W (R + d) decodes under the exact rule, one below W (R - d) does not,
-    and the trials with a message in between, or all of them if T is not
-    finite, are decided by the exact rule itself: each count is the exact
-    rule's, bit for bit.  Against the exact rule, this route costs 0.8-1.9
-    times as much for one window and 0.45-1.1 times for two; fig4's eleven
-    cost 0.29 times as much in its group's 32-trial chunks at M = 2000, and
-    0.40 in 8-trial ones (M = 50: 0.39-0.45 in 1310- to 327-trial chunks;
-    2-vCPU 2.1 GHz Xeon, AVX-512 numpy 2.4).
+    (k < max W), rows of blocks by columns of trials, summed down two
+    columns to a complex128 add: each column keeps its trial's own bits in
+    half the sequential adds.  An odd number of trials above one (one has no
+    add to halve) gets a zero column, which no count reads.  With
+    e = min(i+W-1, M), message i holds W I = C[e] - C[i-1] from i = W on,
+    and W I = (C[e] - W H[i-1]) + (W H[W-1] - C[W-1]) before; from
+    i = M - W + 2 on, C[e] is the row C[M].  The kernel compares W I with
+    W (R +- d).  Let u = 2**-53 and S be the largest |cap[1]| + ... +
+    |cap[M]| of the trials.  A computed prefix sum is within gamma_M S of
+    its exact value, gamma_M = M u / (1 - M u) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 4.2, its divisions included), and
+    each further operation adds u times its result, at most (W + 1) S.  So
+    the exact rule's information is within (2 gamma_M + 2u) S of I, and
+    the estimate within (4 gamma_M + 7u) S.  T is S as computed: the
+    largest C[M] if no capacity is negative, else the largest sum of
+    |cap|; either way T >= (1 - gamma_M) S.  So d = 16 (M + 1) u T is at
+    least twice their sum; the rest covers the rounding of d and W (R +- d)
+    where a message comes near them (only an I of at most about S can).  So
+    a message estimated at or above W (R + d) decodes under the exact rule,
+    one below W (R - d) does not, and the trials with a message in between,
+    or all of them if T is not finite, are decided by the exact rule
+    itself: each count is the exact rule's, bit for bit.  Against the
+    exact rule, this route costs 0.58-0.81 times as much for one window and
+    0.44-0.62 times for two; fig4's eleven cost 0.24 times as much in its
+    group's 32-trial chunks at M = 2000, and 0.38 in 8-trial ones (M = 50:
+    0.30-0.36 in 1310- to 327-trial chunks; 2-vCPU 2.1 GHz Xeon, AVX-512
+    numpy 2.4).
     """
     if np.ndim(window) == 0:
         return _gts_exact_counts(caps, rate_r, window)
@@ -364,34 +372,46 @@ def gts_counts(caps: np.ndarray, rate_r: float, window) -> np.ndarray:
     counts = np.empty((len(window), trials), dtype=np.int64)
     margin = np.inf
     if len(window) >= _GTS_SHARED_MIN:
-        margin = 16.0 * (m_total + 1) * 2.0**-53 * np.abs(caps).sum(axis=1).max(initial=0.0)
+        width = trials if trials == 1 else trials + trials % 2
+        top = max(window)
+        csum = _aligned_empty((m_total + 1, width))
+        csum[0] = 0.0
+        csum[1:, :trials] = caps.T
+        csum[1:, trials:] = 0.0
+        hsum = _aligned_empty((top, width))
+        hsum[0] = 0.0
+        np.divide(csum[1:top], np.arange(1.0, top)[:, None], out=hsum[1:])
+        for sums in (csum, hsum):
+            lanes = sums if width == 1 else sums.view(np.complex128)
+            np.cumsum(lanes, axis=0, out=lanes)
+        last = csum[m_total]
+        total = last[:trials] if caps.min(initial=0.0) >= 0.0 else np.abs(caps).sum(axis=1)
+        margin = 16.0 * (m_total + 1) * 2.0**-53 * total.max(initial=0.0)
     if not margin < np.inf:  # one window, or T not finite
         for row, w in zip(counts, window):
             row[:] = _gts_exact_counts(caps, rate_r, w)
         return counts
-    top = max(window)
-    # blocks down, trials across; C[k] = C[M] for k > M, so that C[e] is C[i+W-1]
-    csum = _aligned_empty((m_total + top, trials))
-    csum[0] = 0.0
-    np.cumsum(caps.T, axis=0, out=csum[1 : m_total + 1])
-    csum[m_total + 1 :] = csum[m_total]
-    hsum = _aligned_empty((top, trials))
-    hsum[0] = 0.0
-    np.divide(caps.T[: top - 1], np.arange(1.0, top)[:, None], out=hsum[1:])
-    np.cumsum(hsum, axis=0, out=hsum)
-    info = _aligned_empty((m_total, trials))
-    mask = np.empty((m_total, trials), dtype=bool)
+    info = _aligned_empty((m_total, width))
+    mask = np.empty((m_total, width), dtype=bool)
     for row, w in zip(counts, window):
-        np.subtract(csum[2 * w - 1 : w + m_total], csum[w - 1 : m_total], out=info[w - 1 :])
+        full = m_total - w + 1  # messages 1..full end their window by M
         head = info[: w - 1]
         np.multiply(hsum[: w - 1], w, out=head)
-        np.subtract(csum[w : 2 * w - 1], head, out=head)
+        if w - 1 <= full:  # every message before W is one of them
+            np.subtract(csum[w : 2 * w - 1], head, out=head)
+            np.subtract(csum[2 * w - 1 :], csum[w - 1 : full], out=info[w - 1 : full])
+            np.subtract(last, csum[full:m_total], out=info[full:])
+        else:  # none from W on is
+            np.subtract(csum[w:], head[:full], out=head[:full])
+            np.subtract(last, head[full:], out=head[full:])
+            np.subtract(last, csum[w - 1 : m_total], out=info[w - 1 :])
         head += w * hsum[w - 1] - csum[w - 1]
-        row[:] = _column_counts(np.greater_equal(info, w * (rate_r + margin), out=mask))
+        row[:] = _column_counts(np.greater_equal(info, w * (rate_r + margin), out=mask))[:trials]
         # every message at or above R + d is at or above R - d, so equal
-        # totals leave no trial with a message in the band between them
+        # totals leave no trial with a message in the band between them (a
+        # zero column can only add to the first total)
         if np.count_nonzero(np.greater_equal(info, w * (rate_r - margin), out=mask)) != row.sum():
-            near = np.flatnonzero(_column_counts(mask) != row)
+            near = np.flatnonzero(_column_counts(mask)[:trials] != row)
             row[near] = _gts_exact_counts(caps[near], rate_r, w)
     return counts
 

@@ -211,7 +211,7 @@ def test_lone_specs_keep_their_chunks_and_groups_widen_theirs_up_to_four_times()
 
 def test_a_ten_chunk_fig4_task_stays_within_four_mib():
     """fig4's group (22 gts specs at M = 2000) runs in 32-trial chunks: the
-    task peaks at 3.24 MiB (a chunk's gains and capacities and the shared
+    task peaks at 2.75 MiB (a chunk's gains and capacities and the shared
     window kernel's prefix sums), against 1.08 MiB in a lone spec's 8-trial
     chunks."""
     specs = [engine._resolved(spec) for spec in cli.PRESETS["fig4"]["build"](400, 7)]

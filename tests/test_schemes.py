@@ -352,6 +352,58 @@ def test_gts_window_set_counts_equal_per_window_counts(m_total):
         assert np.array_equal(got, per_window_counts(caps, 1.0, windows))
 
 
+@pytest.mark.parametrize("trials", [1, 3, 31, 33])
+def test_gts_window_set_counts_equal_per_window_counts_at_odd_trial_counts(trials):
+    """Trials are summed two to a complex128, an odd count above one with a
+    zero column.  A capacity of 1e20 in one trial widens the band past R,
+    so the zero column, whose information is 0.0, falls within it too."""
+    rng = np.random.default_rng(trials)
+    windows = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 1999)
+    for db in (0.0, 2.0):
+        caps = capacities(rng.exponential(1.0, (trials, 2000)), PowerBudget.from_db(db))
+        assert np.array_equal(gts_counts(caps, 1.0, windows), per_window_counts(caps, 1.0, windows))
+    caps[-1, 7] = 1e20
+    assert np.array_equal(gts_counts(caps, 1.0, windows), per_window_counts(caps, 1.0, windows))
+
+
+@pytest.mark.parametrize("db", [0.0, 2.0])
+def test_gts_window_set_with_heads_that_reach_the_deadline(db):
+    """Above W = (M + 2) / 2 a message before W also holds C[M]: windows
+    1001 (the first whose head reaches M + 1 = 2 W - 1), 1500, 1999 and
+    2000 at M = 2000, with fig4's set."""
+    rng = np.random.default_rng(31)
+    windows = sorted(set(FIG4_WINDOWS) | {1001, 1500, 1999, 2000})
+    caps = capacities(rng.exponential(1.0, (32, 2000)), PowerBudget.from_db(db))
+    assert np.array_equal(gts_counts(caps, 1.0, windows), per_window_counts(caps, 1.0, windows))
+
+
+def test_gts_window_set_bounds_signed_capacities_by_sums_of_their_magnitudes():
+    """4e15 added to block 4 and taken from block 5 leaves C[M] at the sum
+    of the small capacities, while the prefix sums in between round to
+    multiples of 0.5: with a negative capacity the margin comes from the
+    sums of |cap|, not from C[M], and those trials take the exact rule."""
+    caps = np.random.default_rng(33).uniform(0.5, 3.0, (300, 6))
+    caps[:, 3] += 4e15
+    caps[:, 4] -= 4e15
+    windows = (1, 2, 3, 6)
+    for rate_r in (0.5, 1.0, 1.5, 2.0):
+        assert np.array_equal(gts_counts(caps, rate_r, windows), per_window_counts(caps, rate_r, windows))
+
+
+def test_gts_window_set_peak_memory_fits_a_core_l2():
+    """fig4's eleven windows in a 32 x 2000 group chunk: the prefix sums,
+    without rows that repeat C[M], and the kernel's other arrays peak at
+    1.60 MiB under tracemalloc (2.08 MiB with those rows)."""
+    caps = capacities(np.random.default_rng(32).exponential(1.0, (32, 2000)), PowerBudget.from_db(2.0))
+    tracemalloc.start()
+    try:
+        gts_counts(caps, 1.0, FIG4_WINDOWS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * 2**20
+
+
 @pytest.mark.parametrize("rate_r", [0.5, 1.0, 2.0])
 def test_gts_window_set_takes_the_exact_rule_on_ties(monkeypatch, rate_r):
     """Integer capacities and power-of-two windows make the information equal
@@ -824,6 +876,21 @@ def test_st_bracket_bound_prunes_most_rows_at_fig7():
     between = bounds > -np.inf
     assert between.sum() == 90 * len(keys)
     assert (bounds[between] <= np.broadcast_to(limit, bounds.shape)[between]).mean() < 0.05
+
+
+@pytest.mark.parametrize("trials, m_total, power_db, rate", [(655, 100, 20.0, 6.0), (1310, 50, 1.44, 1.0)])
+def test_st_counts_peak_memory_at_group_chunk_shapes(trials, m_total, power_db, rate):
+    """Pooled fig7 and fig5a groups decode st in chunks four times a lone
+    spec's: 1812 and 1831 KiB under tracemalloc, above the scan of every
+    row (1677 and 1688 KiB), and pinned below 1.9 MiB."""
+    phis = np.random.default_rng(trials).exponential(1.0, (trials, m_total))
+    tracemalloc.start()
+    try:
+        st_counts(phis, PowerBudget.from_db(power_db).p_linear, rate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.9 * 2**20
 
 
 @pytest.mark.parametrize(
