@@ -357,9 +357,13 @@ def gts_counts(caps: np.ndarray, rate_r: float, window) -> np.ndarray:
     a message estimated at or above W (R + d) decodes under the exact rule,
     one below W (R - d) does not, and the trials with a message in between,
     or all of them if T is not finite, are decided by the exact rule
-    itself: each count is the exact rule's, bit for bit.  Against the
-    exact rule, this route costs 0.58-0.81 times as much for one window and
-    0.44-0.62 times for two; fig4's eleven cost 0.24 times as much in its
+    itself: each count is the exact rule's, bit for bit.  A lone window
+    keeps the exact rule: by this route it would cost 0.5-0.9 times as much
+    for a window short of M (4096 x 4 to 8 x 2000), but about as much at
+    W = M = 50 and at one trial of 10^4 blocks, 1.1-1.9 times at W = M =
+    2000 and at 4096 x 1, and twice at 1 x 1 and 2 x 3.  Against the exact
+    rule, this route costs 0.44-0.62 times as much for two windows; fig4's
+    eleven cost 0.24 times as much in its
     group's 32-trial chunks at M = 2000, and 0.38 in 8-trial ones (M = 50:
     0.30-0.36 in 1310- to 327-trial chunks; 2-vCPU 2.1 GHz Xeon, AVX-512
     numpy 2.4).
@@ -493,16 +497,19 @@ def st_counts(phis: np.ndarray, p_linear: float, rate_r: float) -> np.ndarray:
 
     Row j of K sums only the blocks t > j, the others being zero terms, and
     is built only for the trials that need it, so memory is O(trials x M).
-    Every row is evaluated by the same operations for any set of trials, so
-    its key has the same bits whichever rows are skipped.
+    Every row goes through one evaluator, log_sums, whatever the set of
+    trials, so its key has the same bits whichever rows are skipped.  Each
+    evaluated row's log sum goes into one (M + 1) x trials profile, +inf
+    on the rows skipped, and the count is the last argmin of its keys.
 
-    First the rows 0, B, 2B, ... (B = _st_step(M)).  A trial stops there
-    once j R exceeds its running minimum: the log sum is >= 0, and adding a
-    non-negative term to j R cannot round below j R, so K[j] and every later
-    row are >= j R and can never move its minimum again.  Then the rows
-    between two of them, lo and hi = lo + B.  Each block term
-    log2(1 + a_t max(t - j, 0)), a_t = phi_t P / t, is concave in j on
-    [lo, t], so on a row lo < j < hi (_st_bracket_bound)
+    First the rows 0, B, 2B, ... (B = _st_step(M)), which keep only what
+    pruning needs: each trial's running minimum and the rows' log sums.  A
+    trial stops there once j R exceeds its running minimum: the log sum is
+    >= 0, and adding a non-negative term to j R cannot round below j R, so
+    K[j] and every later row are >= j R and can never move its minimum
+    again.  Then the rows between two of them, lo and hi = lo + B.  Each
+    block term log2(1 + a_t max(t - j, 0)), a_t = phi_t P / t, is concave
+    in j on [lo, t], so on a row lo < j < hi (_st_bracket_bound)
       - the blocks t >= hi sum to at least the chord between their sums on
         rows lo and hi (row lo's sum less its terms t < hi; 0 for row hi
         where the trial stopped before it);
@@ -519,56 +526,45 @@ def st_counts(phis: np.ndarray, p_linear: float, rate_r: float) -> np.ndarray:
     trials, m_total = phis.shape
     t = np.arange(1, m_total + 1, dtype=float)
     per_message = phis * (p_linear / t)
+
+    def log_sums(pick, j):
+        """Natural-log sum of row j for the trials `pick`, an index array (a
+        slice would be a view of per_message, which the products overwrite)."""
+        terms = per_message[pick, j:]  # the blocks t > j, times t - j
+        terms *= t[: m_total - j]
+        return np.log1p(terms, out=terms).sum(axis=1)
+
     step = _st_step(m_total)
     coarse = range(0, m_total + 1, step)
-    # log sums (natural log) of the rows 0, B, 2B, ...; 0.0 where not evaluated,
-    # as in the last column, row len(coarse) * B > M
+    running = np.arange(trials)  # trials still scanning
+    # log sums of the rows 0, B, 2B, ...; 0.0 where not evaluated, as in the
+    # last column, row len(coarse) * B > M
     sums = np.zeros((trials, len(coarse) + 1))
-    terms = per_message * t
-    sums[:, 0] = np.log1p(terms, out=terms).sum(axis=1)
-    best = sums[:, 0] / LN2  # key row 0
-    anchor = np.zeros(trials, dtype=np.int64)
-    counts = np.zeros(trials, dtype=np.int64)
-    minimum = np.empty(trials)  # best, for every trial
-    running = np.arange(trials)  # trials still scanning; best and anchor follow
+    sums[:, 0] = log_sums(running, 0)
+    minimum = sums[:, 0] / LN2  # key row 0
     evaluated = [running]  # the trials that evaluated each of the rows 0, B, 2B, ...
     for row, j in enumerate(coarse[1:], 1):
-        going = rate_r * j <= best
+        going = rate_r * j <= minimum[running]
         if not going.all():
-            counts[running], minimum[running] = anchor, best
-            running, best, anchor = running[going], best[going], anchor[going]
+            running = running[going]
             if running.size == 0:
                 break
         evaluated.append(running)
-        terms = per_message[running, j:]  # the blocks t > j, times t - j
-        terms *= t[: m_total - j]
-        row_sum = np.log1p(terms, out=terms).sum(axis=1)
-        key = row_sum / LN2 + rate_r * j
-        sums[running, row] = row_sum
-        # <= moves the anchor to the last index attaining the running minimum
-        improved = key <= best
-        anchor[improved] = j
-        best[improved] = key[improved]
-    counts[running], minimum[running] = anchor, best
+        sums[running, row] = log_sums(running, j)
+        minimum[running] = np.minimum(minimum[running], sums[running, row] / LN2 + rate_r * j)
     weights = _st_bound_weights(step)
     limit = minimum + _ST_MARGIN * (sums[:, 0] / LN2 + minimum)
-    # log sums of the rows in between that are evaluated; +inf elsewhere
-    keys = np.full((m_total + 1, trials), np.inf)
+    keys = np.full((m_total + 1, trials), np.inf)  # the profile of log sums
     for row, alive in enumerate(evaluated):
         lo = coarse[row]
+        keys[lo, alive] = sums[alive, row]
         width = min(step - 1, m_total - lo)
         gains = per_message[alive, lo : lo + width]  # the blocks lo < t <= lo + width
         bound = _st_bracket_bound(gains, sums[alive, row], sums[alive, row + 1], lo, weights, rate_r)
         needed = bound <= limit[alive]
         for v in np.flatnonzero(needed.any(axis=1)):
             pick = alive[needed[v]]
-            j = lo + v + 1
-            terms = per_message[pick, j:]
-            terms *= t[: m_total - j]
-            keys[j, pick] = np.log1p(terms, out=terms).sum(axis=1)
+            keys[lo + v + 1, pick] = log_sums(pick, lo + v + 1)
     keys /= LN2
     keys[1:] += rate_r * t[:, None]  # the keys, j R added to row j
-    # the last minimum of those rows, against that of the rows 0, B, 2B, ...
-    low = keys.min(axis=0)
-    last = m_total - np.argmin(keys[::-1], axis=0)
-    return np.where((low < minimum) | ((low == minimum) & (last > counts)), last, counts)
+    return m_total - np.argmin(keys[::-1], axis=0)

@@ -93,8 +93,9 @@ def st_counts_row_scan(phis: np.ndarray, p_linear: float, rate_r: float) -> np.n
     """The st kernel as it was before it skipped rows: every row j of the key
     K[j] = H[j] + j R evaluated in order for every trial still scanning, the
     count being the last index attaining the running minimum.  Each row is
-    evaluated by the same operations as in st_counts, so the two agree bit
-    for bit."""
+    evaluated by the same operations as st_counts' row evaluator, log_sums
+    (the products of the blocks t > j with t - j, log1p, a sum along the
+    row), so the two agree bit for bit."""
     trials, m_total = phis.shape
     t = np.arange(1, m_total + 1, dtype=float)
     per_message = phis * (p_linear / t)

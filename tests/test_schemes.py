@@ -799,16 +799,19 @@ def test_st_counts_equal_the_row_scan_when_scans_stop_at_once_or_never(m_total):
     assert np.mean(_assert_same_counts(phis, 2.0, 1e-3) == m_total) > 0.9
 
 
-@pytest.mark.parametrize("m_total", [49, 50, 100])
+@pytest.mark.parametrize("m_total", [2, 49, 50, 56, 100, 2000])
 def test_st_counts_ties_go_to_the_last_row(m_total):
-    """With R = 0 and the last blocks dead, every row from the last live
-    block on has key 0.0 exactly, the minimum, on rows 0, B, 2B, ... and in
-    between alike; the count is M whether row M is one of the former (49 =
-    7^2, 100 = 10^2) or not (50)."""
-    phis = _chunk_gains(m_total, 9)
-    phis[:, m_total // 2 :] = 0.0
-    counts = _assert_same_counts(phis, 20.0, 0.0)
-    assert np.all(counts == m_total)
+    """With R = 0 and the blocks from `dead` on dead, every row from the
+    last live block on has key 0.0 exactly, the minimum, on rows 0, B, 2B,
+    ... and in between alike; the count is M whether row M is one of the
+    former (2, 49 = 7^2, 56 = 8 x 7, 100 = 10^2) or not (50, 2000), and
+    whether the tie spans all rows but the first, half of them or the last
+    two."""
+    for dead in sorted({1, m_total // 2, m_total - 1}):
+        phis = _chunk_gains(m_total, 9)
+        phis[:, dead:] = 0.0
+        counts = _assert_same_counts(phis, 20.0, 0.0)
+        assert np.all(counts == m_total)
 
 
 def _bracket_bounds(phis, p_linear, rate_r, keys, evaluated=None):
@@ -881,8 +884,8 @@ def test_st_bracket_bound_prunes_most_rows_at_fig7():
 @pytest.mark.parametrize("trials, m_total, power_db, rate", [(655, 100, 20.0, 6.0), (1310, 50, 1.44, 1.0)])
 def test_st_counts_peak_memory_at_group_chunk_shapes(trials, m_total, power_db, rate):
     """Pooled fig7 and fig5a groups decode st in chunks four times a lone
-    spec's: 1812 and 1831 KiB under tracemalloc, above the scan of every
-    row (1677 and 1688 KiB), and pinned below 1.9 MiB."""
+    spec's: 1733 and 1795 KiB under tracemalloc, above the scan of every
+    row (1677 and 1689 KiB), and pinned below 1.9 MiB."""
     phis = np.random.default_rng(trials).exponential(1.0, (trials, m_total))
     tracemalloc.start()
     try:
