@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LN2, _aligned_empty, _check_count, _check_rate
+from .channel import LN2, _aligned_empty, _check_count, _check_rate, _finite_real
 
 # ---------------------------------------------------------------------------
 # configuration types
@@ -189,11 +189,11 @@ def choose_m_prime(c_bar: float, rate_r: float, m_total: int, *, c_var: float) -
     The search costs O(M^2), in one normal_cdf call per block of rows M':
     the terms n > M' of a block's rectangle are -inf, whose cdf is 0.0.
     """
-    if not (np.isfinite(c_bar) and c_bar > 0.0):
+    if not (_finite_real(c_bar) and c_bar > 0.0):
         raise ValueError("c_bar must be finite and positive")
     _check_rate(rate_r)
     _check_count("m_total", m_total)
-    if not (np.isfinite(c_var) and c_var >= 0.0):
+    if not (_finite_real(c_var) and c_var >= 0.0):
         raise ValueError("c_var must be finite and non-negative")
     if c_var == 0.0:
         return int(np.clip(np.floor(m_total * c_bar / rate_r), 1, m_total))
@@ -291,10 +291,6 @@ def gts_accumulated_info(caps: np.ndarray, window: int) -> np.ndarray:
     return info
 
 
-# below this many windows gts_counts applies the exact rule to each
-_GTS_SHARED_MIN = 2
-
-
 def _gts_exact_counts(caps: np.ndarray, rate_r: float, window: int) -> np.ndarray:
     """The exact rule: per trial, the messages of gts_accumulated_info at or
     above R."""
@@ -328,13 +324,12 @@ def _column_counts(mask: np.ndarray) -> np.ndarray:
     return block.sum(axis=0, dtype=np.int64)
 
 
-def gts_counts(caps: np.ndarray, rate_r: float, window) -> np.ndarray:
-    """Decoded counts under windowed time sharing: message i decodes iff
-    gts_accumulated_info(caps, W)[:, i] >= R.  `window` is an int, giving
-    one count per trial, or a 1-D sequence of windows, giving one row of
-    counts per window.
+def gts_counts(caps: np.ndarray, rate_r: float, windows) -> np.ndarray:
+    """Decoded counts under windowed time sharing, one row of counts per
+    window W of the 1-D sequence `windows`: message i decodes iff
+    gts_accumulated_info(caps, W)[:, i] >= R.
 
-    Two or more windows are decided from two prefix sums shared by all of
+    Windows, one or many, are decided from two prefix sums shared by all of
     them, C[k] = cap[1] + ... + cap[k] and H[k] = cap[1]/1 + ... + cap[k]/k
     (k < max W), rows of blocks by columns of trials, summed down two
     columns to a complex128 add: each column keeps its trial's own bits in
@@ -357,47 +352,47 @@ def gts_counts(caps: np.ndarray, rate_r: float, window) -> np.ndarray:
     a message estimated at or above W (R + d) decodes under the exact rule,
     one below W (R - d) does not, and the trials with a message in between,
     or all of them if T is not finite, are decided by the exact rule
-    itself: each count is the exact rule's, bit for bit.  A lone window
-    keeps the exact rule: by this route it would cost 0.5-0.9 times as much
-    for a window short of M (4096 x 4 to 8 x 2000), but about as much at
-    W = M = 50 and at one trial of 10^4 blocks, 1.1-1.9 times at W = M =
-    2000 and at 4096 x 1, and twice at 1 x 1 and 2 x 3.  Against the exact
-    rule, this route costs 0.44-0.62 times as much for two windows; fig4's
-    eleven cost 0.24 times as much in its
-    group's 32-trial chunks at M = 2000, and 0.38 in 8-trial ones (M = 50:
+    itself: each count is the exact rule's, bit for bit.  A lone window takes
+    this route too, as the presets run it for less: against the exact rule
+    alone it costs 0.72 times as much in fig5a's 327 x 50 chunks at W = 10,
+    0.48 at 4096 x 4 with W = 2, 0.79-0.85 at 8 x 2000 up to W = 200 and
+    1.03 at W = 50 of one trial of 10^4 blocks, but 1.09 at W = M = 50,
+    1.1-1.5 at W = 1000-2000 of M = 2000, 1.7 at W = M = 10^4 in one trial
+    and 2.4 at 1 x 1; fig4's eleven windows, each alone in the 8 x 2000
+    chunks of workers = 1, cost 0.93 times as much in sum.  Two windows cost
+    0.44-0.62 times as much, and fig4's eleven 0.24 times as much in its
+    group's 32-trial chunks at M = 2000 and 0.38 in 8-trial ones (M = 50:
     0.30-0.36 in 1310- to 327-trial chunks; 2-vCPU 2.1 GHz Xeon, AVX-512
     numpy 2.4).
     """
-    if np.ndim(window) == 0:
-        return _gts_exact_counts(caps, rate_r, window)
     trials, m_total = caps.shape
-    if len(np.shape(window)) > 1 or not all(1 <= w <= m_total for w in window):
-        raise ValueError("window must be an int or a 1-D sequence of ints in [1, M]")
-    counts = np.empty((len(window), trials), dtype=np.int64)
-    margin = np.inf
-    if len(window) >= _GTS_SHARED_MIN:
-        width = trials if trials == 1 else trials + trials % 2
-        top = max(window)
-        csum = _aligned_empty((m_total + 1, width))
-        csum[0] = 0.0
-        csum[1:, :trials] = caps.T
-        csum[1:, trials:] = 0.0
-        hsum = _aligned_empty((top, width))
-        hsum[0] = 0.0
-        np.divide(csum[1:top], np.arange(1.0, top)[:, None], out=hsum[1:])
-        for sums in (csum, hsum):
-            lanes = sums if width == 1 else sums.view(np.complex128)
-            np.cumsum(lanes, axis=0, out=lanes)
-        last = csum[m_total]
-        total = last[:trials] if caps.min(initial=0.0) >= 0.0 else np.abs(caps).sum(axis=1)
-        margin = 16.0 * (m_total + 1) * 2.0**-53 * total.max(initial=0.0)
-    if not margin < np.inf:  # one window, or T not finite
-        for row, w in zip(counts, window):
+    if np.ndim(windows) != 1 or not all(1 <= w <= m_total for w in windows):
+        raise ValueError("windows must be a 1-D sequence of ints in [1, M]")
+    counts = np.empty((len(windows), trials), dtype=np.int64)
+    if not len(windows):
+        return counts
+    width = trials if trials == 1 else trials + trials % 2
+    top = max(windows)
+    csum = _aligned_empty((m_total + 1, width))
+    csum[0] = 0.0
+    csum[1:, :trials] = caps.T
+    csum[1:, trials:] = 0.0
+    hsum = _aligned_empty((top, width))
+    hsum[0] = 0.0
+    np.divide(csum[1:top], np.arange(1.0, top)[:, None], out=hsum[1:])
+    for sums in (csum, hsum):
+        lanes = sums if width == 1 else sums.view(np.complex128)
+        np.cumsum(lanes, axis=0, out=lanes)
+    last = csum[m_total]
+    total = last[:trials] if caps.min(initial=0.0) >= 0.0 else np.abs(caps).sum(axis=1)
+    margin = 16.0 * (m_total + 1) * 2.0**-53 * total.max(initial=0.0)
+    if not margin < np.inf:  # T not finite: a NaN margin fails both band tests
+        for row, w in zip(counts, windows):
             row[:] = _gts_exact_counts(caps, rate_r, w)
         return counts
     info = _aligned_empty((m_total, width))
     mask = np.empty((m_total, width), dtype=bool)
-    for row, w in zip(counts, window):
+    for row, w in zip(counts, windows):
         full = m_total - w + 1  # messages 1..full end their window by M
         head = info[: w - 1]
         np.multiply(hsum[: w - 1], w, out=head)

@@ -254,8 +254,8 @@ def test_c09_reduction_equalities():
                 PowerBudget.from_db(1.44),
             )
         counts_ok &= bool(
-            np.array_equal(gts_counts(caps, 1.0, 1), mt_counts(caps, 1.0))
-            and np.array_equal(gts_counts(caps, 1.0, m_total), ts_counts(caps, 1.0))
+            np.array_equal(gts_counts(caps, 1.0, [1])[0], mt_counts(caps, 1.0))
+            and np.array_equal(gts_counts(caps, 1.0, [m_total])[0], ts_counts(caps, 1.0))
         )
         for k in range(0, per_m, 10):
             real = ChannelRealization(phi=np.zeros(m_total), cap=caps[k])

@@ -75,7 +75,11 @@ def test_ergodic_upper_bound_cases():
     assert ergodic_upper_bound(1.0, 5.88) == 1.0
     assert ergodic_upper_bound(8.0, 5.88) == 5.88
     assert ergodic_upper_bound(2.5, 2.5) == 2.5
-    for rate_r, c_bar in ((0.0, 1.0), (np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)):
+    assert ergodic_upper_bound(2.0, np.float64(1.5)) == 1.5
+    bad = ((0.0, 1.0), (np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf))
+    # neither a bool, a string, None nor an int beyond the float range is a finite real
+    not_real = ((2.0, True), (2.0, "1.0"), (2.0, None), (2.0, 10**400))
+    for rate_r, c_bar in bad + not_real:
         with pytest.raises(ValueError):
             ergodic_upper_bound(rate_r, c_bar)
 

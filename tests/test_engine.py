@@ -323,31 +323,38 @@ def test_decode_counts_of_a_group_equal_those_of_each_spec_alone():
         assert np.array_equal(counts, decode_counts([spec])[0])
 
 
-def test_a_lone_gts_window_takes_the_exact_rule_in_one_kernel_call_per_chunk(monkeypatch):
+def test_a_lone_gts_window_takes_the_shared_sums_in_one_kernel_call_per_chunk(monkeypatch):
     """fig5a's gts spec, alone in its group: the engine hands gts_counts its
-    window list, and gts_counts alone decides that one window takes the
-    exact rule.  Calls made inside an open gts_counts call are not counted,
-    as a kernel's are not in the benchmark's trace."""
+    window list, and the one window is decided from the shared prefix sums,
+    so the exact rule sees only a chunk's band trials, fewer than the chunk
+    has.  Calls made inside an open gts_counts call are not counted, as a
+    kernel's are not in the benchmark's trace."""
     spec = make_spec(scheme=GTS(window=10), m_total=50, trials=1000)
-    calls, open_calls = [], []
-    gts_counts = schemes.gts_counts
+    calls, open_calls, exact_rows = [], [], []
+    gts_counts, exact = schemes.gts_counts, schemes.gts_accumulated_info
 
     def counted(caps, rate_r, window):
         if not open_calls:
             calls.append(window)
+            exact_rows.append([len(caps)])
         open_calls.append(window)
         try:
             return gts_counts(caps, rate_r, window)
         finally:
             open_calls.pop()
 
+    def counted_exact(caps, window):
+        exact_rows[-1].append(len(caps))
+        return exact(caps, window)
+
     monkeypatch.setattr(schemes, "gts_counts", counted)
+    monkeypatch.setattr(schemes, "gts_accumulated_info", counted_exact)
     (counts,) = decode_counts([spec])
     chunks = engine._chunk_ranges(spec.trials, spec.m_total)
     assert len(chunks) == 4 and calls == [[10]] * len(chunks)
+    assert all(sum(seen) < rows for rows, *seen in exact_rows)
     caps = capacities(engine._sample_gain_block(50, spec.master_seed, 0, spec.trials), received_power(spec))
-    exact = (schemes.gts_accumulated_info(caps, 10) >= spec.rate_r).sum(axis=1)
-    assert np.array_equal(counts, exact)
+    assert np.array_equal(counts, (exact(caps, 10) >= spec.rate_r).sum(axis=1))
 
 
 @pytest.mark.parametrize("change", [{"master_seed": 8}, {"trials": 901}])

@@ -1,5 +1,6 @@
-"""Every name a module imports is read somewhere in that module, and each
-package module imports only from the layers below its own."""
+"""Every name a module imports is read somewhere in that module, every
+private name a package module binds is read somewhere in the package, and
+each package module imports only from the layers below its own."""
 
 import ast
 from pathlib import Path
@@ -84,3 +85,50 @@ def test_package_modules_import_only_from_lower_layers():
 def test_the_layer_check_sees_both_import_forms():
     source = "from . import schemes, __version__\nfrom .engine import run_specs\nfrom os import path\n"
     assert package_imports(ast.parse(source)) == {"schemes", "__init__", "engine"}
+
+
+def private_names(tree: ast.Module) -> set[str]:
+    """The private names (_x, not __x__) that a module binds at its top
+    level, by a def, a class or an assignment."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)}
+    return {name for name in bound if name.startswith("_") and not name.endswith("__")}
+
+
+def names_read(tree: ast.Module) -> set[str]:
+    """The names a module reads: loaded, loaded as an attribute, or imported."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read |= {alias.name for alias in node.names}
+    return read
+
+
+def unread_private_names(trees: dict[str, ast.Module]) -> list[tuple[str, str]]:
+    """(module, name) for each private top-level name that no module of
+    `trees` reads: a helper left behind when its last caller went."""
+    read = set().union(*map(names_read, trees.values()))
+    return sorted((module, name) for module, tree in trees.items() for name in private_names(tree) - read)
+
+
+def test_every_private_package_name_is_read_in_the_package():
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in PACKAGE.glob("*.py")}
+    assert any(map(private_names, trees.values()))
+    assert unread_private_names(trees) == []
+
+
+def test_the_check_sees_an_unread_private_name():
+    trees = {
+        "a": ast.parse("_LIMIT = 2\n_x, __all__ = 1, []\ndef _left(): pass\ndef _used(): return _LIMIT\n"),
+        "b": ast.parse("from a import _used\nimport a\na._x\na._left = None\n"),
+    }
+    assert unread_private_names(trees) == [("a", "_left")]

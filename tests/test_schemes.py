@@ -162,21 +162,36 @@ def test_choose_m_prime_cases():
     assert choose_m_prime(low_mean, 1.0, 10, c_var=low_var) == 1  # clamp at 1
 
 
+BAD_M_PRIME_INPUTS = [  # (c_bar, rate_r, m_total), each tried at c_var 0.0 and 0.5
+    (np.nan, 1.0, 10),
+    (1.0, np.nan, 10),
+    (np.inf, 1.0, 10),
+    (1.0, np.inf, 10),
+    (0.0, 1.0, 10),
+    (1.0, -1.0, 10),
+    (1.0, 1.0, 0),
+    (1.0, 1.0, 10.0),
+    (1.0, 1.0, 2.5),
+]
+# neither a bool, a string, None nor an int beyond the float range is a
+# finite real: each must raise ValueError, not pass or raise TypeError
+NOT_FINITE_REALS = {"True": True, "str": "0.5", "None": None, "10**400": 10**400}
+
+
 @pytest.mark.parametrize(
-    "c_bar, rate_r, m_total",
+    "c_bar, rate_r, m_total, c_var",
     [
-        (np.nan, 1.0, 10),
-        (1.0, np.nan, 10),
-        (np.inf, 1.0, 10),
-        (1.0, np.inf, 10),
-        (0.0, 1.0, 10),
-        (1.0, -1.0, 10),
-        (1.0, 1.0, 0),
-        (1.0, 1.0, 10.0),
-        (1.0, 1.0, 2.5),
-    ],
+        pytest.param(*row, c_var, id="-".join(map(str, (c_var, *row))))
+        for c_var in (0.0, 0.5)
+        for row in BAD_M_PRIME_INPUTS
+    ]
+    + [
+        pytest.param(value, 1.0, 10, c_var, id=f"{c_var}-c_bar={name}")
+        for c_var in (0.0, 0.5)
+        for name, value in NOT_FINITE_REALS.items()
+    ]
+    + [pytest.param(1.0, 1.0, 10, value, id=f"c_var={name}") for name, value in NOT_FINITE_REALS.items()],
 )
-@pytest.mark.parametrize("c_var", [0.0, 0.5])
 def test_choose_m_prime_rejects_bad_inputs(c_bar, rate_r, m_total, c_var):
     """A NaN mean or rate fails every comparison, so it passes a bare
     `<= 0` check; M = 0 leaves the search nothing to search."""
@@ -308,7 +323,7 @@ def test_gts_window_edges_match_oracle(m_total):
     or M = 1)."""
     caps = random_caps(np.random.default_rng(25), 80, m_total)
     for window in sorted({1, 2, m_total - 1, m_total} & set(range(1, m_total + 1))):
-        counts = gts_counts(caps, 1.0, window)
+        (counts,) = gts_counts(caps, 1.0, [window])
         for row, cap in enumerate(caps):
             decoded = oracles.gts_decoded(cap, 1.0, window)
             assert counts[row] == len(decoded)
@@ -324,7 +339,7 @@ def test_capacity_and_gts_kernels_leave_their_inputs_alone():
     caps_before = caps.tobytes()
     for window in (1, 4, 30):
         gts_accumulated_info(caps, window)
-        gts_counts(caps, 1.0, window)
+        gts_counts(caps, 1.0, [window])
     assert caps.tobytes() == caps_before
 
 
@@ -332,24 +347,31 @@ FIG4_WINDOWS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000)
 
 
 def per_window_counts(caps, rate_r, windows):
-    return np.array([gts_counts(caps, rate_r, window) for window in windows]).reshape(
+    """Each window's counts by the exact rule, the reference that
+    gts_counts' window sets are held to."""
+    return np.array([(gts_accumulated_info(caps, w) >= rate_r).sum(axis=1) for w in windows]).reshape(
         len(windows), len(caps)
     )
 
 
-@pytest.mark.parametrize("m_total", [1, 2, 3, 50, 2000])
-def test_gts_window_set_counts_equal_per_window_counts(m_total):
+@pytest.mark.parametrize(
+    "m_total, lone",
+    [pytest.param(m, lone, id=f"{m}-lone" if lone else str(m)) for lone in (False, True) for m in (1, 2, 3, 50, 2000)],
+)
+def test_gts_window_set_counts_equal_per_window_counts(m_total, lone):
     """A window set's counts, decided from shared prefix sums, are each
-    window's own counts bit for bit, at fig4's windows and the edges."""
+    window's own counts bit for bit, at fig4's windows and the edges, taken
+    all in one set or each as a set of one."""
     rng = np.random.default_rng(27)
     edges = {1, -(-m_total // 2), m_total - 1, m_total}
     windows = sorted(w for w in set(FIG4_WINDOWS) | edges if 1 <= w <= m_total)
     trials = max(16, min(400, 2**16 // m_total))
     for db in (0.0, 2.0):
         caps = capacities(rng.exponential(1.0, (trials, m_total)), PowerBudget.from_db(db))
-        got = gts_counts(caps, 1.0, windows)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, per_window_counts(caps, 1.0, windows))
+        for window_set in [[w] for w in windows] if lone else [windows]:
+            got = gts_counts(caps, 1.0, window_set)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, per_window_counts(caps, 1.0, window_set))
 
 
 @pytest.mark.parametrize("trials", [1, 3, 31, 33])
@@ -404,15 +426,21 @@ def test_gts_window_set_peak_memory_fits_a_core_l2():
     assert peak < 1.75 * 2**20
 
 
-@pytest.mark.parametrize("rate_r", [0.5, 1.0, 2.0])
-def test_gts_window_set_takes_the_exact_rule_on_ties(monkeypatch, rate_r):
+@pytest.mark.parametrize(
+    "rate_r, windows",
+    [pytest.param(r, (1, 2, 4, 8, 16, 3), id=str(r)) for r in (0.5, 1.0, 2.0)]
+    + [pytest.param(r, (w,), id=f"{r}-lone{w}") for r in (0.5, 1.0, 2.0) for w in (3, 4, 8)],
+)
+def test_gts_window_set_takes_the_exact_rule_on_ties(monkeypatch, rate_r, windows):
     """Integer capacities and power-of-two windows make the information equal
-    R exactly; those trials are decided by the exact rule, as each window's
-    own count is."""
+    R exactly; those trials, and only those, are decided by the exact rule,
+    as each window's own count is.  A lone window is a set of one.  Other
+    information is a rational of denominator at most lcm(1..16), so at
+    least 1e-6 from R, far outside the band."""
     rng = np.random.default_rng(28)
     caps = rng.integers(0, 3, (300, 16)).astype(float)
-    windows = (1, 2, 4, 8, 16, 3)
     want = per_window_counts(caps, rate_r, windows)
+    ties = [np.count_nonzero((abs(gts_accumulated_info(caps, w) - rate_r) < 1e-9).any(axis=1)) for w in windows]
     calls = []
     exact = schemes.gts_accumulated_info
 
@@ -423,6 +451,7 @@ def test_gts_window_set_takes_the_exact_rule_on_ties(monkeypatch, rate_r):
     monkeypatch.setattr(schemes, "gts_accumulated_info", counted)
     assert np.array_equal(gts_counts(caps, rate_r, windows), want)
     assert calls and sum(calls) < len(caps) * len(windows)
+    assert calls == [n for n in ties if n]
 
 
 @pytest.mark.parametrize("rate_r", [0.5, 1.0, 2.0])
@@ -480,10 +509,11 @@ def test_gts_window_set_in_any_order_and_on_any_values():
 
 def test_gts_counts_shape_follows_the_window():
     caps = random_caps(np.random.default_rng(30), 7, 12)
-    assert gts_counts(caps, 1.0, 4).shape == (7,)
-    assert gts_counts(caps, 1.0, np.int64(4)).shape == (7,)
     for windows in ([], [4], (4, 12), np.array([1, 4, 12])):
         assert gts_counts(caps, 1.0, windows).shape == (len(windows), 7)
+    for window in (4, np.int64(4)):
+        with pytest.raises(ValueError):
+            gts_counts(caps, 1.0, window)
     with pytest.raises(ValueError):
         gts_counts(caps, 1.0, [4, 13])
     with pytest.raises(ValueError):
@@ -681,7 +711,7 @@ def test_batched_decoders_match_scalar_decoders():
             assert mt_counts(caps, 1.0)[row] == oracles.mt_count(cap, 1.0)
             assert je_counts(caps, 1.0)[row] == oracles.je_count(cap, 1.0)
             assert ts_counts(caps, 1.0)[row] == oracles.ts_count(cap, 1.0)
-            assert gts_counts(caps, 1.0, window)[row] == oracles.gts_count(cap, 1.0, window)
+            assert gts_counts(caps, 1.0, [window])[0, row] == oracles.gts_count(cap, 1.0, window)
             assert aje_counts(caps, 1.0, m_prime)[row] == oracles.aje_count(cap, 1.0, m_prime)
             assert counts_st[row] == oracles.st_count(phis[row], power.p_linear, 1.0, m_total)
 
