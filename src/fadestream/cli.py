@@ -4,7 +4,11 @@ Emits one output record per operating point as CSV (scalar statistics) or
 JSON (adds the decode-count cmf).  Identical invocations produce byte
 identical output; headers record the run parameters, never timestamps.
 
-Exit codes: 0 success, 2 usage/configuration error, 3 runtime error.
+Exit codes: 0 success, 2 usage/configuration error, 3 runtime error.  An
+interrupt (SIGINT to the run's process group) ends the run with Python's
+KeyboardInterrupt, killed by SIGINT (status 130 in a shell), once the pool
+workers finish the tasks already handed to them; it leaves no output file,
+no .fadestream-* temp file and no worker process.
 """
 
 import argparse
@@ -13,7 +17,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures.process import BrokenProcessPool
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import __version__
 from .bounds import InformedBound, ergodic_upper_bound
@@ -102,10 +106,6 @@ def _row(spec: ExperimentSpec, result) -> dict:
     }
 
 
-def _rows(specs, workers):
-    return [_row(spec, result) for spec, result in zip(specs, run_specs(specs, workers))]
-
-
 # ---------------------------------------------------------------------------
 # figure-style presets, at desk scale
 # ---------------------------------------------------------------------------
@@ -117,75 +117,69 @@ def _compared(gts_window=None):
     return (MT(), JE(), AJE(), TS(), *gts, ST(), InformedBound())
 
 
-def _preset(schemes, powers_db, m_total, axis=None, values=(), distance=None):
-    """build(trials, seed) for one point per (power, scheme), each swept over
-    `axis` if given; every point is seeded `seed`, so a pooled run samples
-    the preset's gains once (see engine.run_specs)."""
-
-    def build(trials, seed):
-        specs = []
-        points = [(power_db, scheme) for power_db in powers_db for scheme in schemes]
-        for power_db, scheme in points:
-            base = ExperimentSpec(
-                power_db=power_db,
-                m_total=m_total,
-                rate_r=1.0,
-                scheme=scheme,
-                trials=trials,
-                master_seed=seed,
-                distance=distance,
-            )
+def _grid(schemes, powers_db, m_total, trials, seed, *, rate_r=1.0, axis=None, values=(), distance=None):
+    """The specs of one point per (power, scheme), each swept over `axis` if
+    given; every point is seeded `seed`, so a pooled run samples the grid's
+    gains once (see engine.run_specs)."""
+    specs = []
+    for power_db in powers_db:
+        for scheme in schemes:
+            base = ExperimentSpec(power_db, m_total, rate_r, scheme, trials, seed, distance)
             specs += [base] if axis is None else sweep_specs(base, axis, values)
-        return specs
-
-    return build
+    return specs
 
 
+# each "build" is `_grid` short of its (trials, seed)
 PRESETS = {
     "fig4": {
         "trials": 10000,
         "format": "csv",
         "note": "windowed time sharing vs window size; desk scale blocks=2000 instead of 10000",
-        "build": _preset(
-            [GTS(window=1)], (0.0, 2.0), 2000,
-            "window", [1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000],
+        "build": partial(
+            _grid, [GTS(window=1)], (0.0, 2.0), 2000,
+            axis="window", values=[1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000],
         ),
     },
     "fig5a": {
         "trials": 100000,
         "format": "json",
         "note": "decode-count cmf, blocks=50 rate=1 snr=1.44dB, all schemes (gts window=10)",
-        "build": _preset(_compared(gts_window=10), (1.44,), 50),
+        "build": partial(_grid, _compared(gts_window=10), (1.44,), 50),
     },
     "fig5b": {
         "trials": 100000,
         "format": "json",
         "note": "decode-count cmf, blocks=50 rate=1 snr=0dB, all schemes (gts window=50)",
-        "build": _preset(_compared(gts_window=50), (0.0,), 50),
+        "build": partial(_grid, _compared(gts_window=50), (0.0,), 50),
     },
     "fig6a": {
         "trials": 10000,
         "format": "csv",
         "note": "mean decoded count vs deadline length, rate=1 snr=-3dB",
-        "build": _preset(_compared(), (-3.0,), 100, "m_total", range(1, 101)),
+        "build": partial(_grid, _compared(), (-3.0,), 100, axis="m_total", values=range(1, 101)),
     },
     "fig6b": {
         "trials": 10000,
         "format": "csv",
         "note": "mean decoded count vs deadline length, rate=1 snr=2dB",
-        "build": _preset(_compared(), (2.0,), 100, "m_total", range(1, 101)),
+        "build": partial(_grid, _compared(), (2.0,), 100, axis="m_total", values=range(1, 101)),
     },
     "fig7": {
         "trials": 10000,
         "format": "csv",
         "note": "mean decoded rate vs message rate, blocks=100 snr=20dB, with bounds",
-        "build": _preset(_compared(), (20.0,), 100, "rate_r", [x / 2.0 for x in range(1, 21)]),
+        "build": partial(
+            _grid, _compared(), (20.0,), 100, axis="rate_r", values=[x / 2.0 for x in range(1, 21)]
+        ),
     },
     "fig8": {
         "trials": 10000,
         "format": "csv",
         "note": "mean decoded rate vs distance, blocks=100 rate=1 snr=20dB path-loss=3",
-        "build": _preset(_compared(), (20.0,), 100, "distance", range(1, 11), (1.0, 3.0)),
+        "build": partial(
+            _grid, _compared(), (20.0,), 100,
+            axis="distance", values=range(1, 11), distance=(1.0, 3.0),
+        ),
     },
 }
 
@@ -206,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--rate", type=float, help="per-message rate R in bpcu")
     parser.add_argument("--snr-db", type=float, help="average SNR in dB")
     parser.add_argument("--trials", type=int, help="Monte Carlo trials per operating point")
-    parser.add_argument("--seed", type=int, help="64-bit master seed (default 1)")
+    parser.add_argument("--seed", type=int, default=1, help="64-bit master seed (default 1)")
     parser.add_argument("--window", type=int, help="gts window size W")
     parser.add_argument("--distance", type=float, help="transmitter-receiver distance")
     parser.add_argument("--path-loss", type=float, help="path loss exponent alpha")
@@ -256,47 +250,42 @@ def _validate_run_args(args):
         raise UsageError("--distance and --path-loss must be given together")
 
 
-def _run_single_or_sweep(args):
+def _single_or_sweep_specs(args):
+    """The run header and the specs of a single run or a sweep."""
     trials = args.trials if args.trials is not None else 10000
-    seed = args.seed if args.seed is not None else 1
-    distance = None if args.distance is None else (args.distance, args.path_loss)
-    base = ExperimentSpec(
-        power_db=args.snr_db,
-        m_total=args.blocks,
-        rate_r=args.rate,
-        scheme=_scheme_from_args(args),
-        trials=trials,
-        master_seed=seed,
-        distance=distance,
-    )
     meta = {
         "scheme": args.scheme,
         "blocks": args.blocks,
         "rate": args.rate,
         "snr_db": args.snr_db,
         "trials": trials,
-        "seed": seed,
+        "seed": args.seed,
     }
-    specs = [base]
+    axis, values = None, ()
     if args.sweep is not None:
         axis, values = _parse_sweep(args.sweep)
         meta["sweep"] = f"{axis}={','.join(str(v) for v in values)}"
-        specs = sweep_specs(base, axis, values)
-    return meta, _rows(specs, args.workers)
+    meta["format"] = args.out_format or "csv"
+    distance = None if args.distance is None else (args.distance, args.path_loss)
+    specs = _grid(
+        [_scheme_from_args(args)], [args.snr_db], args.blocks, trials, args.seed,
+        rate_r=args.rate, axis=axis, values=values, distance=distance,
+    )
+    return meta, specs
 
 
-def _run_preset(args):
+def _preset_specs(args):
+    """The run header and the specs of a preset."""
     preset = PRESETS[args.preset]
     trials = args.trials if args.trials is not None else preset["trials"]
-    seed = args.seed if args.seed is not None else 1
-    rows = _rows(preset["build"](trials, seed), args.workers)
     meta = {
         "preset": args.preset,
         "trials": trials,
-        "seed": seed,
+        "seed": args.seed,
         "note": preset["note"],
+        "format": args.out_format or preset["format"],
     }
-    return meta, rows
+    return meta, preset["build"](trials, args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -361,18 +350,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _validate_run_args(args)
-        if args.preset is not None:
-            out_format = args.out_format or PRESETS[args.preset]["format"]
-            meta, rows = _run_preset(args)
-        else:
-            out_format = args.out_format or "csv"
-            meta, rows = _run_single_or_sweep(args)
-        meta["format"] = out_format
-        if out_format == "csv":
-            text = _render_csv(meta, rows)
-        else:
-            text = _render_json(meta, rows)
-    except (UsageError, ValueError) as exc:
+        meta, specs = (_preset_specs if args.preset is not None else _single_or_sweep_specs)(args)
+        rows = [_row(spec, result) for spec, result in zip(specs, run_specs(specs, args.workers))]
+        text = (_render_csv if meta["format"] == "csv" else _render_json)(meta, rows)
+    except ValueError as exc:  # a UsageError too
         print(f"fadestream: error: {exc}", file=sys.stderr)
         return 2
     except _RUNTIME_ERRORS as exc:

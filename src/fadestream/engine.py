@@ -539,8 +539,5 @@ def optimal_window(
         raise ValueError("candidates must be non-empty")
     if candidates[0] < 1 or candidates[-1] > base.m_total:
         raise ValueError("candidates must lie in [1, m_total]")
-    best = None
-    for window, result in sweep(base, "window", candidates, workers=workers):
-        if best is None or result.mean_rate > best[1].mean_rate:
-            best = (window, result)
-    return best
+    results = sweep(base, "window", candidates, workers=workers)
+    return max(results, key=lambda pair: pair[1].mean_rate)  # the first of ties: sorted candidates

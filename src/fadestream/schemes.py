@@ -366,7 +366,9 @@ def gts_counts(caps: np.ndarray, rate_r: float, windows) -> np.ndarray:
     numpy 2.4).
     """
     trials, m_total = caps.shape
-    if np.ndim(windows) != 1 or not all(1 <= w <= m_total for w in windows):
+    for window in windows if np.ndim(windows) == 1 else ():
+        _check_count("window", window)
+    if np.ndim(windows) != 1 or not all(w <= m_total for w in windows):
         raise ValueError("windows must be a 1-D sequence of ints in [1, M]")
     counts = np.empty((len(windows), trials), dtype=np.int64)
     if not len(windows):

@@ -1,10 +1,13 @@
 """Command-line interface: records, determinism, presets, exit codes."""
 
 import csv
+import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
 from functools import lru_cache
 
@@ -353,6 +356,42 @@ def test_every_preset_writes_the_same_bytes_pooled(tmp_path, monkeypatch, counti
     assert outputs[0] == outputs[1]
 
 
+# each preset's swept axis and its number of points at every (power, scheme)
+PRESET_GRIDS = {
+    "fig4": ("window", 22),
+    "fig5a": (None, 7),
+    "fig5b": (None, 7),
+    "fig6a": ("m_total", 600),
+    "fig6b": ("m_total", 600),
+    "fig7": ("rate_r", 120),
+    "fig8": ("distance", 60),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+def test_preset_grids_run_power_then_scheme_then_axis_value(preset):
+    """A preset's specs are the nested product power -> scheme -> axis value,
+    all of one seed and trial count, with every other field fixed."""
+    axis, count = PRESET_GRIDS[preset]
+    specs = cli.PRESETS[preset]["build"](3, 1)
+    value_of = {
+        None: lambda spec: None,
+        "window": lambda spec: spec.scheme.window,
+        "m_total": lambda spec: spec.m_total,
+        "rate_r": lambda spec: spec.rate_r,
+        "distance": lambda spec: spec.distance[0],
+    }[axis]
+    points = [(s.power_db, cli._scheme_tag(s.scheme), value_of(s)) for s in specs]
+    powers, tags, values = (list(dict.fromkeys(column)) for column in zip(*points))
+    assert len(specs) == count
+    assert points == list(itertools.product(powers, tags, values))
+    assert {(s.trials, s.master_seed) for s in specs} == {(3, 1)}
+    for field in {"m_total", "rate_r", "distance"} - {axis}:
+        assert len({getattr(s, field) for s in specs}) == 1, field
+    if axis == "distance":
+        assert {s.distance[1] for s in specs} == {3.0}
+
+
 # ---------------------------------------------------------------------------
 # errors
 # ---------------------------------------------------------------------------
@@ -499,6 +538,57 @@ def test_a_dead_pool_worker_exits_3_with_no_output(tmp_path, capfd, monkeypatch)
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("fadestream: error: run failed: BrokenProcessPool")
+
+
+def _live_group_members(pgid):
+    """The pids of the live (not zombie) processes of a process group."""
+    members = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/stat") as handle:
+                stat = handle.read()
+        except OSError:
+            continue
+        state, _, group = stat[stat.rindex(")") + 2 :].split()[:3]
+        if int(group) == pgid and state != "Z":
+            members.append(int(pid))
+    return members
+
+
+def _wait_until(condition, timeout_s):
+    deadline = time.monotonic() + timeout_s
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return condition()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process groups from /proc")
+def test_an_interrupted_pooled_run_leaves_no_file_and_no_worker(tmp_path):
+    """SIGINT to the run's process group, once its two workers are up, ends
+    the run with Python's KeyboardInterrupt (killed by SIGINT: status 130
+    in a shell) and leaves no output, no temp file and no process.  The
+    tasks already handed to the workers run to their end first, so the run
+    is kept short."""
+    src = os.path.dirname(os.path.dirname(fadestream.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["--preset", "fig4", "--trials", "40000", "--workers", "2", "--out", "out.csv"]
+    run = subprocess.Popen(
+        [sys.executable, "-m", "fadestream.cli", *argv], cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path}, start_new_session=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        assert _wait_until(lambda: len(_live_group_members(run.pid)) >= 3, 60)
+        os.killpg(run.pid, signal.SIGINT)
+        _, stderr = run.communicate(timeout=60)
+    finally:
+        if run.poll() is None:
+            os.killpg(run.pid, signal.SIGKILL)
+            run.wait()
+    assert run.returncode == -signal.SIGINT
+    assert "KeyboardInterrupt" in stderr
+    assert _wait_until(lambda: not _live_group_members(run.pid), 10)
+    assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ SOURCES = sorted(p for top in ("src", "demos", "tests") for p in (ROOT / top).rg
 # imported for bench/child.py: its HOOKS wrap the first two module attributes
 # by name, and it reads the version of the scipy that `import scipy` loads.
 # ROADMAP item 1 moves those hooks to the functions the program calls and
-# lets the version read find no scipy; then these imports go
+# lets the version read find no scipy; then these imports go, and an entry
+# that bench/child.py no longer reads fails the test below
 KEPT_FOR_BENCH_HOOKS = {
     ("src/fadestream/engine.py", "ergodic_capacity"),
     ("src/fadestream/cli.py", "run_experiment"),
@@ -54,6 +55,35 @@ def test_no_module_imports_a_name_it_never_reads():
 def test_the_check_sees_an_unread_import():
     source = "import os, numpy as np\nfrom sys import argv, path\n__all__ = ['path']\nnp.sum(argv)\n"
     assert unread_imports(ast.parse(source)) == ["os"]
+
+
+def bench_reads(tree: ast.Module) -> set[tuple[str, str]]:
+    """What a module like bench/child.py reads by name: the
+    (owner, attribute) pairs of its HOOKS, and ("sys.modules", name) for
+    each sys.modules[name] it looks up."""
+    hooks = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "HOOKS"
+    )
+    read = {(ast.unparse(row.elts[0]), row.elts[1].value) for row in hooks.elts}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and ast.unparse(node.value) == "sys.modules":
+            read.add(("sys.modules", node.slice.value))
+    return read
+
+
+def test_every_import_kept_for_the_bench_hooks_is_still_read_there():
+    read = bench_reads(ast.parse((ROOT / "bench" / "child.py").read_text()))
+    left_over = [
+        (path, name) for path, name in sorted(KEPT_FOR_BENCH_HOOKS)
+        if (Path(path).stem, name) not in read and ("sys.modules", name) not in read
+    ]
+    assert left_over == []
+
+
+def test_the_bench_check_sees_hooks_and_module_lookups():
+    source = 'HOOKS = ((cli, "main", "cli.main", "span"),)\nimport sys\nsys.modules["scipy"].x\n'
+    assert bench_reads(ast.parse(source)) == {("cli", "main"), ("sys.modules", "scipy")}
 
 
 def package_imports(tree: ast.Module) -> set[str]:

@@ -520,6 +520,10 @@ def test_gts_counts_shape_follows_the_window():
         gts_counts(caps, 1.0, [0, 4])
     with pytest.raises(ValueError):
         gts_counts(caps, 1.0, [[1, 4]])
+    for windows in ([2.5], [np.float64(2.0)], [True, 2]):
+        with pytest.raises(ValueError):
+            gts_counts(caps, 1.0, windows)
+    assert gts_counts(caps, 1.0, [np.int64(4)]).shape == (1, 7)
 
 
 def test_gts_rejects_bad_window():
