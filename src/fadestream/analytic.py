@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LN2, PowerBudget, QuadratureError, _check_count, _check_rate
+from .channel import LN2, PowerBudget, QuadratureError, _check_count, _check_positive, _finite_real
 
 # ---------------------------------------------------------------------------
 # decode-count pmf container
@@ -53,14 +53,14 @@ def mt_success_prob(power: PowerBudget, rate_r: float) -> float:
     """Per-block decode probability Pr{log2(1 + phi P) >= R}: the exponential
     tail exp(-(2^R - 1) / P) of the Rayleigh gain.
     """
-    _check_rate(rate_r)
+    _check_positive("rate_r", rate_r)
     return _capacity_tail(rate_r, power.p_linear)
 
 
 def mt_pmf_exact(m_total: int, p: float) -> DecodeCountPmf:
     """Binomial decode-count pmf, accumulated in log space for large M."""
     _check_count("m_total", m_total)
-    if not 0.0 <= p <= 1.0:
+    if not (_finite_real(p) and 0.0 <= p <= 1.0):
         raise ValueError("p must be a probability")
     m = np.arange(m_total + 1)
     if p == 0.0 or p == 1.0:
@@ -145,9 +145,10 @@ def je_pmf_exact_smallM(m_total: int, power: PowerBudget, rate_r: float) -> Deco
     Each p_j nests j - 1 quadratures (_sum_tail), so larger deadlines are
     out of scope.
     """
-    if m_total not in (1, 2, 3):
+    _check_count("m_total", m_total)
+    if m_total > 3:
         raise ValueError("exact pmf quadrature supports m_total in {1, 2, 3} only")
-    _check_rate(rate_r)
+    _check_positive("rate_r", rate_r)
     tol = _JE_PMF_TOL / 20.0
     p = [None] + [_sum_tail(j, j * rate_r, power.p_linear, tol) for j in range(1, m_total + 1)]
     a, b = [1.0], [1.0]

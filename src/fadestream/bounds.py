@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _check_rate, _finite_real
+from .channel import _check_positive
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,6 @@ def informed_counts(caps: np.ndarray, rate_r: float) -> np.ndarray:
 
 def ergodic_upper_bound(rate_r: float, c_bar: float) -> float:
     """No-deadline ceiling on the average decoded rate: min(R, c_bar)."""
-    _check_rate(rate_r)
-    if not (_finite_real(c_bar) and c_bar > 0.0):
-        raise ValueError("c_bar must be finite and positive")
+    _check_positive("rate_r", rate_r)
+    _check_positive("c_bar", c_bar)
     return min(rate_r, c_bar)

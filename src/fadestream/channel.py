@@ -52,9 +52,9 @@ def _finite_real(value) -> bool:
         return False
 
 
-def _check_rate(rate_r: float):
-    if not (_finite_real(rate_r) and rate_r > 0.0):
-        raise ValueError("rate_r must be finite and positive")
+def _check_positive(name: str, value: float):
+    if not (_finite_real(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive")
 
 
 def _check_count(name: str, value: int):
@@ -108,8 +108,7 @@ class PowerBudget:
     p_linear: float
 
     def __post_init__(self):
-        if not (_finite_real(self.p_linear) and self.p_linear > 0.0):
-            raise ValueError("p_linear must be finite and positive")
+        _check_positive("p_linear", self.p_linear)
 
     @classmethod
     def from_db(cls, snr_db: float) -> "PowerBudget":
@@ -255,7 +254,7 @@ _NODES = np.hstack((_FINE_NODES, _COARSE_NODES))  # one evaluation of f for both
 _QUAD_TOL = 1e-6
 
 
-def _rayleigh_expectation(f, tol: float) -> float:
+def _rayleigh_expectation(f) -> float:
     """Integral of f(g) * exp(-g) over g > 0 by a fixed composite rule.
 
     f takes an array of gains.  The value is the 20-node Gauss-Legendre
@@ -267,9 +266,9 @@ def _rayleigh_expectation(f, tol: float) -> float:
     fine = (values[:, :n_fine] * _FINE_WEIGHTS).sum(axis=1)
     coarse = (values[:, n_fine:] * _COARSE_WEIGHTS).sum(axis=1)
     abserr = float(np.abs(fine - coarse).sum())
-    if abserr > tol:
+    if abserr > _QUAD_TOL:
         raise QuadratureError(
-            f"quadrature error {abserr:.2e} exceeds tolerance {tol:.2e}"
+            f"quadrature error {abserr:.2e} exceeds tolerance {_QUAD_TOL:.2e}"
         )
     return float(fine.sum())
 
@@ -277,7 +276,7 @@ def _rayleigh_expectation(f, tol: float) -> float:
 def ergodic_capacity(power: PowerBudget) -> float:
     """Mean instantaneous capacity E[log2(1 + phi * P)] in bpcu."""
     p = power.p_linear
-    return _rayleigh_expectation(lambda g: np.log1p(g * p) / LN2, _QUAD_TOL)
+    return _rayleigh_expectation(lambda g: np.log1p(g * p) / LN2)
 
 
 def capacity_moments(power: PowerBudget) -> tuple[float, float]:
@@ -289,7 +288,7 @@ def capacity_moments(power: PowerBudget) -> tuple[float, float]:
     """
     mean = ergodic_capacity(power)
     p = power.p_linear
-    variance = _rayleigh_expectation(lambda g: (np.log1p(g * p) / LN2 - mean) ** 2, _QUAD_TOL)
+    variance = _rayleigh_expectation(lambda g: (np.log1p(g * p) / LN2 - mean) ** 2)
     return mean, variance
 
 
@@ -297,9 +296,7 @@ def effective_power(
     power: PowerBudget, distance: float, path_loss_exponent: float
 ) -> PowerBudget:
     """Received power budget at the given distance: P * d^(-alpha)."""
-    if not (_finite_real(distance) and distance > 0.0):
-        raise ValueError("distance must be positive")
-    if not (_finite_real(path_loss_exponent) and path_loss_exponent > 0.0):
-        raise ValueError("path_loss_exponent must be positive")
+    _check_positive("distance", distance)
+    _check_positive("path_loss_exponent", path_loss_exponent)
     return PowerBudget(p_linear=power.p_linear * _power_or_inf(distance, -path_loss_exponent))
 

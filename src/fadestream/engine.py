@@ -28,7 +28,7 @@ from .channel import (
     PowerBudget,
     _aligned_empty,
     _check_count,
-    _check_rate,
+    _check_positive,
     _finite_real,
     capacities,
     capacity_moments,
@@ -129,7 +129,7 @@ def decode(
     entry = DECODERS.get(type(scheme))
     if entry is None:
         raise ValueError(f"unknown scheme configuration: {scheme!r}")
-    _check_rate(rate_r)
+    _check_positive("rate_r", rate_r)
     if entry.messages is not None:
         decoded = np.flatnonzero(entry.messages(real.cap, rate_r, scheme)) + 1
     elif entry.reads_gains and power is None:
@@ -208,7 +208,7 @@ class ExperimentSpec:
             raise ValueError(f"unknown scheme configuration: {self.scheme!r}")
         _check_count("m_total", self.m_total)
         _check_count("trials", self.trials)
-        _check_rate(self.rate_r)
+        _check_positive("rate_r", self.rate_r)
         if not _finite_real(self.power_db):
             raise ValueError("power_db must be finite")
         if isinstance(self.master_seed, bool) or not isinstance(self.master_seed, numbers.Integral):
@@ -431,7 +431,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 def run_specs(specs, workers: int = 1) -> list[ExperimentResult]:
     """run_experiment of every spec, in order, with one process pool for all.
 
-    `workers` must be an integer >= 1, and every spec is resolved before
+    `workers` must be a positive integer, and every spec is resolved before
     anything runs, so a failing resolution starts no pool.  At workers == 1
     every spec runs through run_experiment in this process, and so do no
     specs, or specs of a single chunk in all.  Otherwise the specs are
@@ -530,14 +530,12 @@ def optimal_window(
 ) -> tuple[int, ExperimentResult]:
     """gts window from `candidates` that maximizes the mean decoded rate.
 
-    Ties break toward the smaller window.
+    Ties break toward the smaller window.  sweep_specs checks every
+    candidate before equal windows merge, so 5.0 is refused beside 5.
     """
-    # every candidate is checked before deduplication, which would keep
-    # whichever of 5 and 5.0 came first
-    candidates = sorted({_int_value("window", window) for window in candidates})
-    if not candidates:
+    specs = {spec.scheme.window: spec for spec in sweep_specs(base, "window", candidates)}
+    if not specs:
         raise ValueError("candidates must be non-empty")
-    if candidates[0] < 1 or candidates[-1] > base.m_total:
-        raise ValueError("candidates must lie in [1, m_total]")
-    results = sweep(base, "window", candidates, workers=workers)
-    return max(results, key=lambda pair: pair[1].mean_rate)  # the first of ties: sorted candidates
+    windows = sorted(specs)
+    results = zip(windows, run_specs([specs[window] for window in windows], workers))
+    return max(results, key=lambda pair: pair[1].mean_rate)  # the first of ties: sorted windows

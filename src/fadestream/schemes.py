@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LN2, _aligned_empty, _check_count, _check_rate, _finite_real
+from .channel import LN2, _aligned_empty, _check_count, _check_positive, _finite_real
 
 # ---------------------------------------------------------------------------
 # configuration types
@@ -189,9 +189,8 @@ def choose_m_prime(c_bar: float, rate_r: float, m_total: int, *, c_var: float) -
     The search costs O(M^2), in one normal_cdf call per block of rows M':
     the terms n > M' of a block's rectangle are -inf, whose cdf is 0.0.
     """
-    if not (_finite_real(c_bar) and c_bar > 0.0):
-        raise ValueError("c_bar must be finite and positive")
-    _check_rate(rate_r)
+    _check_positive("c_bar", c_bar)
+    _check_positive("rate_r", rate_r)
     _check_count("m_total", m_total)
     if not (_finite_real(c_var) and c_var >= 0.0):
         raise ValueError("c_var must be finite and non-negative")
@@ -247,8 +246,8 @@ def aje_counts(caps: np.ndarray, rate_r: float, m_prime: int) -> np.ndarray:
     cap[i] + (cap[m_prime+1] + ... + cap[M]) / m_prime.  At m_prime = M the
     surplus is 0.0 and this is je_counts.
     """
-    m_total = caps.shape[1]
-    if m_prime is None or not 1 <= m_prime <= m_total:
+    _check_count("m_prime", m_prime)
+    if m_prime > caps.shape[1]:
         raise ValueError("m_prime must be in [1, M]")
     surplus = caps[:, m_prime:].sum(axis=1) / m_prime
     return je_counts(caps[:, :m_prime] + surplus[:, None], rate_r)
@@ -278,7 +277,8 @@ def gts_accumulated_info(caps: np.ndarray, window: int) -> np.ndarray:
     deadline and hold S[M] - S[i-1].  Each group is one slice subtraction.
     """
     trials, m_total = caps.shape
-    if not 1 <= window <= m_total:
+    _check_count("window", window)
+    if window > m_total:
         raise ValueError("window must be in [1, M]")
     full = m_total - window + 1  # messages whose window ends by the deadline
     csum = np.empty((trials, m_total + 1))

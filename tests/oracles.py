@@ -15,7 +15,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import exp1, ndtr
 
-from fadestream.channel import LN2, PowerBudget, _check_count, _check_rate, capacities
+from fadestream.channel import LN2, PowerBudget, _check_count, _check_positive, capacities
 from fadestream.engine import _chunk_ranges, _sample_gain_block
 
 
@@ -215,7 +215,7 @@ def prefix_sum_rate_mc(
     0..trials-1 use the engine's (master_seed, trial) streams and chunks.
     """
     _check_count("m_total", m_total)
-    _check_rate(rate_r)
+    _check_positive("rate_r", rate_r)
     _check_count("trials", trials)
     thresholds = rate_r * np.arange(1, m_total + 1)
     s1 = s2 = 0.0

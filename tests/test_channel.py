@@ -18,8 +18,8 @@ from fadestream.channel import (
     sample_realization,
     trial_stream,
 )
-from fadestream.analytic import mt_success_prob
-from fadestream.schemes import GTS
+from fadestream.analytic import je_pmf_exact_smallM, mt_pmf_exact, mt_success_prob
+from fadestream.schemes import GTS, aje_counts, gts_accumulated_info
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +43,7 @@ def test_power_budget_rejects_nonpositive():
         PowerBudget.from_db(4000.0)  # 10**400 overflows a float
 
 
-@pytest.mark.parametrize("value", ["1", None, True, 1j, np.array([1.0]), 10**400])
+@pytest.mark.parametrize("value", ["1", None, True, 1j, np.array([1.0]), 10**400, "0.5", float("nan")])
 def test_power_and_rate_checks_refuse_non_numbers_with_value_error(value):
     """Not a finite real number: ValueError from every shared check, never
     numpy's TypeError from a finiteness test."""
@@ -54,22 +54,31 @@ def test_power_and_rate_checks_refuse_non_numbers_with_value_error(value):
     with pytest.raises(ValueError):
         effective_power(PowerBudget(1.0), value, 3.0)
     with pytest.raises(ValueError):
-        channel._check_rate(value)
+        channel._check_positive("rate_r", value)
     with pytest.raises(ValueError):
         mt_success_prob(PowerBudget(1.0), value)
+    with pytest.raises(ValueError, match="p must be a probability"):
+        mt_pmf_exact(3, value)
 
 
-@pytest.mark.parametrize("value", [True, False, np.True_, 2.0, "2", None])
+@pytest.mark.parametrize("value", [True, False, np.True_, 2.0, 2.5, "2", None])
 def test_count_check_refuses_bools_and_non_integers(value):
     with pytest.raises(ValueError, match="blocks must be an integer >= 1"):
         channel._check_count("blocks", value)
     with pytest.raises(ValueError):
         GTS(window=value)
+    caps = np.ones((2, 3))
+    with pytest.raises(ValueError, match="m_prime must be an integer >= 1"):
+        aje_counts(caps, 1.0, value)
+    with pytest.raises(ValueError, match="window must be an integer >= 1"):
+        gts_accumulated_info(caps, value)
+    with pytest.raises(ValueError, match="m_total must be an integer >= 1"):
+        je_pmf_exact_smallM(value, PowerBudget(1.0), 1.0)
 
 
 def test_shared_checks_take_numpy_numbers():
     channel._check_count("blocks", np.int64(3))
-    channel._check_rate(np.float32(0.5))
+    channel._check_positive("rate_r", np.float32(0.5))
     assert PowerBudget(np.float64(2.0)).p_linear == 2.0
     assert PowerBudget.from_db(np.int64(0)).p_linear == 1.0
 
@@ -299,15 +308,16 @@ def test_capacity_variance_matches_adaptive_quadrature(db):
     assert variance == pytest.approx(expect_variance, rel=1e-13)
 
 
-def test_a_tolerance_below_the_error_estimate_raises():
+def test_a_tolerance_below_the_error_estimate_raises(monkeypatch):
     power = PowerBudget.from_db(20.0)
 
     def capacity(g):
         return np.log1p(g * power.p_linear) / channel.LN2
 
-    assert channel._rayleigh_expectation(capacity, channel._QUAD_TOL) == ergodic_capacity(power)
+    assert channel._rayleigh_expectation(capacity) == ergodic_capacity(power)
+    monkeypatch.setattr(channel, "_QUAD_TOL", 1e-18)
     with pytest.raises(QuadratureError):
-        channel._rayleigh_expectation(capacity, 1e-18)
+        channel._rayleigh_expectation(capacity)
 
 
 def test_ergodic_capacity_strictly_increasing_in_power():

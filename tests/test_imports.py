@@ -1,9 +1,12 @@
 """Every name a module imports is read somewhere in that module, every
-private name a package module binds is read somewhere in the package, and
-each package module imports only from the layers below its own."""
+private name a package module binds is read somewhere in the package, each
+package module imports only from the layers below its own, and each shared
+input rule is stated once in the package."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(p for top in ("src", "demos", "tests") for p in (ROOT / top).rglob("*.py"))
@@ -162,3 +165,14 @@ def test_the_check_sees_an_unread_private_name():
         "b": ast.parse("from a import _used\nimport a\na._x\na._left = None\n"),
     }
     assert unread_private_names(trees) == [("a", "_left")]
+
+
+# the messages of channel._check_positive and channel._check_count: a second
+# copy of either text is a second statement of its rule
+RULE_MESSAGES = ("must be finite and positive", "must be an integer >= 1")
+
+
+@pytest.mark.parametrize("message", RULE_MESSAGES)
+def test_each_input_rule_is_stated_once_in_the_package(message):
+    sources = [path.read_text() for path in PACKAGE.glob("*.py")]
+    assert sum(source.count(message) for source in sources) == 1
