@@ -70,21 +70,13 @@ class FadingModel:  # only the name under which the benchmark's trace hooks wrap
     """
 
     @staticmethod
-    def sample_gains(
-        rng: np.random.Generator, n: int, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Draw n i.i.d. gains, into `out` if given.
-
-        `out` must be a contiguous float64 vector of length n; it is filled
-        and returned, so a caller can draw straight into a row of its block.
-        Any other length raises ValueError.
-        """
-        if out is None:
-            out = np.empty(n)
-        elif len(out) != n:  # one comparison per trial on the engine's path
-            raise ValueError(f"out must have length n = {n}, not {len(out)}")
+    def sample_gains(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Fill `out`, a C-contiguous float64 vector, with i.i.d. gains and
+        return it, so a caller draws straight into a row of its block.  A
+        strided array or one of another dtype is refused (numpy's
+        ValueError or TypeError) before any draw."""
         # inverse transform g = -ln(u), u uniform on (0, 1], in place:
-        # the same draws and bits as -log1p(-rng.random(n))
+        # the same draws and bits as -log1p(-rng.random(len(out)))
         rng.random(out=out)  # no size: random() would check it against out
         _negative(out, out)
         _log1p(out, out)
@@ -185,7 +177,7 @@ def sample_realization(
 ) -> ChannelRealization:
     """Draw one realization of m_blocks i.i.d. gains and their capacities."""
     _check_count("m_blocks", m_blocks)
-    return ChannelRealization.from_gains(FadingModel.sample_gains(rng, m_blocks), power)
+    return ChannelRealization.from_gains(FadingModel.sample_gains(rng, np.empty(m_blocks)), power)
 
 
 class _FixedKey(tuple, np.random.bit_generator.ISeedSequence):

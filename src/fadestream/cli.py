@@ -212,8 +212,6 @@ def _parse_sweep(text: str):
 
 
 def _validate_run_args(args):
-    if args.workers < 1:
-        raise UsageError("--workers must be >= 1")
     if args.preset is not None:
         point_flags = (
             "--scheme", "--blocks", "--rate", "--snr-db", "--window",

@@ -260,7 +260,7 @@ def _sample_gain_block(m_total: int, master_seed: int, start: int, count: int) -
     # looked up once per block, at call time, so that wrappers on these names see every call
     stream, sample = trial_stream, FadingModel.sample_gains
     for trial, row in enumerate(phis, start):
-        sample(stream(master_seed, trial), m_total, row)
+        sample(stream(master_seed, trial), row)
     return phis
 
 
@@ -351,13 +351,9 @@ def _chunk_ranges(trials: int, m_total: int, specs: int = 1) -> range:
 
 def _chunk_histogram(group: _Group, start: int, count: int, hists: list[np.ndarray]):
     """Add the decoded counts of trials [start, start + count) of every spec
-    of a group into that spec's histogram in `hists`, which grows only as
-    far as the largest count seen."""
-    for index, spec_counts in enumerate(_decode_chunk(group, start, count)):
-        chunk, hist = np.bincount(spec_counts), hists[index]
-        if len(chunk) > len(hist):
-            hists[index], hist, chunk = chunk, chunk, hist
-        hist[: len(chunk)] += chunk
+    of a group into that spec's M + 1 bins in `hists`."""
+    for hist, spec_counts in zip(hists, _decode_chunk(group, start, count)):
+        hist += np.bincount(spec_counts, minlength=len(hist))
 
 
 def _task_histogram(task) -> list[tuple[int, np.ndarray]]:
@@ -366,15 +362,16 @@ def _task_histogram(task) -> list[tuple[int, np.ndarray]]:
 
     Each histogram comes as its span (m, bins): the bins of decoded counts
     m, m + 1, ..., from its first nonzero bin to its last, so that a pool
-    task sends back little more than the counts it saw.  (All M + 1 bins of
-    fig4's 22 specs at M = 2000 raised the parent's peak RSS by 1.3 MB and
-    a task's tracemalloc peak by 0.17 MiB, measured on 8-trial chunks; ten
-    of its 32-trial group chunks peak at 2.75 MiB in all.)
+    task sends back little more than the counts it saw.  (Sending all M + 1
+    bins of fig4's 22 specs at M = 2000 raised the parent's peak RSS by
+    1.3 MB.  Summing into them costs a task 0.17 MiB of tracemalloc peak:
+    ten of its 32-trial group chunks peak at 2.92 MiB in all, against 2.75
+    MiB for histograms grown only as far as the largest count seen.)
     """
     group, first, end = task
     starts = _group_chunks(group)[first:end]
     trials = group.specs[0].trials
-    hists = [np.zeros(0, dtype=np.int64) for _ in group.specs]
+    hists = [np.zeros(spec.m_total + 1, dtype=np.int64) for spec in group.specs]
     for start in starts:
         _chunk_histogram(group, start, min(starts.step, trials - start), hists)
     spans = []

@@ -250,7 +250,7 @@ def test_c09_reduction_equalities():
         caps = np.empty((per_m, m_total))
         for k in range(per_m):
             caps[k] = capacities(
-                FadingModel.sample_gains(trial_stream(rng_master + m_total, k), m_total),
+                FadingModel.sample_gains(trial_stream(rng_master + m_total, k), np.empty(m_total)),
                 PowerBudget.from_db(1.44),
             )
         counts_ok &= bool(
@@ -350,7 +350,7 @@ def test_c12_st_search_sanity():
     for m_total, trials in ((3, 3000), (6, 3000), (10, 4000)):
         phis = np.empty((trials, m_total))
         for k in range(trials):
-            phis[k] = FadingModel.sample_gains(trial_stream(SEED + 120 + m_total, k), m_total)
+            FadingModel.sample_gains(trial_stream(SEED + 120 + m_total, k), phis[k])
         exact = st_counts(phis, p_linear, rate)
         # the decoder with decoded runs capped at 1 (size-1 subsets only) and at 4
         single_user = np.array([oracles.st_count(phi, p_linear, rate, max_run=1) for phi in phis])

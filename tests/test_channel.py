@@ -126,7 +126,7 @@ def test_gain_blocks_and_capacities_are_aligned():
 
 def test_rayleigh_sample_mean_is_one():
     rng = trial_stream(2024, 0)
-    gains = FadingModel.sample_gains(rng, 10**6)
+    gains = FadingModel.sample_gains(rng, np.empty(10**6))
     assert gains.min() > 0.0
     assert gains.mean() == pytest.approx(1.0, abs=4.0 / np.sqrt(10**6))
 
@@ -180,18 +180,30 @@ def test_trial_stream_takes_numpy_integers():
         assert np.array_equal(ours.random(50), expect.random(50))
 
 
-@pytest.mark.parametrize("shape", [(7,), (4,), (0,), (1, 5)])
-def test_sample_gains_refuses_an_out_of_another_length(shape):
-    """`out` is drawn into whole, so a length other than n is an error, not
-    a silent draw of len(out) gains."""
-    with pytest.raises(ValueError, match="length n = 5"):
-        FadingModel.sample_gains(trial_stream(1, 0), 5, out=np.empty(shape))
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
+@pytest.mark.parametrize(
+    "out",
+    [np.empty(10)[::2], np.empty(5, np.float32), np.empty(5, np.int64), _read_only(np.empty(5))],
+    ids=["strided", "float32", "int64", "read-only"],
+)
+def test_sample_gains_refuses_an_out_it_cannot_fill_before_any_draw(out):
+    """Only a contiguous, writable float64 `out` is filled; any other is
+    refused with the stream still at its first draw."""
+    rng = trial_stream(1, 0)
+    with pytest.raises((TypeError, ValueError)):
+        FadingModel.sample_gains(rng, out)
+    assert repr(rng.bit_generator.state) == repr(trial_stream(1, 0).bit_generator.state)
 
 
 def test_sample_gains_into_out_is_the_plain_draw():
     out = np.empty(5)
-    assert FadingModel.sample_gains(trial_stream(1, 0), 5, out=out) is out
-    assert np.array_equal(out, FadingModel.sample_gains(trial_stream(1, 0), 5))
+    assert FadingModel.sample_gains(trial_stream(1, 0), out) is out
+    assert np.array_equal(out, -np.log1p(-trial_stream(1, 0).random(5)))
+
 
 def test_fixed_key_refuses_any_other_request():
     """A bit generator that asks for other than two uint64 words gets no key."""
@@ -237,11 +249,11 @@ def test_sampled_rows_are_the_inverse_transform_of_the_keyed_stream(master_seed,
     """In-place sampling gives bit for bit -log1p(-u) of the documented stream."""
     for m_total in (1, 5, 2000):
         expect = -np.log1p(-_keyed_philox(master_seed, trial).random(m_total))
-        drawn = FadingModel.sample_gains(trial_stream(master_seed, trial), m_total)
+        drawn = FadingModel.sample_gains(trial_stream(master_seed, trial), np.empty(m_total))
         assert drawn.tobytes() == expect.tobytes()
         block = np.full((3, m_total), np.nan)
         row = block[1]
-        assert FadingModel.sample_gains(trial_stream(master_seed, trial), m_total, out=row) is row
+        assert FadingModel.sample_gains(trial_stream(master_seed, trial), row) is row
         assert block[1].tobytes() == expect.tobytes()
         assert np.isnan(block[[0, 2]]).all()  # the neighbouring rows are untouched
     if trial >= 2:  # the engine's block: row k is trial start + k, at the benchmark's M too

@@ -497,7 +497,7 @@ def test_workers_below_one_exit_2(tmp_path, capsys, workers):
     assert run_cli("--preset", "fig7", "--trials", "5", "--workers", workers,
                    "--out", str(out)) == 2
     assert not out.exists()
-    assert "--workers must be >= 1" in capsys.readouterr().err
+    assert "workers must be an integer >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -588,9 +588,11 @@ def test_an_interrupted_pooled_run_leaves_no_file_and_no_worker(tmp_path):
         if run.poll() is None:
             os.killpg(run.pid, signal.SIGKILL)
             run.wait()
-    assert run.returncode == -signal.SIGINT
-    assert "KeyboardInterrupt" in stderr
-    assert _wait_until(lambda: not _live_group_members(run.pid), 10)
+    assert run.returncode == -signal.SIGINT, f"the run printed:\n{stderr}"
+    assert "KeyboardInterrupt" in stderr, f"the run printed:\n{stderr}"
+    assert _wait_until(lambda: not _live_group_members(run.pid), 10), (
+        f"live group members: {_live_group_members(run.pid)}"
+    )
     assert os.listdir(tmp_path) == []
 
 

@@ -33,7 +33,7 @@ def test_decode_of_each_trial_matches_its_count_in_the_run(m_total):
     ]
     power = received_power(specs[0])
     reals = [
-        ChannelRealization.from_gains(FadingModel.sample_gains(trial_stream(SEED, k), m_total), power)
+        ChannelRealization.from_gains(FadingModel.sample_gains(trial_stream(SEED, k), np.empty(m_total)), power)
         for k in range(TRIALS)
     ]
     prefixes = 0

@@ -495,16 +495,25 @@ def test_column_counts_are_the_column_sums(rows):
 
 def test_gts_window_set_in_any_order_and_on_any_values():
     """Unsorted and repeated windows, capacities of either sign, and a
-    non-finite capacity, which leaves every trial to the exact rule."""
+    NaN or infinite capacity, which leaves every trial to the exact rule, in
+    an odd number of trials (one zero lane) and alone."""
     rng = np.random.default_rng(29)
     windows = [50, 1, 50, 7, 3, 7, 49]
     caps = capacities(rng.exponential(1.0, (200, 50)), PowerBudget.from_db(1.0))
     assert np.array_equal(gts_counts(caps, 1.0, windows), per_window_counts(caps, 1.0, windows))
     signed = rng.normal(0.5, 2.0, (200, 50))
     assert np.array_equal(gts_counts(signed, 1.0, windows), per_window_counts(signed, 1.0, windows))
-    caps[3, 10] = np.inf
-    with np.errstate(invalid="ignore"):  # inf - inf in the exact rule's prefix differences
-        assert np.array_equal(gts_counts(caps, 1.0, windows), per_window_counts(caps, 1.0, windows))
+    for value in (np.nan, np.inf, -np.inf):
+        bad = caps[:7].copy()
+        bad[3, 10] = value
+        for batch in (bad, bad[3:4]):
+            with np.errstate(invalid="ignore"):  # inf - inf in the prefix differences
+                assert np.array_equal(gts_counts(batch, 1.0, windows), per_window_counts(batch, 1.0, windows))
+    # every message of this trial is estimated at +inf (2 H[1] overflows),
+    # but the exact rule gives message 1 only about 1e304
+    huge = np.array([[0.8989e308, -1.7976e308, np.inf]])
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert np.array_equal(gts_counts(huge, 1e305, [2]), per_window_counts(huge, 1e305, [2]))
 
 
 def test_gts_counts_shape_follows_the_window():
