@@ -7,7 +7,8 @@ other means than running a decoder:
   (closed form for the Rayleigh gain);
 * mt_pmf_exact - the memoryless decode-count pmf, binomial in log space;
 * je_pmf_exact_smallM - the exact joint-encoding pmf for up to three blocks,
-  from Spitzer's identity and nested quadrature of the capacity-sum tails.
+  from Spitzer's identity and tails of capacity sums, nested over the block
+  gains on channel._rayleigh_expectation's rule, the package's one quadrature.
 """
 
 import math
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LN2, PowerBudget, QuadratureError, _check_count, _check_positive, _finite_real
+from .channel import LN2, PowerBudget, _check_count, _check_positive, _finite_real, _rayleigh_expectation
 
 # ---------------------------------------------------------------------------
 # decode-count pmf container
@@ -54,7 +55,7 @@ def mt_success_prob(power: PowerBudget, rate_r: float) -> float:
     tail exp(-(2^R - 1) / P) of the Rayleigh gain.
     """
     _check_positive("rate_r", rate_r)
-    return _capacity_tail(rate_r, power.p_linear)
+    return float(_capacity_tail(rate_r, power.p_linear))
 
 
 def mt_pmf_exact(m_total: int, p: float) -> DecodeCountPmf:
@@ -78,58 +79,36 @@ def mt_pmf_exact(m_total: int, p: float) -> DecodeCountPmf:
 # ---------------------------------------------------------------------------
 
 
-def _capacity_pdf(c, p_linear):
-    # change of variables from the exponential gain density; 0.0 where
-    # 2**c overflows, as _capacity_tail
-    try:
-        grow = 2.0**c
-    except OverflowError:
-        return 0.0
-    return LN2 * grow / p_linear * np.exp(-(grow - 1.0) / p_linear)
+def _gain_threshold(c, p_linear):
+    """The gain (2**c - 1) / P at which log2(1 + g P) reaches c, elementwise:
+    0 where c <= 0, and inf where 2**c overflows (c >= 1024).  For P below
+    2**1014 (3052 dB) the threshold is then above 745, where its tail exp(-g)
+    underflows to the 0 that exp(-inf) gives."""
+    with np.errstate(over="ignore"):
+        return np.maximum(np.exp2(c) - 1.0, 0.0) / p_linear
 
 
 def _capacity_tail(c, p_linear):
-    """Pr{log2(1 + phi P) > c}: the exponential tail of the Rayleigh gain.
+    """Pr{log2(1 + phi P) > c}, elementwise: the Rayleigh gain's tail."""
+    return np.exp(-_gain_threshold(c, p_linear))
 
-    0.0 where 2**c overflows: for P below 2**1014 (3052 dB), (2**c - 1) / P
-    is then above 745, where the tail and the density underflow.
+
+def _sum_tail(j, y, p_linear):
+    """Pr{C_1 + ... + C_j > y} for i.i.d. block capacities, elementwise in y.
+
+    Either C_1 alone exceeds y (its gain is above g* = _gain_threshold(y)),
+    or its gain g is below g* and the other j - 1 blocks exceed
+    y - log2(1 + g P); so each block adds one level of quadrature over g.
     """
-    if c <= 0.0:
-        return 1.0
-    try:
-        return float(np.exp(-(2.0**c - 1.0) / p_linear))
-    except OverflowError:
-        return 0.0
-
-
-def _quad(f, lo, hi, tol):
-    # imported here: scipy.integrate is only needed by je_pmf_exact_smallM,
-    # and importing it at start-up would cost every run about 25 MB
-    from scipy.integrate import quad
-
-    value, abserr = quad(f, lo, hi, epsabs=tol, limit=200)
-    if abserr > 10.0 * tol:
-        raise QuadratureError(f"nested quadrature error {abserr:.2e} at tolerance {tol:.2e}")
-    return value
-
-
-def _sum_tail(j, y, p_linear, tol):
-    """Pr{C_1 + ... + C_j > y} for i.i.d. block capacities.
-
-    Either C_1 alone exceeds y, or C_1 = c <= y and the other j - 1 blocks
-    exceed y - c; so each block adds one level of quadrature.
-    """
-    if j == 1 or y <= 0.0:
+    if j == 1:
         return _capacity_tail(y, p_linear)
+    y = np.asarray(y)
 
-    def first_block(c):
-        return _capacity_pdf(c, p_linear) * _sum_tail(j - 1, y - c, p_linear, tol / 10.0)
+    def other_blocks(g):
+        return _sum_tail(j - 1, y[..., None, None] - np.log1p(g * p_linear) / LN2, p_linear)
 
-    return _quad(first_block, 0.0, y, tol) + _capacity_tail(y, p_linear)
-
-
-# absolute tolerance of je_pmf_exact_smallM's nested quadrature
-_JE_PMF_TOL = 1e-5
+    below = _rayleigh_expectation(other_blocks, _gain_threshold(y, p_linear))
+    return _capacity_tail(y, p_linear) + below
 
 
 def je_pmf_exact_smallM(m_total: int, power: PowerBudget, rate_r: float) -> DecodeCountPmf:
@@ -142,15 +121,15 @@ def je_pmf_exact_smallM(m_total: int, power: PowerBudget, rate_r: float) -> Deco
     positive (the first n messages decode) and b_n that every prefix sum is
     not (none of the next n do).  With p_j = Pr{S_j > 0} and a_0 = b_0 = 1,
         n a_n = sum_{j<=n} p_j a_{n-j},  n b_n = sum_{j<=n} (1 - p_j) b_{n-j}.
-    Each p_j nests j - 1 quadratures (_sum_tail), so larger deadlines are
-    out of scope.
+    Each p_j nests j - 1 gain quadratures (_sum_tail), the inner one at every
+    node of the outer, so its cost grows as 1830**(j - 1) evaluations and
+    larger deadlines are out of scope.
     """
     _check_count("m_total", m_total)
     if m_total > 3:
         raise ValueError("exact pmf quadrature supports m_total in {1, 2, 3} only")
     _check_positive("rate_r", rate_r)
-    tol = _JE_PMF_TOL / 20.0
-    p = [None] + [_sum_tail(j, j * rate_r, power.p_linear, tol) for j in range(1, m_total + 1)]
+    p = [None] + [float(_sum_tail(j, j * rate_r, power.p_linear)) for j in range(1, m_total + 1)]
     a, b = [1.0], [1.0]
     for n in range(1, m_total + 1):
         a.append(sum(p[j] * a[n - j] for j in range(1, n + 1)) / n)

@@ -228,47 +228,52 @@ def trial_stream(master_seed: int, trial: int) -> np.random.Generator:
 
 
 def _gauss_legendre_pieces(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """An n-node Gauss-Legendre rule on each piece between _GAIN_EDGES, with
-    the exp(-g) density folded into the weights; one row per piece."""
+    """An n-node Gauss-Legendre rule on each piece between _GAIN_EDGES, one
+    row per piece: its nodes and weights, without the exp(-g) density."""
     x, w = np.polynomial.legendre.leggauss(n_nodes)
     lo, hi = _GAIN_EDGES[:-1, None], _GAIN_EDGES[1:, None]
     half = (hi - lo) / 2.0
-    nodes = lo + half * (x + 1.0)
-    return nodes, half * w * np.exp(-nodes)
+    return lo + half * (x + 1.0), half * w
 
 
 _FINE_NODES, _FINE_WEIGHTS = _gauss_legendre_pieces(20)
 _COARSE_NODES, _COARSE_WEIGHTS = _gauss_legendre_pieces(10)
-_NODES = np.hstack((_FINE_NODES, _COARSE_NODES))  # one evaluation of f for both rules
+# one evaluation of f for both rules
+_NODES = np.hstack((_FINE_NODES, _COARSE_NODES))
+_WEIGHTS = np.hstack((_FINE_WEIGHTS, _COARSE_WEIGHTS))
 
 
-# largest error estimate that ergodic_capacity and capacity_moments accept
+# largest error estimate that any quadrature of the package accepts
 _QUAD_TOL = 1e-6
 
 
-def _rayleigh_expectation(f) -> float:
-    """Integral of f(g) * exp(-g) over g > 0 by a fixed composite rule.
+def _rayleigh_expectation(f, upper=_GAIN_CUTOFF):
+    """Integral of f(g) * exp(-g) over 0 < g < min(upper, _GAIN_CUTOFF) by a
+    fixed composite rule; the default limit takes the whole expectation.
 
-    f takes an array of gains.  The value is the 20-node Gauss-Legendre
-    rule on each piece of [0, _GAIN_CUTOFF]; the error estimate is the sum
-    over pieces of its distance from the 10-node rule on the same piece.
+    The pieces of [0, _GAIN_CUTOFF] are scaled onto that interval, and the
+    value is the 20-node Gauss-Legendre rule on each; the error estimate is
+    the sum over pieces of its distance from the 10-node rule on the same
+    piece.  `upper` (>= 0) may be an array: then f takes the nodes with
+    upper's shape in front of its own, and there is one integral per element.
     """
-    values = f(_NODES)
+    scale = (np.minimum(upper, _GAIN_CUTOFF) / _GAIN_CUTOFF)[..., None, None]
+    nodes = _NODES * scale
+    weighted = f(nodes) * (_WEIGHTS * scale * np.exp(-nodes))
     n_fine = _FINE_NODES.shape[1]
-    fine = (values[:, :n_fine] * _FINE_WEIGHTS).sum(axis=1)
-    coarse = (values[:, n_fine:] * _COARSE_WEIGHTS).sum(axis=1)
-    abserr = float(np.abs(fine - coarse).sum())
+    fine = weighted[..., :n_fine].sum(axis=-1)
+    abserr = np.max(np.abs(fine - weighted[..., n_fine:].sum(axis=-1)).sum(axis=-1))
     if abserr > _QUAD_TOL:
         raise QuadratureError(
             f"quadrature error {abserr:.2e} exceeds tolerance {_QUAD_TOL:.2e}"
         )
-    return float(fine.sum())
+    return fine.sum(axis=-1)
 
 
 def ergodic_capacity(power: PowerBudget) -> float:
     """Mean instantaneous capacity E[log2(1 + phi * P)] in bpcu."""
     p = power.p_linear
-    return _rayleigh_expectation(lambda g: np.log1p(g * p) / LN2)
+    return float(_rayleigh_expectation(lambda g: np.log1p(g * p) / LN2))
 
 
 def capacity_moments(power: PowerBudget) -> tuple[float, float]:
@@ -281,7 +286,7 @@ def capacity_moments(power: PowerBudget) -> tuple[float, float]:
     mean = ergodic_capacity(power)
     p = power.p_linear
     variance = _rayleigh_expectation(lambda g: (np.log1p(g * p) / LN2 - mean) ** 2)
-    return mean, variance
+    return mean, float(variance)
 
 
 def effective_power(

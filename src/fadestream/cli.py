@@ -6,9 +6,9 @@ identical output; headers record the run parameters, never timestamps.
 
 Exit codes: 0 success, 2 usage/configuration error, 3 runtime error.  An
 interrupt (SIGINT to the run's process group) ends the run with Python's
-KeyboardInterrupt, killed by SIGINT (status 130 in a shell), once the pool
-workers finish the tasks already handed to them; it leaves no output file,
-no .fadestream-* temp file and no worker process.
+KeyboardInterrupt, killed by SIGINT (status 130 in a shell); the pool
+workers stop at once, and the run leaves no output file, no .fadestream-*
+temp file and no worker process.
 """
 
 import argparse
@@ -40,10 +40,6 @@ SCHEMA_VERSION = 3
 _RUNTIME_ERRORS = (QuadratureError, MemoryError, BrokenProcessPool)
 
 
-class UsageError(ValueError):
-    """Inconsistent or invalid flag combination."""
-
-
 def _flag_value(args, flag):
     return getattr(args, flag[2:].replace("-", "_"))
 
@@ -54,7 +50,7 @@ def _scheme_from_args(args):
     if scheme_class is not GTS:
         return scheme_class()
     if args.window is None:
-        raise UsageError(f"{args.scheme} requires --window")
+        raise ValueError(f"{args.scheme} requires --window")
     return GTS(window=args.window)
 
 
@@ -200,14 +196,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_sweep(text: str):
     if "=" not in text:
-        raise UsageError("sweep must look like axis=v1,v2,...")
+        raise ValueError("sweep must look like axis=v1,v2,...")
     axis, _, rest = text.partition("=")
     axis = axis.strip()
     cast = int if axis in INT_AXES else float
     try:
         values = [cast(v) for v in rest.split(",")]
     except ValueError as exc:
-        raise UsageError(f"bad sweep value list for {axis}: {exc}") from None
+        raise ValueError(f"bad sweep value list for {axis}: {exc}") from None
     return axis, values
 
 
@@ -219,15 +215,15 @@ def _validate_run_args(args):
         )
         extra = [flag for flag in point_flags if _flag_value(args, flag) is not None]
         if extra:
-            raise UsageError(f"--preset does not combine with {', '.join(extra)}")
+            raise ValueError(f"--preset does not combine with {', '.join(extra)}")
         return
     for flag in ("--scheme", "--blocks", "--rate", "--snr-db"):
         if _flag_value(args, flag) is None:
-            raise UsageError(f"{flag} is required without --preset")
+            raise ValueError(f"{flag} is required without --preset")
     if args.window is not None and args.scheme != DECODERS[GTS].tag:
-        raise UsageError(f"--window applies to the {DECODERS[GTS].tag} scheme only")
+        raise ValueError(f"--window applies to the {DECODERS[GTS].tag} scheme only")
     if (args.distance is None) != (args.path_loss is None):
-        raise UsageError("--distance and --path-loss must be given together")
+        raise ValueError("--distance and --path-loss must be given together")
 
 
 def _single_or_sweep_specs(args):
@@ -334,7 +330,7 @@ def main(argv=None) -> int:
         meta, specs = (_preset_specs if args.preset is not None else _single_or_sweep_specs)(args)
         rows = [_row(spec, result) for spec, result in zip(specs, run_specs(specs, args.workers))]
         text = (_render_csv if meta["format"] == "csv" else _render_json)(meta, rows)
-    except ValueError as exc:  # a UsageError too
+    except ValueError as exc:
         print(f"fadestream: error: {exc}", file=sys.stderr)
         return 2
     except _RUNTIME_ERRORS as exc:

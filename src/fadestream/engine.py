@@ -13,6 +13,7 @@ import ctypes
 import dataclasses
 import numbers
 import os
+import signal
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -451,7 +452,10 @@ def run_specs(specs, workers: int = 1) -> list[ExperimentResult]:
     # the fork start method forks every process of the pool at its first task
     workers = min(workers, os.cpu_count() or 1)
     results = [None] * len(specs)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # a worker under Python's SIGINT handler would finish its task before an
+    # interrupted run exits; with the default action it ends at once
+    sigint_default = (signal.SIGINT, signal.SIG_DFL)
+    with ProcessPoolExecutor(workers, initializer=signal.signal, initargs=sigint_default) as pool:
         for indices, group, count in zip(members.values(), groups, chunks):
             size = -(-count // (_TASKS_PER_WORKER * workers))
             tasks = [(group, first, min(first + size, count)) for first in range(0, count, size)]

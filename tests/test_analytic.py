@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
-from fadestream import analytic
+from fadestream import channel
 from fadestream.analytic import je_pmf_exact_smallM, mt_pmf_exact, mt_success_prob
 from fadestream.channel import PowerBudget, QuadratureError, trial_stream
 from fadestream.engine import ExperimentSpec, decode_counts, run_experiment
@@ -38,7 +38,6 @@ def test_tails_past_the_float_range_of_two_to_the_rate_are_zero():
     assert mt_success_prob(PowerBudget(1.0), 1100.0) == 0.0
     pmf = je_pmf_exact_smallM(2, PowerBudget(1.0), 600.0)
     assert pmf.probs.tolist() == [1.0, 0.0, 0.0]
-    assert analytic._capacity_pdf(1100.0, 1.0) == 0.0
 
 
 @pytest.mark.parametrize("rate_r", [np.nan, np.inf, 0.0, -1.0])
@@ -239,7 +238,7 @@ def test_je_pmf_three_blocks_keeps_the_nested_block_integrals(db, rate, frozen):
 
 
 def test_je_pmf_raises_when_the_quadrature_misses_its_tolerance(monkeypatch):
-    monkeypatch.setattr(analytic, "_JE_PMF_TOL", 1e-24)
+    monkeypatch.setattr(channel, "_QUAD_TOL", 1e-20)
     with pytest.raises(QuadratureError):
         je_pmf_exact_smallM(3, PowerBudget.from_db(2.0), 1.0)
 

@@ -4,6 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
+from scipy.special import gammainc
 
 import oracles
 from fadestream import channel, engine
@@ -330,6 +331,18 @@ def test_a_tolerance_below_the_error_estimate_raises(monkeypatch):
     monkeypatch.setattr(channel, "_QUAD_TOL", 1e-18)
     with pytest.raises(QuadratureError):
         channel._rayleigh_expectation(capacity)
+
+
+def test_an_upper_limit_cuts_the_expectation_at_it():
+    """The integrals of exp(-g) and g exp(-g) over [0, u] are 1 - e^-u and
+    1 - (1 + u) e^-u, the regularized incomplete gamma P(1, u) and P(2, u);
+    scipy evaluates them without those forms' cancellation at small u.  An
+    array of limits gives one integral per limit."""
+    u = np.geomspace(1e-6, 40.0, 25)
+    for k, f in ((1, np.ones_like), (2, lambda g: g)):
+        expected = gammainc(k, u)
+        assert channel._rayleigh_expectation(f, u) == pytest.approx(expected, rel=1e-14)
+        assert [channel._rayleigh_expectation(f, x) for x in u] == pytest.approx(expected, rel=1e-14)
 
 
 def test_ergodic_capacity_strictly_increasing_in_power():

@@ -577,7 +577,7 @@ def test_a_pool_has_at_most_one_process_per_cpu(monkeypatch):
 
     sizes = []
 
-    def no_pool(max_workers):
+    def no_pool(max_workers, **kwargs):
         sizes.append(max_workers)
         raise Refused  # before any process starts
 

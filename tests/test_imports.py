@@ -89,6 +89,38 @@ def test_the_bench_check_sees_hooks_and_module_lookups():
     assert bench_reads(ast.parse(source)) == {("cli", "main"), ("sys.modules", "scipy")}
 
 
+def scipy_imports(tree: ast.Module) -> list[str]:
+    """The scipy modules a module imports, function-local imports included:
+    `from scipy import x` counts as an import of scipy.x."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            names += [f"scipy.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return [name for name in names if name == "scipy" or name.startswith("scipy.")]
+
+
+def test_the_package_imports_no_scipy_submodule():
+    """The one scipy import is the bare `import scipy` kept for the bench."""
+    found = sorted(
+        (path.relative_to(ROOT).as_posix(), name)
+        for path in PACKAGE.glob("*.py")
+        for name in scipy_imports(ast.parse(path.read_text(), filename=str(path)))
+    )
+    assert found == sorted(entry for entry in KEPT_FOR_BENCH_HOOKS if entry[1] == "scipy")
+
+
+def test_the_scipy_check_sees_every_import_form():
+    source = (
+        "import scipy, scipyx\nfrom numpy import linalg\n"
+        "def f():\n    import scipy.integrate\n    from scipy import special\n    from scipy.stats import norm\n"
+    )
+    assert scipy_imports(ast.parse(source)) == ["scipy", "scipy.integrate", "scipy.special", "scipy.stats"]
+
+
 def package_imports(tree: ast.Module) -> set[str]:
     """The package modules that a module's relative imports read."""
     modules = {path.stem for path in PACKAGE.glob("*.py")}
