@@ -227,10 +227,40 @@ def trial_stream(master_seed: int, trial: int) -> np.random.Generator:
     return _Generator(_Philox(key, counter=_ZERO_COUNTER))
 
 
+# The positive nodes, ascending, and their weights of the n-node
+# Gauss-Legendre rule on [-1, 1] as numpy.polynomial.legendre.leggauss(n)
+# gives them, n = 20 and 10.  leggauss makes its nodes odd and its weights
+# even about 0, so these halves rebuild its rule bit for bit, without
+# importing numpy.polynomial or making its LAPACK call at start-up.
+_LEGENDRE_HALVES = {
+    20: (
+        (0.07652652113349734, 0.22778585114164507, 0.37370608871541955, 0.5108670019508271,
+         0.636053680726515, 0.7463319064601508, 0.8391169718222188, 0.912234428251326,
+         0.9639719272779138, 0.993128599185095),
+        (0.15275338713072628, 0.14917298647260424, 0.1420961093183824, 0.1316886384491769,
+         0.1181945319615186, 0.1019301198172407, 0.08327674157670471, 0.06267204833410879,
+         0.040601429800386446, 0.017614007139150893),
+    ),
+    10: (
+        (0.14887433898163122, 0.4333953941292472, 0.6794095682990244, 0.8650633666889845,
+         0.9739065285171717),
+        (0.2955242247147528, 0.2692667193099965, 0.219086362515982, 0.1494513491505804,
+         0.06667134430868814),
+    ),
+}
+
+
+def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """leggauss(n_nodes), the nodes and weights on [-1, 1], from
+    _LEGENDRE_HALVES."""
+    x, w = (np.array(half) for half in _LEGENDRE_HALVES[n_nodes])
+    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
+
+
 def _gauss_legendre_pieces(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """An n-node Gauss-Legendre rule on each piece between _GAIN_EDGES, one
     row per piece: its nodes and weights, without the exp(-g) density."""
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = _gauss_legendre(n_nodes)
     lo, hi = _GAIN_EDGES[:-1, None], _GAIN_EDGES[1:, None]
     half = (hi - lo) / 2.0
     return lo + half * (x + 1.0), half * w

@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures.process import BrokenProcessPool
 from functools import lru_cache, partial
 
 from . import __version__
@@ -36,8 +35,14 @@ from .schemes import AJE, GTS, JE, MT, ST, TS
 
 SCHEMA_VERSION = 3
 
-# failures of a valid run; they exit 3 like an unwritable output
-_RUNTIME_ERRORS = (QuadratureError, MemoryError, BrokenProcessPool)
+
+def _runtime_errors() -> tuple:
+    """Failures of a valid run; they exit 3 like an unwritable output.  An
+    except clause calls this only when an exception reaches it, so the
+    process-pool stack is not imported for BrokenProcessPool at start-up."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    return (QuadratureError, MemoryError, BrokenProcessPool)
 
 
 def _flag_value(args, flag):
@@ -333,7 +338,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"fadestream: error: {exc}", file=sys.stderr)
         return 2
-    except _RUNTIME_ERRORS as exc:
+    except _runtime_errors() as exc:
         detail = " ".join(str(exc).split()) or "no details"
         print(f"fadestream: error: run failed: {type(exc).__name__}: {detail}", file=sys.stderr)
         return 3

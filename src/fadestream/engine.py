@@ -14,8 +14,8 @@ import dataclasses
 import numbers
 import os
 import signal
+import sys
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -41,6 +41,18 @@ from .schemes import AJE, GTS, JE, MT, ST, TS, SchemeConfig
 
 SWEEP_AXES = ("power_db", "rate_r", "m_total", "window", "distance")
 INT_AXES = ("m_total", "window")  # sweep axes whose values are integers
+
+
+def __getattr__(name):
+    """engine.ProcessPoolExecutor, imported on first read: the process-pool
+    stack (multiprocessing, logging) loads only when a run starts a pool.
+    run_specs reads the class through this module, so a class set on the
+    name replaces it."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class Decoder(NamedTuple):
@@ -394,7 +406,10 @@ def _group_results(group: _Group, task_outputs) -> list[ExperimentResult]:
 
 
 def _resolved(spec: ExperimentSpec) -> ExperimentSpec:
-    return dataclasses.replace(spec, scheme=resolve_scheme(spec))
+    """The spec with resolve_scheme's scheme; the spec itself if that is
+    its own, so that a resolved spec is not rebuilt and checked again."""
+    scheme = resolve_scheme(spec)
+    return spec if scheme is spec.scheme else dataclasses.replace(spec, scheme=scheme)
 
 
 def decode_counts(specs) -> list[np.ndarray]:
@@ -455,7 +470,8 @@ def run_specs(specs, workers: int = 1) -> list[ExperimentResult]:
     # a worker under Python's SIGINT handler would finish its task before an
     # interrupted run exits; with the default action it ends at once
     sigint_default = (signal.SIGINT, signal.SIG_DFL)
-    with ProcessPoolExecutor(workers, initializer=signal.signal, initargs=sigint_default) as pool:
+    pool_class = sys.modules[__name__].ProcessPoolExecutor  # see __getattr__
+    with pool_class(workers, initializer=signal.signal, initargs=sigint_default) as pool:
         for indices, group, count in zip(members.values(), groups, chunks):
             size = -(-count // (_TASKS_PER_WORKER * workers))
             tasks = [(group, first, min(first + size, count)) for first in range(0, count, size)]

@@ -321,6 +321,18 @@ def test_capacity_variance_matches_adaptive_quadrature(db):
     assert variance == pytest.approx(expect_variance, rel=1e-13)
 
 
+@pytest.mark.parametrize("n_nodes", sorted(channel._LEGENDRE_HALVES))
+def test_the_checked_in_quadrature_halves_rebuild_leggauss_bit_for_bit(n_nodes):
+    """The package keeps half of each Gauss-Legendre rule as constants;
+    numpy.polynomial, which it no longer imports, is their oracle."""
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = channel._gauss_legendre(n_nodes)
+    expect_nodes, expect_weights = leggauss(n_nodes)
+    assert nodes.tobytes() == expect_nodes.tobytes()
+    assert weights.tobytes() == expect_weights.tobytes()
+
+
 def test_a_tolerance_below_the_error_estimate_raises(monkeypatch):
     power = PowerBudget.from_db(20.0)
 

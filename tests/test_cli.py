@@ -605,9 +605,12 @@ _IMPORT_GUARD = """
 import os, sys
 import fadestream.cli as cli
 assert "scipy" in sys.modules and "scipy.special" not in sys.modules
+unused = ("multiprocessing", "concurrent.futures.process", "numpy.polynomial")
+assert not any(name in sys.modules for name in unused)
 out = sys.argv[1]
 aje = ["--scheme", "aje", "--blocks", "20", "--rate", "1", "--snr-db", "2", "--trials", "20"]
 assert cli.main(aje + ["--out", os.path.join(out, "aje.csv")]) == 0
+assert not any(name in sys.modules for name in unused)
 fig4 = ["--preset", "fig4", "--trials", "16", "--workers", "2"]
 assert cli.main(fig4 + ["--out", os.path.join(out, "fig4.csv")]) == 0
 assert "scipy.integrate" not in sys.modules
@@ -624,9 +627,11 @@ assert "scipy.integrate" not in sys.modules
 
 def test_cli_runs_import_neither_scipy_integrate_nor_special(tmp_path):
     """A fresh interpreter imports the CLI with scipy but not scipy.special,
-    and runs an aje point and a pooled preset without loading
-    scipy.integrate or scipy.special; the mt pmf loads neither, and the
-    exact small-M pmf does not load scipy.integrate either."""
+    and neither the process-pool stack nor numpy.polynomial, and runs an
+    aje point at workers = 1 without loading any of them; it runs a preset
+    at workers = 2 without loading scipy.integrate or scipy.special; the
+    mt pmf loads neither, and the exact small-M pmf does not load
+    scipy.integrate either."""
     src = os.path.dirname(os.path.dirname(fadestream.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}

@@ -167,6 +167,18 @@ def test_aje_message_count_is_resolved_once_per_experiment(monkeypatch):
     assert len(calls) == 3
 
 
+def test_a_spec_that_resolution_leaves_unchanged_is_not_rebuilt():
+    """run_specs resolves every spec and run_experiment resolves it again;
+    the second pass returns the spec itself rather than a validated copy."""
+    for scheme in (MT(), GTS(window=3), AJE(m_prime=4)):
+        spec = make_spec(scheme=scheme)
+        assert engine._resolved(spec) is spec
+    spec = make_spec(scheme=AJE(), power_db=20.0, m_total=100, rate_r=8.0, trials=10)
+    resolved = engine._resolved(spec)
+    assert resolved.scheme == AJE(m_prime=67)
+    assert engine._resolved(resolved) is resolved
+
+
 def test_run_experiment_memory_is_bounded_at_long_deadlines():
     """gts at M=2000: a chunk of 4000 trials x 2000 blocks peaked at 448 MB."""
     spec = make_spec(scheme=GTS(window=50), power_db=2.0, m_total=2000, trials=4000)
