@@ -58,8 +58,9 @@ def __getattr__(name):
 class Decoder(NamedTuple):
     """How one scheme configuration class is decoded: its entry in DECODERS.
 
-    kernel(matrix, rate_r, configs, power) decodes every configuration in
-    `configs` (all of this class, at one M and R) from one trials x M
+    kernel(matrix, rate_r, configs, power), called once per batch, decodes
+    the batch's distinct configurations `configs` (all of this class, at
+    one M and R; one, for a class without fields) from one trials x M
     matrix, of the gains if reads_gains, else of their capacities at
     `power`, and gives one row of per-trial counts per configuration.  It
     calls the batched kernel by its module attribute at call time, so that
@@ -74,48 +75,43 @@ class Decoder(NamedTuple):
     messages: Callable | None = None
 
 
-def _each(kernel) -> Callable:
-    """A Decoder kernel that calls kernel(matrix, rate_r, scheme, power) once
-    per configuration."""
-    return lambda matrix, rate_r, configs, power: [
-        kernel(matrix, rate_r, scheme, power) for scheme in configs
-    ]
-
-
-def _gts_kernel(caps, rate_r, configs, power):
-    """One gts_counts call decides every window, one row of counts each."""
-    return schemes.gts_counts(caps, rate_r, [scheme.window for scheme in configs])
-
-
 # the one place each scheme is defined: engine dispatch, spec validation, the
 # CLI's tags and decode all read it
 DECODERS = {
     MT: Decoder(
         "mt",
-        _each(lambda caps, rate_r, scheme, power: schemes.mt_counts(caps, rate_r)),
+        lambda caps, rate_r, configs, power: [schemes.mt_counts(caps, rate_r)],
         messages=lambda cap, rate_r, scheme: schemes.mt_counts(cap[:, None], rate_r),  # a block a trial
     ),
-    JE: Decoder("je", _each(lambda caps, rate_r, scheme, power: schemes.je_counts(caps, rate_r))),
-    AJE: Decoder(
-        "aje", _each(lambda caps, rate_r, scheme, power: schemes.aje_counts(caps, rate_r, scheme.m_prime))
+    JE: Decoder("je", lambda caps, rate_r, configs, power: [schemes.je_counts(caps, rate_r)]),
+    AJE: Decoder(  # one call per M', each summing its own trailing blocks
+        "aje",
+        lambda caps, rate_r, configs, power: [schemes.aje_counts(caps, rate_r, c.m_prime) for c in configs],
     ),
-    TS: Decoder("ts", _each(lambda caps, rate_r, scheme, power: schemes.ts_counts(caps, rate_r))),
+    TS: Decoder("ts", lambda caps, rate_r, configs, power: [schemes.ts_counts(caps, rate_r)]),
     GTS: Decoder(
         "gts",
-        _gts_kernel,
+        lambda caps, rate_r, configs, power: schemes.gts_counts(caps, rate_r, [c.window for c in configs]),
         messages=lambda cap, rate_r, scheme: (
             schemes.gts_accumulated_info(cap[None, :], scheme.window)[0] >= rate_r
         ),
     ),
     ST: Decoder(
         "st",
-        _each(lambda phis, rate_r, scheme, power: schemes.st_counts(phis, power.p_linear, rate_r)),
+        lambda phis, rate_r, configs, power: [schemes.st_counts(phis, power.p_linear, rate_r)],
         reads_gains=True,
     ),
     InformedBound: Decoder(
-        "informed-bound", _each(lambda caps, rate_r, scheme, power: informed_counts(caps, rate_r))
+        "informed-bound", lambda caps, rate_r, configs, power: [informed_counts(caps, rate_r)]
     ),
 }
+
+
+def _decoder(scheme) -> Decoder:
+    """The DECODERS entry of a scheme configuration, by its exact class."""
+    if type(scheme) not in DECODERS:
+        raise ValueError(f"unknown scheme configuration: {scheme!r}")
+    return DECODERS[type(scheme)]
 
 
 @dataclass(frozen=True)
@@ -139,9 +135,7 @@ def decode(
     delivered rate divides by the full M, so messages that aje drops count
     against it.
     """
-    entry = DECODERS.get(type(scheme))
-    if entry is None:
-        raise ValueError(f"unknown scheme configuration: {scheme!r}")
+    entry = _decoder(scheme)
     _check_positive("rate_r", rate_r)
     if entry.messages is not None:
         decoded = np.flatnonzero(entry.messages(real.cap, rate_r, scheme)) + 1
@@ -217,8 +211,7 @@ class ExperimentSpec:
     distance: tuple[float, float] | None = None  # (distance, path_loss_exponent)
 
     def __post_init__(self):
-        if type(self.scheme) not in DECODERS:
-            raise ValueError(f"unknown scheme configuration: {self.scheme!r}")
+        _decoder(self.scheme)
         _check_count("m_total", self.m_total)
         _check_count("trials", self.trials)
         _check_positive("rate_r", self.rate_r)
@@ -345,13 +338,15 @@ def _capacity_counts(specs, batches, phis: np.ndarray, power: PowerBudget, count
 def _decode_batches(specs, batches, matrix: np.ndarray, power: PowerBudget, counts: list):
     """Set counts[index] for every spec index of `batches`.  The specs of a
     batch share (scheme class, M, R) and one call of their DECODERS kernel,
-    on the [:, :M] prefix of `matrix`."""
+    on the [:, :M] prefix of `matrix`, which decodes each distinct
+    configuration once; specs of equal configurations share its row."""
     for indices in batches:
         spec = specs[indices[0]]
-        configs = [specs[index].scheme for index in indices]
-        decoded = DECODERS[type(spec.scheme)].kernel(matrix[:, : spec.m_total], spec.rate_r, configs, power)
-        for index, spec_counts in zip(indices, decoded):
-            counts[index] = spec_counts
+        configs = dict.fromkeys(specs[index].scheme for index in indices)
+        kernel = DECODERS[type(spec.scheme)].kernel
+        rows = dict(zip(configs, kernel(matrix[:, : spec.m_total], spec.rate_r, list(configs), power)))
+        for index in indices:
+            counts[index] = rows[specs[index].scheme]
 
 
 def _chunk_ranges(trials: int, m_total: int, specs: int = 1) -> range:

@@ -22,10 +22,11 @@ the required rate) in every scheme.
 
 Each rule is implemented once, by the batched kernels (the *_counts
 functions), which take (trials x blocks) matrices and return per-trial
-decoded counts.  engine.DECODERS names each configuration class's kernel,
-and engine.decode runs it on a one-row batch of a ChannelRealization.  The
-test suite checks the kernels against independent rule-by-definition
-implementations in tests/oracles.py.
+decoded counts.  The runner calls each class's kernel, by engine.DECODERS,
+once per batch on its distinct configurations (gts_counts takes all their
+windows, aje_counts runs once per M'), and engine.decode calls it on a
+one-row batch of a ChannelRealization.  The test suite checks the kernels
+against independent rule-by-definition implementations in tests/oracles.py.
 """
 
 from dataclasses import dataclass

@@ -611,8 +611,9 @@ out = sys.argv[1]
 aje = ["--scheme", "aje", "--blocks", "20", "--rate", "1", "--snr-db", "2", "--trials", "20"]
 assert cli.main(aje + ["--out", os.path.join(out, "aje.csv")]) == 0
 assert not any(name in sys.modules for name in unused)
-fig4 = ["--preset", "fig4", "--trials", "16", "--workers", "2"]
+fig4 = ["--preset", "fig4", "--trials", "40", "--workers", "2"]
 assert cli.main(fig4 + ["--out", os.path.join(out, "fig4.csv")]) == 0
+assert "multiprocessing" in sys.modules  # two group chunks: the run started a pool
 assert "scipy.integrate" not in sys.modules
 assert "scipy.special" not in sys.modules
 import fadestream
@@ -629,9 +630,10 @@ def test_cli_runs_import_neither_scipy_integrate_nor_special(tmp_path):
     """A fresh interpreter imports the CLI with scipy but not scipy.special,
     and neither the process-pool stack nor numpy.polynomial, and runs an
     aje point at workers = 1 without loading any of them; it runs a preset
-    at workers = 2 without loading scipy.integrate or scipy.special; the
-    mt pmf loads neither, and the exact small-M pmf does not load
-    scipy.integrate either."""
+    at workers = 2 through a process pool, which loads the pool stack, but
+    without loading scipy.integrate or scipy.special; the mt pmf loads
+    neither, and the exact small-M pmf does not load scipy.integrate
+    either."""
     src = os.path.dirname(os.path.dirname(fadestream.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}

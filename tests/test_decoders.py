@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from fadestream import engine, schemes
 from fadestream.channel import ChannelRealization, FadingModel, trial_stream
 from fadestream.engine import DECODERS, ExperimentSpec, decode, decode_counts, received_power, resolve_scheme
 from fadestream.schemes import AJE, GTS, MT, ST
@@ -53,6 +54,35 @@ def test_decode_of_each_trial_matches_its_count_in_the_run(m_total):
             else:
                 assert out.decoded == oracles.gts_decoded(real.cap, RATE, scheme.window)
     assert prefixes == TRIALS * (len(specs) - 1 - len(configs(GTS, m_total)))
+
+
+@pytest.mark.parametrize(
+    "name, configs, calls_per_chunk",
+    [
+        ("mt_counts", [MT(), MT()], 1),
+        ("gts_counts", [GTS(window=10), GTS(window=10), GTS(window=20)], 1),
+        ("aje_counts", [AJE(m_prime=5), AJE(m_prime=5), AJE(m_prime=7)], 2),
+    ],
+)
+def test_a_batch_decodes_its_distinct_configurations_in_one_kernel_call(
+    monkeypatch, name, configs, calls_per_chunk
+):
+    """Specs of one (power, M, R) make one batch; its kernel is called once
+    per chunk (aje once per distinct M'), with each distinct configuration
+    once, and every spec gets the counts of its own run."""
+    m_total = 2000  # chunks of at most 24 trials, so 120 trials take several
+    specs = [ExperimentSpec(1.44, m_total, RATE, scheme, TRIALS, SEED) for scheme in configs]
+    alone = [decode_counts([spec])[0] for spec in specs]
+    calls, kernel = [], getattr(schemes, name)
+    monkeypatch.setattr(schemes, name, lambda *args: calls.append(args) or kernel(*args))
+    together = decode_counts(specs)
+    chunks = len(engine._chunk_ranges(TRIALS, m_total, len(specs)))
+    assert chunks > 1
+    assert len(calls) == calls_per_chunk * chunks
+    if name == "gts_counts":
+        assert all(list(args[2]) == [10, 20] for args in calls)
+    for counts, own in zip(together, alone):
+        assert counts.tobytes() == own.tobytes()
 
 
 class NotAScheme:

@@ -199,9 +199,10 @@ def test_the_check_sees_an_unread_private_name():
     assert unread_private_names(trees) == [("a", "_left")]
 
 
-# the messages of channel._check_positive and channel._check_count: a second
-# copy of either text is a second statement of its rule
-RULE_MESSAGES = ("must be finite and positive", "must be an integer >= 1")
+# the messages of channel._check_positive, channel._check_count and
+# engine._decoder: a second copy of any of them is a second statement of its
+# rule
+RULE_MESSAGES = ("must be finite and positive", "must be an integer >= 1", "unknown scheme configuration")
 
 
 @pytest.mark.parametrize("message", RULE_MESSAGES)
